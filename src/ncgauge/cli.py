@@ -314,6 +314,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
         "grad_norm": res.grad_norm,
         "iterations": res.iterations,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
         "flat": report.is_flat,
         "curvature_residual": report.max_residual,
         "casimir": report.casimir,

@@ -104,12 +104,22 @@ def random_connection(
 # curvature and action
 # ---------------------------------------------------------------------------
 
+def _c_by_last_index(basis: MatrixBasis) -> np.ndarray:
+    """``C[k, l, m]`` as the ``(D, D·D)`` matrix with rows ``m``; a view, as
+    ``structure_constants`` stores ``C`` with its last index slowest."""
+    return basis.c.transpose(2, 0, 1).reshape(basis.dim, basis.dim**2)
+
+
 def curvature(conn: MatrixConnection) -> np.ndarray:
     """Curvature components, shape ``(dim, dim, r, r)``:
     ``F[k, l] = [A_k, A_l] − C[k, l, m] A_m``."""
     a = conn.coeffs
-    prod = np.einsum("kab,lbc->klac", a, a)
-    return prod - prod.transpose(1, 0, 2, 3) - np.einsum("klm,mab->klab", conn.basis.c, a)
+    d, r = a.shape[:2]
+    # every product A_k A_l from one (d·r × r)(r × d·r) GEMM
+    prod = a.reshape(d * r, r) @ a.transpose(1, 0, 2).reshape(r, d * r)
+    prod = prod.reshape(d, r, d, r).transpose(0, 2, 1, 3)
+    c_term = (_c_by_last_index(conn.basis).T @ a.reshape(d, r * r)).reshape(d, d, r, r)
+    return prod - prod.transpose(1, 0, 2, 3) - c_term
 
 
 def curvature_form(conn: MatrixConnection) -> DerForm:
@@ -136,8 +146,12 @@ def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:
 
 
 def _raised(conn: MatrixConnection, f: np.ndarray) -> np.ndarray:
+    """``F^kl = g^ka g^lb F_ab`` as two GEMMs: ``g_inv`` on the first frame
+    index of all of ``F`` at once, then on the second within each ``k``."""
     g_inv = conn.basis.g_inv
-    return np.einsum("ka,lb,abij->klij", g_inv, g_inv, f)
+    d, r = f.shape[0], f.shape[2]
+    half = (g_inv @ f.reshape(d, d * r * r)).reshape(d, d, r * r)
+    return (g_inv @ half).reshape(f.shape)
 
 
 def action(conn: MatrixConnection, f: np.ndarray | None = None) -> float:
@@ -171,11 +185,16 @@ def action_gradient(conn: MatrixConnection, f: np.ndarray | None = None) -> np.n
     ``M_k = 2 Σ_l [A_l, F^kl] − Σ_ab C[a, b, k] F^ab`` vanishes.
     """
     a = conn.coeffs
+    d, r = a.shape[:2]
     if f is None:
         f = curvature(conn)
     f_up = _raised(conn, f)
-    comm = np.einsum("lab,klbc->kac", a, f_up) - np.einsum("klab,lbc->kac", f_up, a)
-    m = 2.0 * comm - np.einsum("abk,abij->kij", conn.basis.c, f_up)
+    # Σ_l A_l F^kl and Σ_l F^kl A_l as batched (r × d·r)(d·r × r) products
+    a_row = a.transpose(1, 0, 2).reshape(r, d * r)
+    f_row = f_up.transpose(0, 2, 1, 3).reshape(d, r, d * r)
+    comm = a_row @ f_up.reshape(d, d * r, r) - f_row @ a.reshape(d * r, r)
+    c_term = (_c_by_last_index(conn.basis) @ f_up.reshape(d * d, r * r)).reshape(d, r, r)
+    m = 2.0 * comm - c_term
     return (m - dagger(m)) / (2.0 * 4.0 * conn.basis.n)
 
 
@@ -190,13 +209,16 @@ class MinimizeResult:
     converged: bool
     #: rows (iteration, action, gradient norm), subsampled by trace_every
     trace: list[tuple[int, float, float]] = field(default_factory=list)
+    #: why :func:`minimize` stopped: ``"gtol"``, ``"max_iter"`` or
+    #: ``"line_search_stalled"`` (``None`` on a result built by hand)
+    stop_reason: str | None = None
 
     def raise_for_convergence(self) -> "MinimizeResult":
         """Return ``self`` if converged, else raise :class:`MaxIterationsError`."""
         if not self.converged:
             raise MaxIterationsError(
                 f"no convergence after {self.iterations} iterations "
-                f"(grad norm {self.grad_norm:.3e})"
+                f"(stopped by {self.stop_reason}, grad norm {self.grad_norm:.3e})"
             )
         return self
 
@@ -215,16 +237,20 @@ def minimize(
     Stops when the gradient norm drops below ``gtol`` or after
     ``max_iter`` accepted steps; a stalled line search (step underflow)
     also ends the run.  Non-convergence is reported through
-    ``converged=False``, never an exception.
+    ``converged=False`` and ``stop_reason``, never an exception.  The
+    curvature of each accepted point is computed once, for its action,
+    and reused for its gradient.
     """
     basis = conn.basis
-    a = conn.coeffs.copy()
+    point = MatrixConnection(basis, conn.coeffs.copy())
+    f = curvature(point)
+    s = action(point, f)
     step = step0
-    s = action(MatrixConnection(basis, a))
     trace: list[tuple[int, float, float]] = []
     it = 0
     converged = False
-    g = action_gradient(MatrixConnection(basis, a))
+    stalled = False
+    g = action_gradient(point, f)
     gnorm = frob_norm(g)
     while it < max_iter:
         if it % trace_every == 0:
@@ -233,19 +259,19 @@ def minimize(
             converged = True
             break
         # backtracking on S(a - t g) against the sufficient-decrease bound
-        accepted = False
         while step > 1e-18:
-            cand = a - step * g
-            s_cand = action(MatrixConnection(basis, cand))
+            cand = MatrixConnection(basis, point.coeffs - step * g)
+            f_cand = curvature(cand)
+            s_cand = action(cand, f_cand)
             if s_cand <= s - armijo * step * gnorm**2:
-                a, s = cand, s_cand
-                accepted = True
+                point, f, s = cand, f_cand, s_cand
                 break
             step /= 2.0
-        if not accepted:
-            break  # line search exhausted at machine precision
+        else:
+            stalled = True  # line search exhausted at machine precision
+            break
         step = min(step * 2.0, 1e6)
-        g = action_gradient(MatrixConnection(basis, a))
+        g = action_gradient(point, f)
         gnorm = frob_norm(g)
         it += 1
     if gnorm < gtol:
@@ -253,12 +279,13 @@ def minimize(
     if not trace or trace[-1][0] != it:
         trace.append((it, s, gnorm))
     return MinimizeResult(
-        connection=MatrixConnection(basis, a),
+        connection=point,
         action=s,
         grad_norm=gnorm,
         iterations=it,
         converged=converged,
         trace=trace,
+        stop_reason="gtol" if converged else "line_search_stalled" if stalled else "max_iter",
     )
 
 

@@ -30,13 +30,12 @@ M.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import dagger, frob_norm, is_unitary
+from .basis import dagger, frob_norm
 from .errors import (
     ConfigError,
     DegreeError,
@@ -261,49 +260,61 @@ def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> AxiomReport:
     operator; antiunitarity of the reality encoding and the three
     KO signs; the zeroth-order (commutant) and first-order conditions
     over all generator pairs.
+
+    A line passes when its residual is at most ``tol`` times the product
+    of the Frobenius norms of the operators it is built from, so the
+    verdict does not change when an operator is rescaled.
     """
     lines: list[AxiomLine] = []
 
-    def add(name: str, residual: float, note: str = "") -> None:
-        lines.append(AxiomLine(name, float(residual), bool(residual < tol), note))
+    def add(name: str, residual: float, scale: float, note: str = "") -> None:
+        lines.append(AxiomLine(name, float(residual), bool(residual <= tol * scale), note))
 
     d = t.d
     dim = t.hilbert_dim
     eye = np.eye(dim)
-    add("dirac_self_adjoint", frob_norm(d - dagger(d)))
+    d_norm = frob_norm(d)
+    gen_norm = max((frob_norm(g) for g in t.generators), default=0.0)
+    add("dirac_self_adjoint", frob_norm(d - dagger(d)), d_norm)
 
     if t.gamma is not None:
         gam = t.gamma
-        add("chirality_self_adjoint", frob_norm(gam - dagger(gam)))
-        add("chirality_squares_to_one", frob_norm(gam @ gam - eye))
+        gam_norm = frob_norm(gam)
+        add("chirality_self_adjoint", frob_norm(gam - dagger(gam)), gam_norm)
+        add("chirality_squares_to_one", frob_norm(gam @ gam - eye), gam_norm**2)
         res = max(
             (frob_norm(gam @ g - g @ gam) for g in t.generators), default=0.0
         )
-        add("chirality_commutes_algebra", res)
-        add("chirality_anticommutes_dirac", frob_norm(gam @ d + d @ gam))
+        add("chirality_commutes_algebra", res, gam_norm * gen_norm)
+        add("chirality_anticommutes_dirac", frob_norm(gam @ d + d @ gam), gam_norm * d_norm)
 
     if t.j is not None:
         u = t.j.u
-        add("reality_antiunitary", frob_norm(dagger(u) @ u - eye))
+        u_sq = frob_norm(u) ** 2
+        add("reality_antiunitary", frob_norm(dagger(u) @ u - eye), u_sq)
         if t.ko_dim is not None:
             eps, eps_p, eps_pp = KO_TABLE[t.ko_dim]
             add(
                 "reality_squares_sign",
                 frob_norm(t.j.squared() - eps * eye),
+                u_sq,
                 f"expect J^2 = {eps:+d}",
             )
             add(
                 "reality_dirac_sign",
                 frob_norm(t.j.conjugate_operator(d) - eps_p * d),
+                u_sq * d_norm,
                 f"expect JD = {eps_p:+d} DJ",
             )
             if t.gamma is not None and eps_pp is not None:
                 add(
                     "reality_chirality_sign",
                     frob_norm(t.j.conjugate_operator(t.gamma) - eps_pp * t.gamma),
+                    u_sq * frob_norm(t.gamma),
                     f"expect Jgamma = {eps_pp:+d} gammaJ",
                 )
         conj_gens = [t.j.conjugate_operator(g) for g in t.generators]
+        conj_norm = max((frob_norm(a) for a in conj_gens), default=0.0)
         res0 = 0.0
         res1 = 0.0
         for a in conj_gens:
@@ -311,8 +322,8 @@ def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> AxiomReport:
                 res0 = max(res0, frob_norm(a @ b - b @ a))
                 db = d @ b - b @ d
                 res1 = max(res1, frob_norm(db @ a - a @ db))
-        add("zeroth_order", res0)
-        add("first_order", res1)
+        add("zeroth_order", res0, conj_norm * gen_norm)
+        add("first_order", res1, d_norm * gen_norm * conj_norm)
 
     return AxiomReport(tuple(lines), all(ln.passed for ln in lines), t.ko_dim)
 

@@ -149,6 +149,17 @@ def test_minimize_zero_steps_exits_one(capsys):
     assert summary["converged"] is False and summary["iterations"] == 0
 
 
+def test_minimize_reports_stop_reason(capsys):
+    for argv, reason in (
+        (["minimize", "--n", "2", "--seed", "1"], "gtol"),
+        (["minimize", "--n", "2", "--seed", "1", "--steps", "3"], "max_iter"),
+    ):
+        code, _, err = run_main(capsys, argv)
+        summary = json.loads(err)
+        assert summary["stop_reason"] == reason
+        assert code == (0 if reason == "gtol" else 1)
+
+
 def test_minimize_out_file_swaps_streams(capsys, tmp_path):
     out_file = tmp_path / "trace.csv"
     code, out, err = run_main(

@@ -26,6 +26,7 @@ from ncgauge import (
     flat_connection_check,
     frob_norm,
     gauge_transform,
+    gellmann_basis,
     grassmann_connection,
     hermitian_compatibility_check,
     minimize,
@@ -33,6 +34,7 @@ from ncgauge import (
     random_connection,
     random_unitary,
 )
+from ncgauge.verify import fd_action_gradient
 
 
 def partial_frame_connection(b: MatrixBasis) -> MatrixConnection:
@@ -138,6 +140,38 @@ def test_action_nonnegative_and_route_agreement(n):
 
 def test_action_via_pairing_frozen(basis2):
     assert action_via_pairing(partial_frame_connection(basis2)) == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# a non-orthonormal frame
+# ---------------------------------------------------------------------------
+
+def skewed_frame(n: int) -> tuple[MatrixBasis, np.ndarray]:
+    """The frame ``E'_k = Σ_l T_kl E_l`` for a fixed well-conditioned real
+    ``T = 1 + 0.3 R``; its metric ``T g Tᵀ`` is far from diagonal."""
+    dim = n * n - 1
+    t = np.eye(dim) + 0.3 * np.random.default_rng(100 + n).standard_normal((dim, dim))
+    return MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, gellmann_basis(n))), t
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_action_is_frame_independent(n):
+    b = MatrixBasis.gellmann(n)
+    skewed, t = skewed_frame(n)
+    g_inv = skewed.g_inv
+    assert np.max(np.abs(g_inv - np.diag(np.diag(g_inv)))) > 0.1
+    rng = np.random.default_rng(60 + n)
+    for r in (n, n + 1):
+        conn = random_connection(b, rng, r=r)
+        # A'_k = Σ_l T_kl A_l: the same connection in the skewed frame
+        moved = MatrixConnection(skewed, np.einsum("kl,lab->kab", t, conn.coeffs))
+        s = action(conn)
+        assert action(moved) == pytest.approx(s, rel=1e-12)
+        g_an = action_gradient(moved)
+        g_fd = fd_action_gradient(moved)
+        assert frob_norm(g_an - g_fd) < 1e-6 * frob_norm(g_an)
+        if n == 2 and r == n:
+            assert action_via_pairing(moved) == pytest.approx(s, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +286,45 @@ def test_minimize_trace_subsampling(basis2):
 def test_minimize_starts_at_flat_point(basis2):
     res = minimize(MatrixConnection.canonical_flat(basis2))
     assert res.converged and res.iterations == 0
+
+
+# iterations, final action and the trace actions at iterations 0, 5, 10 of
+# three descents with the default settings, recorded with the einsum kernels
+# that computed the curvature again for every gradient: reusing it, or
+# reordering the contractions, must not move the path
+FROZEN_DESCENTS = [
+    (2, None, 9, 326, 6.984515436056659e-23, (7.917930223852342, 0.7969445773424403, 0.06115473767559167)),
+    (2, 4, 3, 37, 1.0629196666074562e-29, (127.55748747986321, 9.095339153150974, 0.7572631663027592)),
+    (4, None, 0, 12, 1.096258755947251e-35, (2767.920291339495, 5.710728110473825, 8.008243925115107e-09)),
+]
+
+
+@pytest.mark.parametrize("n, r, seed, iterations, final, early", FROZEN_DESCENTS)
+def test_minimize_path_is_frozen(n, r, seed, iterations, final, early):
+    b = MatrixBasis.gellmann(n)
+    res = minimize(random_connection(b, np.random.default_rng(seed), r=r))
+    assert res.converged and res.stop_reason == "gtol"
+    assert res.iterations == iterations
+    assert res.action == pytest.approx(final, abs=1e-12)
+    by_iter = {row[0]: row[1] for row in res.trace}
+    for it, s in zip((0, 5, 10), early):
+        assert by_iter[it] == pytest.approx(s, rel=1e-12)
+
+
+def test_minimize_stop_reasons(basis2):
+    conn = random_connection(basis2, np.random.default_rng(1))
+    assert minimize(conn).stop_reason == "gtol"
+    capped = minimize(conn, max_iter=5)
+    assert (capped.iterations, capped.converged, capped.stop_reason) == (5, False, "max_iter")
+    with pytest.raises(MaxIterationsError, match="max_iter"):
+        capped.raise_for_convergence()
+    # no trial step above the line search's 1e-18 floor
+    stalled = minimize(conn, step0=1e-19)
+    assert (stalled.iterations, stalled.converged) == (0, False)
+    assert stalled.stop_reason == "line_search_stalled"
+    assert stalled.action == action(conn)
+    with pytest.raises(MaxIterationsError, match="line_search_stalled"):
+        stalled.raise_for_convergence()
 
 
 # ---------------------------------------------------------------------------

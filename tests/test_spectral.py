@@ -45,6 +45,7 @@ from ncgauge import (
     inner_gauge,
     product_triple,
     quaternion,
+    random_unitary,
     represent_form,
     sm_algebra_fixture,
     sm_represent,
@@ -238,6 +239,27 @@ def test_report_serialization_roundtrip_and_text():
     assert by_name["first_order"]["passed"] is False
     assert by_name["dirac_self_adjoint"]["residual"] < 1e-14
 
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_axiom_verdicts_do_not_depend_on_scale(scale):
+    # two_point_triple(2, 1) in a rotated basis, no real structure: every
+    # line holds in exact arithmetic, whatever the size of D
+    u = random_unitary(4, np.random.default_rng(1))
+
+    def rotated(x):
+        return u @ x @ dagger(u)
+
+    t0 = two_point_triple(2, I2)
+    exact = FiniteSpectralTriple(
+        generators=tuple(rotated(p) for p in t0.generators),
+        d=scale * rotated(t0.d),
+        gamma=rotated(t0.gamma),
+    )
+    assert failing(exact) == set()
+    # a non-self-adjoint bump in the odd block fails at every scale
+    bump = np.zeros((4, 4), dtype=complex)
+    bump[0, 2] = 1e-3
+    assert failing(replace(exact, d=exact.d + scale * rotated(bump))) == {"dirac_self_adjoint"}
 
 BASE = two_point_triple(4, I4)
 BASE_FAILS = {"first_order"}
