@@ -71,23 +71,15 @@ from .derforms import (
 from .errors import (
     BasisMismatchError,
     ConfigError,
-    ConfigInvalid,
     DegreeError,
-    DegreeUnsupported,
-    DimensionMismatch,
-    MaxIterations,
     MaxIterationsError,
-    MissingStructure,
     MissingStructureError,
     NCGaugeError,
     NotHermitianError,
-    NotProjector,
     NotProjectorError,
-    NotUnitary,
     NotUnitaryError,
     ShapeError,
     SingularBasisError,
-    SingularMetricError,
 )
 from .lattice import (
     MAX_LATTICE_DIM,
@@ -227,7 +219,6 @@ __all__ = [
     "TAU_NUM",
     "NCGaugeError",
     "SingularBasisError",
-    "SingularMetricError",
     "BasisMismatchError",
     "DegreeError",
     "ShapeError",
@@ -237,11 +228,4 @@ __all__ = [
     "MissingStructureError",
     "ConfigError",
     "MaxIterationsError",
-    "NotUnitary",
-    "NotProjector",
-    "MissingStructure",
-    "DegreeUnsupported",
-    "DimensionMismatch",
-    "ConfigInvalid",
-    "MaxIterations",
 ]

@@ -241,8 +241,8 @@ class MatrixBasis:
     def from_matrices(cls, mats: np.ndarray, tol: float = TAU_ALG) -> "MatrixBasis":
         """Build the basis bundle from raw matrices, validating as we go."""
         mats = np.asarray(mats, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ShapeError(f"expected shape (D, n, n), got {mats.shape}")
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[0] == 0:
+            raise ShapeError(f"expected shape (D, n, n) with D ≥ 1, got {mats.shape}")
         n = mats.shape[-1]
         for k, e in enumerate(mats):
             if not is_hermitian(e, tol):
@@ -250,9 +250,11 @@ class MatrixBasis:
             if not is_traceless(e, tol):
                 raise SingularBasisError(f"basis matrix {k} is not traceless")
         g = basis_metric(mats)
-        g_det = float(np.linalg.det(g))
-        if g_det <= tol:
+        # positive-definite relative to its own scale, whatever the scale
+        eigs = np.linalg.eigvalsh(g)
+        if eigs[0] <= tol * eigs[-1]:
             raise SingularBasisError("basis metric is singular; matrices are dependent")
+        g_det = float(np.prod(eigs))
         g_inv = np.linalg.inv(g)
         c = structure_constants(mats, tol)
         mats = mats.copy()

@@ -44,6 +44,8 @@ from .connections import (
 )
 from .errors import ConfigError, NCGaugeError
 from .lattice import (
+    MAX_LATTICE_DIM,
+    MAX_SIDE,
     lattice_action,
     random_lattice_config,
     vacuum_config,
@@ -203,8 +205,10 @@ def build_config(argv: list[str]) -> RunConfig:
     dims = merged["dims"]
     if dims is not None:
         dims = _parse_dims(dims)
-        if len(dims) > 2 or any(d < 2 or d > 64 for d in dims):
-            raise ConfigError(f"lattice dims must be 1 or 2 sides in 2..64, got {dims}")
+        if len(dims) > MAX_LATTICE_DIM or any(d < 2 or d > MAX_SIDE for d in dims):
+            raise ConfigError(
+                f"lattice dims must be 1..{MAX_LATTICE_DIM} sides in 2..{MAX_SIDE}, got {dims}"
+            )
     init = str(merged["init"])
     if init not in ("broken", "symmetric", "random"):
         raise ConfigError(f"init must be broken/symmetric/random, got {init!r}")

@@ -67,7 +67,7 @@ class MatrixConnection:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+        coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.ndim != 3 or coeffs.shape[0] != self.basis.dim or coeffs.shape[1] != coeffs.shape[2]:
             raise ShapeError(
                 f"coefficients must have shape ({self.basis.dim}, r, r), got {coeffs.shape}"
@@ -235,8 +235,9 @@ def minimize(
     rule), staying exactly on the anti-Hermitian slice.
 
     Stops when the gradient norm drops below ``gtol`` or after
-    ``max_iter`` accepted steps; a stalled line search (step underflow)
-    also ends the run.  Non-convergence is reported through
+    ``max_iter`` accepted steps.  A step is accepted only if it lowers
+    the action, so when no step above 1e-18 does, the line search stalls
+    and ends the run.  Non-convergence is reported through
     ``converged=False`` and ``stop_reason``, never an exception.  The
     curvature of each accepted point is computed once, for its action,
     and reused for its gradient.
@@ -263,7 +264,8 @@ def minimize(
             cand = MatrixConnection(basis, point.coeffs - step * g)
             f_cand = curvature(cand)
             s_cand = action(cand, f_cand)
-            if s_cand <= s - armijo * step * gnorm**2:
+            # the strict test rejects a step whose decrease rounds away
+            if s_cand < s and s_cand <= s - armijo * step * gnorm**2:
                 point, f, s = cand, f_cand, s_cand
                 break
             step /= 2.0

@@ -22,7 +22,7 @@ involution complete the calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -77,7 +77,7 @@ class Derivation:
     coeffs: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma, dtype=complex)
+        gamma = np.array(self.gamma, dtype=complex)
         if gamma.shape != (self.basis.n, self.basis.n):
             raise ShapeError(f"gamma must be {self.basis.n}x{self.basis.n}")
         if abs(np.trace(gamma)) > TAU_ALG * max(1.0, frob_norm(gamma)):
@@ -86,7 +86,7 @@ class Derivation:
         if self.coeffs is None:
             object.__setattr__(self, "coeffs", self.basis.expand(-1j * gamma))
         else:
-            object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
+            object.__setattr__(self, "coeffs", np.array(self.coeffs, dtype=complex))
         self.gamma.setflags(write=False)
         self.coeffs.setflags(write=False)
 
@@ -135,7 +135,7 @@ class DerForm:
                 raise DegreeError(f"index tuple {key} outside 0..{basis.dim - 1}")
             if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
                 raise DegreeError(f"index tuple {key} is not strictly increasing")
-            mat = np.asarray(mat, dtype=complex)
+            mat = np.array(mat, dtype=complex)
             if mat.shape != (basis.n, basis.n):
                 raise ShapeError(f"coefficient for {key} must be {basis.n}x{basis.n}")
             if np.count_nonzero(mat):
@@ -354,17 +354,16 @@ def koszul_evaluate(w: DerForm, x: Derivation, y: Derivation) -> np.ndarray:
 # metric operations
 # ---------------------------------------------------------------------------
 
-def _parity(seq: tuple[int, ...]) -> int:
-    sign, key = _sort_with_sign(seq)
-    return sign if key is not None else 0
-
-
 def hodge(w: DerForm) -> DerForm:
     """Metric Hodge star, mapping degree ``p`` to degree ``dim − p``.
 
-    ``⋆(a ⊗ θ^K) = √g · Σ_M [Σ_{σ ∈ perms(complement of M)}
-    Π_i g_inv[k_i, σ_i] · parity(σ ⧺ M)] a ⊗ θ^M`` over sorted tuples
-    ``M`` of length ``dim − p``.
+    The coefficient of ``θ^M`` in ``⋆(a ⊗ θ^K)`` is
+    ``√g · ε(L ⧺ M) · det(g_inv[K, L])``, with ``L`` the sorted complement
+    of ``M``: a ``p × p`` minor of ``g_inv`` (its p-th compound matrix),
+    signed by ``ε(L ⧺ Lᶜ) = (−1)^(ΣL − p(p−1)/2)``.  A minor can be
+    nonzero only when ``L`` lies inside the columns that the rows
+    ``g_inv[K]`` reach, so only those ``L`` are enumerated; a diagonal
+    metric costs one minor per component.
     """
     basis = w.basis
     if not w.is_homogeneous():
@@ -374,38 +373,20 @@ def hodge(w: DerForm) -> DerForm:
     d = basis.dim
     p = w.degree()
     g_inv = basis.g_inv
-    sqrt_g = basis.sqrt_g_det
+    reach: list[set[int]] = [set() for _ in range(d)]
+    for k, col in np.argwhere(g_inv).tolist():
+        reach[k].add(col)
+    shift = p * (p - 1) // 2
     out: dict[tuple[int, ...], np.ndarray] = {}
-    all_indices = set(range(d))
-    if np.count_nonzero(g_inv - np.diag(np.diagonal(g_inv))) == 0:
-        # diagonal metric: only M = complement(K) with the identity pairing
-        # contributes, collapsing the permutation sum to a single term
-        for key, a in w.components.items():
-            m_tuple = tuple(sorted(all_indices - set(key)))
-            eps = _parity(key + m_tuple)
-            weight = 1.0
-            for ki in key:
-                weight *= g_inv[ki, ki]
-            coeff = eps * weight
-            if coeff != 0.0:
-                out[m_tuple] = out.get(m_tuple, 0) + (sqrt_g * coeff) * a
-        return DerForm(basis, out)
     for key, a in w.components.items():
-        for m_tuple in combinations(range(d), d - p):
-            complement = sorted(all_indices - set(m_tuple))
-            coeff = 0.0
-            for perm in permutations(complement):
-                eps = _parity(perm + m_tuple)
-                if eps == 0:
-                    continue
-                weight = 1.0
-                for ki, li in zip(key, perm):
-                    weight *= g_inv[ki, li]
-                    if weight == 0.0:
-                        break
-                coeff += eps * weight
-            if coeff != 0.0:
-                out[m_tuple] = out.get(m_tuple, 0) + (sqrt_g * coeff) * a
+        ls = list(combinations(sorted(set().union(*(reach[k] for k in key))), p))
+        cols = np.array(ls, dtype=int).reshape(len(ls), p)
+        # minors[i] = det(g_inv[K, L_i]), one p × p block per candidate L_i
+        minors = np.linalg.det(g_inv[list(key)][:, cols].transpose(1, 0, 2))
+        for l_tuple, minor in zip(ls, minors.tolist()):
+            coeff = (-1) ** (sum(l_tuple) - shift) * basis.sqrt_g_det * minor
+            m_tuple = tuple(i for i in range(d) if i not in l_tuple)
+            out[m_tuple] = out.get(m_tuple, 0) + coeff * a
     return DerForm(basis, out)
 
 

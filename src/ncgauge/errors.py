@@ -10,7 +10,6 @@ unitary, and so on.
 __all__ = [
     "NCGaugeError",
     "SingularBasisError",
-    "SingularMetricError",
     "BasisMismatchError",
     "DegreeError",
     "ShapeError",
@@ -20,14 +19,6 @@ __all__ = [
     "MissingStructureError",
     "ConfigError",
     "MaxIterationsError",
-    # short aliases
-    "NotUnitary",
-    "NotProjector",
-    "MissingStructure",
-    "DegreeUnsupported",
-    "DimensionMismatch",
-    "ConfigInvalid",
-    "MaxIterations",
 ]
 
 
@@ -37,10 +28,6 @@ class NCGaugeError(Exception):
 
 class SingularBasisError(NCGaugeError):
     """A set of matrices does not form a valid (linearly independent) basis."""
-
-
-class SingularMetricError(NCGaugeError):
-    """A metric tensor is singular or not positive definite."""
 
 
 class BasisMismatchError(NCGaugeError):
@@ -84,13 +71,3 @@ class MaxIterationsError(NCGaugeError):
     can use :meth:`MinimizeResult.raise_for_convergence`.
     """
 
-
-# Short aliases for the same types, matching the names used in the
-# command-line documentation and error tables.
-NotUnitary = NotUnitaryError
-NotProjector = NotProjectorError
-MissingStructure = MissingStructureError
-DegreeUnsupported = DegreeError
-DimensionMismatch = ShapeError
-ConfigInvalid = ConfigError
-MaxIterations = MaxIterationsError

@@ -81,8 +81,8 @@ class LatticeConfig:
         if any(d < 2 or d > MAX_SIDE for d in dims):
             raise ShapeError(f"lattice sides must be in 2..{MAX_SIDE}, got {dims}")
         n = self.basis.n
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
+        a = np.array(self.a, dtype=complex)
+        b = np.array(self.b, dtype=complex)
         if a.shape != dims + (m, n, n):
             raise ShapeError(f"gauge field must have shape {dims + (m, n, n)}, got {a.shape}")
         if b.shape != dims + (self.basis.dim, n, n):

@@ -96,7 +96,7 @@ class RealStructure:
     conjugate: bool = True
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=complex)
+        u = np.array(self.u, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ShapeError("real-structure matrix must be square")
         object.__setattr__(self, "u", u)
@@ -128,7 +128,7 @@ class OperatorForm:
     op: np.ndarray
 
     def __post_init__(self) -> None:
-        op = np.asarray(self.op, dtype=complex)
+        op = np.array(self.op, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ShapeError("operator must be a square matrix")
         object.__setattr__(self, "op", op)
@@ -153,11 +153,11 @@ class FiniteSpectralTriple:
     algebra: str = ""
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=complex)
+        d = np.array(self.d, dtype=complex)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ShapeError("Dirac operator must be a square matrix")
         dim = d.shape[0]
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
+        gens = tuple(np.array(g, dtype=complex) for g in self.generators)
         for g in gens:
             if g.shape != (dim, dim):
                 raise ShapeError("every generator must match the Hilbert dimension")
@@ -166,7 +166,7 @@ class FiniteSpectralTriple:
         object.__setattr__(self, "d", d)
         d.setflags(write=False)
         if self.gamma is not None:
-            gamma = np.asarray(self.gamma, dtype=complex)
+            gamma = np.array(self.gamma, dtype=complex)
             if gamma.shape != (dim, dim):
                 raise ShapeError("chirality must match the Hilbert dimension")
             object.__setattr__(self, "gamma", gamma)

@@ -61,7 +61,7 @@ class UniversalForm:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        object.__setattr__(self, "values", np.array(self.values, dtype=complex))
         if self.size < 1:
             raise ShapeError(f"point set must be nonempty, got size {self.size}")
         if self.degree < 0 or self.degree > _HARD_DEGREE_CAP:

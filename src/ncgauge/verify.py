@@ -130,8 +130,12 @@ def suite_calculus(n: int = 2, seed: int = 0, samples: int = 10) -> dict[str, An
             basis, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
         r_theta0 = max(r_theta0, (dprime(a) - (wedge(theta, a) - wedge(a, theta))).norm())
-        eta = random_form(basis, top - 1, rng)
-        r_exact = max(r_exact, abs(nc_integrate(dprime(eta))))
+        # |∫ω| ≤ ‖ω_top‖_F / (√n·√g) for any top form ω, so this ratio is
+        # the residual at the scale of d'η, whatever the frame's volume
+        d_eta = dprime(random_form(basis, top - 1, rng))
+        bound = frob_norm(d_eta.component(tuple(range(top)))) / np.sqrt(n) / basis.sqrt_g_det
+        if bound:
+            r_exact = max(r_exact, abs(nc_integrate(d_eta)) / bound)
         sign = (-1.0) ** (p * (top - p))
         r_starstar = max(r_starstar, (hodge(hodge(w1)) - sign * w1).norm())
     r_maurer = (dprime(theta) - wedge(theta, theta)).norm()

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ncgauge import MatrixBasis
+from ncgauge import MatrixBasis, gellmann_basis
 
 # Result lines registered by tests/test_acceptance.py; printed at the end of
 # every run so the gate verdict is visible regardless of output capturing.
@@ -26,6 +26,20 @@ def basis2() -> MatrixBasis:
 @pytest.fixture(scope="session")
 def basis3() -> MatrixBasis:
     return MatrixBasis.gellmann(3)
+
+
+@pytest.fixture(scope="session")
+def skewed_frame():
+    """``skewed_frame(n)`` is the frame ``E'_k = Σ_l T_kl E_l`` for a fixed
+    well-conditioned real ``T = 1 + 0.3 R``, returned with ``T``; its
+    metric ``T g Tᵀ`` is far from diagonal."""
+
+    def build(n: int) -> tuple[MatrixBasis, np.ndarray]:
+        dim = n * n - 1
+        t = np.eye(dim) + 0.3 * np.random.default_rng(100 + n).standard_normal((dim, dim))
+        return MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, gellmann_basis(n))), t
+
+    return build
 
 
 @pytest.fixture

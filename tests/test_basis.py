@@ -125,10 +125,24 @@ def test_structure_constants_totally_antisymmetric(n):
     assert frob_norm(c - c.transpose(1, 2, 0)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_gellmann_builds_where_the_volume_is_tiny(n):
+    # det g = (2/n)^(n²−1) is below 1e-10 here; positivity is a matter of
+    # eigenvalue ratios, not of the volume
+    b = MatrixBasis.gellmann(n)
+    assert np.abs(b.g_inv @ b.g - np.eye(b.dim)).max() < 1e-12
+    assert b.g_det == pytest.approx((2.0 / n) ** b.dim, rel=1e-10)
+
+
 def test_from_matrices_rejects_dependent_family():
     sx = PAULI[0]
     with pytest.raises(SingularBasisError):
         MatrixBasis.from_matrices(np.array([sx, sx]))
+
+
+def test_from_matrices_rejects_empty_family():
+    with pytest.raises(ShapeError):
+        MatrixBasis.from_matrices(np.zeros((0, 2, 2), dtype=complex))
 
 
 def test_from_matrices_rejects_non_hermitian():

@@ -26,7 +26,6 @@ from ncgauge import (
     flat_connection_check,
     frob_norm,
     gauge_transform,
-    gellmann_basis,
     grassmann_connection,
     hermitian_compatibility_check,
     minimize,
@@ -146,16 +145,8 @@ def test_action_via_pairing_frozen(basis2):
 # a non-orthonormal frame
 # ---------------------------------------------------------------------------
 
-def skewed_frame(n: int) -> tuple[MatrixBasis, np.ndarray]:
-    """The frame ``E'_k = Σ_l T_kl E_l`` for a fixed well-conditioned real
-    ``T = 1 + 0.3 R``; its metric ``T g Tᵀ`` is far from diagonal."""
-    dim = n * n - 1
-    t = np.eye(dim) + 0.3 * np.random.default_rng(100 + n).standard_normal((dim, dim))
-    return MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, gellmann_basis(n))), t
-
-
 @pytest.mark.parametrize("n", [2, 3])
-def test_action_is_frame_independent(n):
+def test_action_is_frame_independent(n, skewed_frame):
     b = MatrixBasis.gellmann(n)
     skewed, t = skewed_frame(n)
     g_inv = skewed.g_inv
@@ -170,7 +161,7 @@ def test_action_is_frame_independent(n):
         g_an = action_gradient(moved)
         g_fd = fd_action_gradient(moved)
         assert frob_norm(g_an - g_fd) < 1e-6 * frob_norm(g_an)
-        if n == 2 and r == n:
+        if r == n:
             assert action_via_pairing(moved) == pytest.approx(s, rel=1e-12)
 
 
@@ -325,6 +316,18 @@ def test_minimize_stop_reasons(basis2):
     assert stalled.action == action(conn)
     with pytest.raises(MaxIterationsError, match="line_search_stalled"):
         stalled.raise_for_convergence()
+
+
+def test_minimize_accepts_only_steps_that_lower_the_action(basis2):
+    # gtol below the roundoff floor: once the Armijo margin is under the
+    # action's last bit, no step can lower it, so the descent must stall
+    # rather than spend max_iter on steps that leave it unchanged
+    conn = random_connection(basis2, np.random.default_rng(1))
+    res = minimize(conn, gtol=1e-300, max_iter=3000, trace_every=1)
+    actions = [row[1] for row in res.trace]
+    assert all(later < earlier for earlier, later in zip(actions, actions[1:]))
+    assert res.stop_reason == "line_search_stalled"
+    assert res.iterations < 3000
 
 
 # ---------------------------------------------------------------------------

@@ -184,14 +184,37 @@ def test_hodge_frozen_values_n3(basis3):
     assert h.component(tuple(range(1, 8)))[0, 0] == pytest.approx(8.0 / 27.0)
 
 
-@pytest.mark.parametrize("n,degree", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)])
-def test_double_hodge_sign(n, degree):
-    b = MatrixBasis.gellmann(n)
+@pytest.mark.parametrize(
+    "skewed,n,degree",
+    [
+        pytest.param(False, n, p, id=f"{n}-{p}")
+        for n, p in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]
+    ]
+    + [
+        pytest.param(True, n, p, id=f"skewed-{n}-{p}")
+        for n, p in [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 6), (3, 7), (3, 8)]
+    ],
+)
+def test_double_hodge_sign(skewed, n, degree, skewed_frame):
+    b = skewed_frame(n)[0] if skewed else MatrixBasis.gellmann(n)
+    if skewed:
+        # every row of g_inv reaches every column: the star sums all minors
+        assert np.count_nonzero(b.g_inv) == b.dim**2
     rng = np.random.default_rng(5 * n + degree)
     w = random_form(b, degree, rng)
     d = b.dim
     sign = (-1.0) ** (degree * (d - degree))
     assert (hodge(hodge(w)) - sign * w).norm() < 1e-10 * max(1.0, w.norm())
+
+
+def test_double_hodge_of_unit_at_n5():
+    # g_inv of this frame carries off-diagonal roundoff (about 7e-17); the
+    # star must stay a sum over the few minors that entries reach
+    b = MatrixBasis.gellmann(5)
+    one = np.eye(5, dtype=complex)
+    back = hodge(hodge(DerForm.matrix(b, one)))
+    assert back.degrees() == [0]
+    assert np.abs(back.component(()) - one).max() < 1e-12
 
 
 def test_hodge_needs_homogeneous(basis2, rng):

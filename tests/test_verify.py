@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ncgauge import verify
+from ncgauge import MatrixBasis, gellmann_basis, verify
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -26,6 +26,19 @@ def test_run_all_passes(n):
         assert suite["passed"] is True
         for check in suite["checks"]:
             assert check["residual"] < check["tolerance"], check
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05])
+def test_calculus_suite_does_not_depend_on_frame_scale(monkeypatch, scale):
+    # scaling the frame by s scales √g by s^dim (here 0.05^8 against
+    # (2/3)^4): every verdict must read the same
+    monkeypatch.setattr(
+        MatrixBasis,
+        "gellmann",
+        classmethod(lambda cls, n: cls.from_matrices(scale * gellmann_basis(n))),
+    )
+    report = verify.suite_calculus(n=3)
+    assert report["passed"] is True, report["checks"]
 
 
 def test_run_all_rejects_degenerate_size():
