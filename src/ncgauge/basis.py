@@ -30,7 +30,6 @@ from .tolerances import TAU_ALG
 __all__ = [
     "dagger",
     "commutator",
-    "anticommutator",
     "frob_norm",
     "is_hermitian",
     "is_antihermitian",
@@ -61,26 +60,23 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b + b @ a``."""
-    return a @ b + b @ a
-
-
 def frob_norm(a: np.ndarray) -> float:
     """Frobenius norm of the last two axes, summed over any batch axes."""
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
+# The predicates judge at the operand's own norm, as a ``Check`` does: a
+# defect of 1e-11 in a matrix of norm 1e-11 fails, whatever the unit.
 def is_hermitian(a: np.ndarray, tol: float = TAU_ALG) -> bool:
-    return frob_norm(a - dagger(a)) <= tol * max(1.0, frob_norm(a))
+    return frob_norm(a - dagger(a)) <= tol * frob_norm(a)
 
 
 def is_antihermitian(a: np.ndarray, tol: float = TAU_ALG) -> bool:
-    return frob_norm(a + dagger(a)) <= tol * max(1.0, frob_norm(a))
+    return frob_norm(a + dagger(a)) <= tol * frob_norm(a)
 
 
 def is_traceless(a: np.ndarray, tol: float = TAU_ALG) -> bool:
-    return abs(np.trace(a)) <= tol * max(1.0, frob_norm(a))
+    return abs(np.trace(a)) <= tol * frob_norm(a)
 
 
 def is_unitary(a: np.ndarray, tol: float = TAU_ALG) -> bool:

@@ -333,7 +333,7 @@ def hermitian_compatibility_check(conn: MatrixConnection, tol: float = TAU_ALG) 
     """True iff every coefficient is anti-Hermitian (metric compatibility
     of the connection with the canonical Hermitian pairing)."""
     a = conn.coeffs
-    return bool(frob_norm(a + dagger(a)) <= tol * max(1.0, frob_norm(a)))
+    return bool(frob_norm(a + dagger(a)) <= tol * frob_norm(a))
 
 
 def grassmann_connection(p: np.ndarray, basis: MatrixBasis, tol: float = TAU_ALG) -> np.ndarray:

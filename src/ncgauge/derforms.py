@@ -102,11 +102,11 @@ class Derivation:
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """Commutator of derivations: ``[ad(γ), ad(η)] = ad([γ, η])``."""
-        _check_same_basis(self.basis, other.basis)
+        _require_same_basis(self.basis, other.basis)
         return Derivation(self.basis, self.gamma @ other.gamma - other.gamma @ self.gamma)
 
 
-def _check_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
+def _require_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
     if b1 is b2:
         return
     if not b1.same_as(b2):
@@ -190,7 +190,7 @@ class DerForm:
     # -- graded-algebra arithmetic -------------------------------------------
 
     def __add__(self, other: "DerForm") -> "DerForm":
-        _check_same_basis(self.basis, other.basis)
+        _require_same_basis(self.basis, other.basis)
         out = dict(self.components)
         for key, mat in other.components.items():
             out[key] = out.get(key, 0) + mat
@@ -247,7 +247,7 @@ class DerForm:
 
 def wedge(w1: DerForm, w2: DerForm) -> DerForm:
     """Graded product: ``(a ⊗ θ^K)(b ⊗ θ^L) = ab ⊗ θ^K ∧ θ^L``."""
-    _check_same_basis(w1.basis, w2.basis)
+    _require_same_basis(w1.basis, w2.basis)
     out: dict[tuple[int, ...], np.ndarray] = {}
     for k1, a in w1.components.items():
         for k2, b in w2.components.items():
@@ -325,7 +325,7 @@ def evaluate(w: DerForm, ders: list[Derivation]) -> np.ndarray:
     """
     basis = w.basis
     for der in ders:
-        _check_same_basis(basis, der.basis)
+        _require_same_basis(basis, der.basis)
     p = len(ders)
     if w.components and p not in w.degrees():
         raise DegreeError(f"form has no degree-{p} part to evaluate")

@@ -44,7 +44,7 @@ from .errors import (
     NotUnitaryError,
     ShapeError,
 )
-from .tolerances import TAU_ALG
+from .tolerances import TAU_ALG, Check, CheckReport
 from .universal import UniversalForm, duniv, uproduct
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "RealStructure",
     "OperatorForm",
     "FiniteSpectralTriple",
-    "AxiomLine",
-    "AxiomReport",
     "check_axioms",
     "represent_form",
     "fluctuate",
@@ -202,56 +200,7 @@ class FiniteSpectralTriple:
 # axiom verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomLine:
-    name: str
-    residual: float
-    passed: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    lines: tuple[AxiomLine, ...]
-    passed: bool
-    ko_dim: int | None
-
-    def line(self, name: str) -> AxiomLine:
-        for ln in self.lines:
-            if ln.name == name:
-                return ln
-        raise KeyError(name)
-
-    def names(self) -> list[str]:
-        return [ln.name for ln in self.lines]
-
-    def to_json(self) -> str:
-        payload = {
-            "ko_dim": self.ko_dim,
-            "passed": self.passed,
-            "lines": [
-                {
-                    "name": ln.name,
-                    "residual": ln.residual,
-                    "passed": ln.passed,
-                    "note": ln.note,
-                }
-                for ln in self.lines
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        rows = [
-            f"[{'PASS' if ln.passed else 'FAIL'}] {ln.name:32s} residual {ln.residual:.3e}"
-            + (f"  ({ln.note})" if ln.note else "")
-            for ln in self.lines
-        ]
-        verdict = "all axioms hold" if self.passed else "AXIOM FAILURES PRESENT"
-        return "\n".join(rows + [verdict])
-
-
-def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> AxiomReport:
+def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> CheckReport:
     """Verify every applicable axiom; residuals are Frobenius norms.
 
     Lines (in order, skipping structures the triple does not carry):
@@ -265,10 +214,10 @@ def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> AxiomReport:
     of the Frobenius norms of the operators it is built from, so the
     verdict does not change when an operator is rescaled.
     """
-    lines: list[AxiomLine] = []
+    lines: list[Check] = []
 
     def add(name: str, residual: float, scale: float, note: str = "") -> None:
-        lines.append(AxiomLine(name, float(residual), bool(residual <= tol * scale), note))
+        lines.append(Check(name, residual, tol, scale, note))
 
     d = t.d
     dim = t.hilbert_dim
@@ -325,7 +274,7 @@ def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> AxiomReport:
         add("zeroth_order", res0, conj_norm * gen_norm)
         add("first_order", res1, d_norm * gen_norm * conj_norm)
 
-    return AxiomReport(tuple(lines), all(ln.passed for ln in lines), t.ko_dim)
+    return CheckReport("spectral_axioms", lines)
 
 
 # ---------------------------------------------------------------------------

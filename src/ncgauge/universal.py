@@ -35,7 +35,7 @@ __all__ = [
     "duniv",
     "uinvolution",
     "point_function",
-    "random_form",
+    "random_universal_form",
     "two_point_one_form",
     "two_point_curvature_form",
     "two_point_curvature",
@@ -76,10 +76,10 @@ class UniversalForm:
             )
         if self.values.size > _MAX_ENTRIES:
             raise ShapeError("form storage exceeds the dense-array budget")
-        self._check_consecutive_vanishing()
+        self._require_consecutive_vanishing()
         self.values.setflags(write=False)
 
-    def _check_consecutive_vanishing(self) -> None:
+    def _require_consecutive_vanishing(self) -> None:
         v = self.values
         for axis in range(self.degree):
             sl = np.abs(np.diagonal(v, axis1=axis, axis2=axis + 1))
@@ -136,7 +136,7 @@ def point_function(size: int, point: int) -> UniversalForm:
     return UniversalForm(size, 0, values)
 
 
-def random_form(size: int, degree: int, rng: np.random.Generator) -> UniversalForm:
+def random_universal_form(size: int, degree: int, rng: np.random.Generator) -> UniversalForm:
     """Random form: i.i.d. complex-normal entries with the consecutive
     diagonals zeroed out."""
     if degree > MAX_DEGREE:

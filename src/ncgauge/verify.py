@@ -1,20 +1,23 @@
 """Runnable invariant suites: quick, seeded spot-checks of the algebraic
 identities every module is built on.
 
-Each suite returns a JSON-ready dict of named checks with residuals and
-per-check verdicts; ``run_all`` aggregates them.  These are smaller and
-faster than the test suite — they exist so a command-line run can
-demonstrate the core identities from a fresh install, deterministically
-for a fixed seed.
+Each suite returns the record of a :class:`~ncgauge.tolerances.CheckReport`:
+named checks, each holding its residual to ``tol`` times the product of its
+operands' norms (a frame-sized scale where the operands vanish), so a
+rescaled frame reads the same verdicts; ``run_all`` aggregates them.  These
+are smaller and faster than the test suite — they exist so a command-line
+run can demonstrate the core identities from a fresh install,
+deterministically for a fixed seed.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from .basis import MatrixBasis, dagger, frob_norm, random_unitary
+from .basis import MatrixBasis, frob_norm, random_unitary
 from .connections import (
     MatrixConnection,
     action,
@@ -28,14 +31,18 @@ from .connections import (
 from .derforms import (
     DerForm,
     canonical_theta,
-    dinvolution,
     dprime,
     hodge,
     nc_integrate,
     random_form,
     wedge,
 )
-from .lattice import lattice_action, lattice_gauge_transform, vacuum_config
+from .lattice import (
+    lattice_action,
+    lattice_gauge_transform,
+    random_lattice_config,
+    vacuum_config,
+)
 from .spectral import (
     check_axioms,
     inner_gauge,
@@ -43,11 +50,11 @@ from .spectral import (
     two_point_action,
     two_point_triple,
 )
-from .tolerances import TAU_ALG, TAU_NUM
+from .tolerances import TAU_ALG, Check, CheckReport
 from .universal import (
     UniversalForm,
     duniv,
-    random_form as random_universal_form,
+    random_universal_form,
     two_point_curvature_form,
     uinvolution,
     uproduct,
@@ -64,50 +71,32 @@ __all__ = [
 ]
 
 
-def _check(name: str, residual: float, tol: float) -> dict[str, Any]:
-    return {
-        "name": name,
-        "residual": float(residual),
-        "tolerance": tol,
-        "passed": bool(residual < tol),
-    }
-
-
-def _suite(name: str, checks: list[dict[str, Any]]) -> dict[str, Any]:
-    return {
-        "suite": name,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
-
-
 def suite_universal(seed: int = 0, size: int = 4, samples: int = 8) -> dict[str, Any]:
     """Finite-set universal calculus: d² = 0, Leibniz, graded involution."""
     rng = np.random.default_rng(seed)
-    r_d2 = r_leib = r_inv = r_dstar = 0.0
+    checks: list[Check] = []
     for _ in range(samples):
         p = int(rng.integers(0, 2))
         q = int(rng.integers(0, 2))
         f = random_universal_form(size, p, rng)
         g = random_universal_form(size, q, rng)
-        r_d2 = max(r_d2, duniv(duniv(f)).norm())
+        fg = f.norm() * g.norm()
         lhs = duniv(uproduct(f, g))
         rhs = uproduct(duniv(f), g) + (-1.0) ** p * uproduct(f, duniv(g))
-        r_leib = max(r_leib, (lhs - rhs).norm())
         sign = (-1.0) ** (p * q)
-        r_inv = max(
-            r_inv, (uinvolution(uproduct(f, g)) - sign * uproduct(uinvolution(g), uinvolution(f))).norm()
-        )
-        r_dstar = max(r_dstar, (duniv(uinvolution(f)) - uinvolution(duniv(f))).norm())
-    return _suite(
-        "universal_forms",
-        [
-            _check("d_squared_zero", r_d2, TAU_ALG),
-            _check("graded_leibniz", r_leib, TAU_ALG),
-            _check("involution_antimultiplicative", r_inv, TAU_ALG),
-            _check("d_commutes_with_involution", r_dstar, TAU_ALG),
-        ],
-    )
+        inv = uinvolution(uproduct(f, g)) - sign * uproduct(uinvolution(g), uinvolution(f))
+        checks += [
+            Check("d_squared_zero", duniv(duniv(f)).norm(), TAU_ALG, f.norm()),
+            Check("graded_leibniz", (lhs - rhs).norm(), TAU_ALG, fg),
+            Check("involution_antimultiplicative", inv.norm(), TAU_ALG, fg),
+            Check(
+                "d_commutes_with_involution",
+                (duniv(uinvolution(f)) - uinvolution(duniv(f))).norm(),
+                TAU_ALG,
+                f.norm(),
+            ),
+        ]
+    return CheckReport("universal_forms", checks).to_record()
 
 
 def suite_calculus(n: int = 2, seed: int = 0, samples: int = 10) -> dict[str, Any]:
@@ -116,40 +105,34 @@ def suite_calculus(n: int = 2, seed: int = 0, samples: int = 10) -> dict[str, An
     basis = MatrixBasis.gellmann(n)
     top = basis.dim
     theta = canonical_theta(basis)
-    r_d2 = r_leib = r_theta0 = r_maurer = r_exact = r_starstar = 0.0
+    # d' acts as the bracket with iθ, so ‖iθ‖ is the size of one d'
+    d_size = theta.norm()
+    maurer = (dprime(theta) - wedge(theta, theta)).norm()
+    checks = [Check("canonical_form_structure_eq", maurer, TAU_ALG, d_size**2)]
     for _ in range(samples):
         p = int(rng.integers(0, min(3, top)))
         q = int(rng.integers(0, min(3, top) - p + 1))
         w1 = random_form(basis, p, rng)
         w2 = random_form(basis, q, rng)
-        r_d2 = max(r_d2, dprime(dprime(w1)).norm())
         lhs = dprime(wedge(w1, w2))
         rhs = wedge(dprime(w1), w2) + (-1.0) ** p * wedge(w1, dprime(w2))
-        r_leib = max(r_leib, (lhs - rhs).norm())
         a = DerForm.matrix(
             basis, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
-        r_theta0 = max(r_theta0, (dprime(a) - (wedge(theta, a) - wedge(a, theta))).norm())
-        # |∫ω| ≤ ‖ω_top‖_F / (√n·√g) for any top form ω, so this ratio is
-        # the residual at the scale of d'η, whatever the frame's volume
+        bracket = dprime(a) - (wedge(theta, a) - wedge(a, theta))
+        # |∫ω| ≤ ‖ω_top‖_F / (√n·√g) for any top form ω: the scale of ∫d'η,
+        # whatever the frame's volume
         d_eta = dprime(random_form(basis, top - 1, rng))
         bound = frob_norm(d_eta.component(tuple(range(top)))) / np.sqrt(n) / basis.sqrt_g_det
-        if bound:
-            r_exact = max(r_exact, abs(nc_integrate(d_eta)) / bound)
         sign = (-1.0) ** (p * (top - p))
-        r_starstar = max(r_starstar, (hodge(hodge(w1)) - sign * w1).norm())
-    r_maurer = (dprime(theta) - wedge(theta, theta)).norm()
-    return _suite(
-        f"matrix_calculus_n{n}",
-        [
-            _check("d_squared_zero", r_d2, TAU_ALG),
-            _check("graded_leibniz", r_leib, TAU_ALG),
-            _check("d_equals_theta_bracket", r_theta0, TAU_ALG),
-            _check("canonical_form_structure_eq", r_maurer, TAU_ALG),
-            _check("integral_kills_exact_forms", r_exact, TAU_ALG),
-            _check("double_hodge_sign", r_starstar, TAU_ALG),
-        ],
-    )
+        checks += [
+            Check("d_squared_zero", dprime(dprime(w1)).norm(), TAU_ALG, d_size**2 * w1.norm()),
+            Check("graded_leibniz", (lhs - rhs).norm(), TAU_ALG, d_size * w1.norm() * w2.norm()),
+            Check("d_equals_theta_bracket", bracket.norm(), TAU_ALG, d_size * a.norm()),
+            Check("integral_kills_exact_forms", abs(nc_integrate(d_eta)), TAU_ALG, bound),
+            Check("double_hodge_sign", (hodge(hodge(w1)) - sign * w1).norm(), TAU_ALG, w1.norm()),
+        ]
+    return CheckReport(f"matrix_calculus_n{n}", checks).to_record()
 
 
 def fd_action_gradient(conn: MatrixConnection, h: float = 1e-5) -> np.ndarray:
@@ -189,42 +172,38 @@ def suite_gauge(n: int = 2, seed: int = 0, samples: int = 10) -> dict[str, Any]:
     """Connections: positivity, covariance, the two action routes, FD gradient."""
     rng = np.random.default_rng(seed)
     basis = MatrixBasis.gellmann(n)
-    r_pos = 0.0
-    r_inv = r_cov = r_routes = 0.0
+    checks: list[Check] = []
     for _ in range(samples):
         conn = random_connection(basis, rng)
-        s = action(conn)
-        r_pos = min(r_pos, s)  # most negative action seen
+        f = curvature(conn)
+        s = action(conn, f)
         g = random_unitary(n, rng)
         conn_g = gauge_transform(conn, g)
-        r_inv = max(r_inv, abs(action(conn_g) - s))
-        f = curvature(conn)
-        f_g = curvature(conn_g)
-        r_cov = max(
-            r_cov,
-            frob_norm(f_g - np.einsum("ba,klbc,cd->klad", np.conjugate(g), f, g)),
-        )
-        r_routes = max(r_routes, abs(action_via_pairing(conn) - s))
+        f_moved = curvature(conn_g) - np.einsum("ba,klbc,cd->klad", np.conjugate(g), f, g)
+        checks += [
+            # a sum of squares: negative at any size is a failure
+            Check("action_nonnegative", max(0.0, -s), TAU_ALG, abs(s)),
+            Check("gauge_invariance", abs(action(conn_g) - s), TAU_ALG, abs(s)),
+            Check("curvature_covariance", frob_norm(f_moved), TAU_ALG, frob_norm(f)),
+            Check("action_route_agreement", abs(action_via_pairing(conn) - s), TAU_ALG, abs(s)),
+        ]
     conn = random_connection(basis, rng)
     g_an = action_gradient(conn)
     g_fd = fd_action_gradient(conn)
-    r_grad = frob_norm(g_an - g_fd) / max(1.0, frob_norm(g_fd))
-    vac0 = action(MatrixConnection.zero(basis))
-    vac1 = action(MatrixConnection.canonical_flat(basis))
-    flat1 = flat_connection_check(MatrixConnection.canonical_flat(basis))
-    return _suite(
-        f"gauge_engine_n{n}",
-        [
-            _check("action_nonnegative", -r_pos, TAU_ALG),
-            _check("gauge_invariance", r_inv, TAU_NUM),
-            _check("curvature_covariance", r_cov, TAU_ALG),
-            _check("action_route_agreement", r_routes, TAU_NUM),
-            _check("gradient_vs_finite_differences", r_grad, 1e-5),
-            _check("symmetric_vacuum_action", abs(vac0), TAU_ALG),
-            _check("canonical_flat_action", abs(vac1), TAU_ALG),
-            _check("canonical_flat_residual", flat1.max_residual, TAU_ALG),
-        ],
+    checks.append(
+        Check("gradient_vs_finite_differences", frob_norm(g_an - g_fd), 1e-5, frob_norm(g_fd))
     )
+    flat = MatrixConnection.canonical_flat(basis)
+    a_sq = frob_norm(flat.coeffs) ** 2
+    # the action's size at a connection as large as the frame: both vacua are
+    # judged at it, the symmetric one because its operands vanish
+    unit = (frob_norm(basis.g_inv) * a_sq) ** 2 / (8.0 * n)
+    checks += [
+        Check("symmetric_vacuum_action", abs(action(MatrixConnection.zero(basis))), TAU_ALG, unit),
+        Check("canonical_flat_action", abs(action(flat)), TAU_ALG, unit),
+        Check("canonical_flat_residual", flat_connection_check(flat).max_residual, TAU_ALG, a_sq),
+    ]
+    return CheckReport(f"gauge_engine_n{n}", checks).to_record()
 
 
 def suite_lattice(n: int = 2, seed: int = 0) -> dict[str, Any]:
@@ -234,41 +213,42 @@ def suite_lattice(n: int = 2, seed: int = 0) -> dict[str, Any]:
     dims = (8,)
     sym = vacuum_config("symmetric", dims, basis)
     brk = vacuum_config("broken", dims, basis)
-    s_sym = lattice_action(sym)
-    s_brk = lattice_action(brk)
     g_const = np.broadcast_to(random_unitary(n, rng), dims + (n, n)).copy()
-    s_gauged = lattice_action(lattice_gauge_transform(brk, g_const))
+    # invariance is judged away from a vacuum, where the action is
+    # stationary and would hide a first-order error in the transform
+    cfg = random_lattice_config(dims, basis, 1.0, rng)
+    s_cfg = lattice_action(cfg)
+    s_gauged = lattice_action(lattice_gauge_transform(cfg, g_const))
     # the algebraic heart of the broken vacuum
     b = 1j * basis.mats
     comm = np.einsum("kab,lbc->klac", b, b)
     comm = comm - comm.transpose(1, 0, 2, 3)
     higgs = frob_norm(comm - np.einsum("klm,mab->klab", basis.c, b))
-    return _suite(
-        f"lattice_higgs_n{n}",
-        [
-            _check("symmetric_vacuum_zero", s_sym, 1e-12),
-            _check("broken_vacuum_zero", s_brk, 1e-12),
-            _check("constant_gauge_invariance", abs(s_gauged - s_brk), TAU_NUM),
-            _check("frame_bracket_identity", higgs, TAU_ALG),
-        ],
-    )
+    # the Higgs term's size at the broken vacuum; the symmetric vacuum, whose
+    # fields vanish, is judged at it too
+    unit = (brk.mu**2 * frob_norm(brk.b) ** 2) ** 2 / (16.0 * n**2)
+    checks = [
+        Check("symmetric_vacuum_zero", lattice_action(sym), 1e-12, unit),
+        Check("broken_vacuum_zero", lattice_action(brk), 1e-12, unit),
+        Check("constant_gauge_invariance", abs(s_gauged - s_cfg), TAU_ALG, s_cfg),
+        Check("frame_bracket_identity", higgs, TAU_ALG, frob_norm(b) ** 2),
+    ]
+    return CheckReport(f"lattice_higgs_n{n}", checks).to_record()
 
 
 def suite_spectral(seed: int = 0, big_n: int = 3, samples: int = 6) -> dict[str, Any]:
     """Two-point model: axioms, gauge coincidence, action identity."""
     rng = np.random.default_rng(seed)
-    t0 = two_point_triple(big_n, np.zeros((big_n, big_n)))
-    rep0 = check_axioms(t0)
-    r_axioms = max(ln.residual for ln in rep0.lines)
+    rep0 = check_axioms(two_point_triple(big_n, np.zeros((big_n, big_n))))
     m = rng.standard_normal((big_n, big_n))
     t = two_point_triple(big_n, m)
     rep = check_axioms(t)
-    sign_lines = [
-        rep.line(name).residual
+    # axiom lines keep their own bounds, so their verdicts carry over
+    checks = [replace(ln, name="two_point_all_axioms_massless") for ln in rep0.lines]
+    checks += [
+        replace(rep.line(name), name="two_point_sign_rows")
         for name in ("reality_squares_sign", "reality_dirac_sign", "reality_chirality_sign")
     ]
-    r_match = 0.0
-    r_action = 0.0
     for _ in range(samples):
         theta = rng.uniform(0, 2 * np.pi, size=2)
         u = np.exp(1j * theta)
@@ -283,20 +263,19 @@ def suite_spectral(seed: int = 0, big_n: int = 3, samples: int = 6) -> dict[str,
             ),
         )
         res = inner_gauge(t, u, omega)
-        r_match = max(r_match, res.max_diff)
         r_c = rng.standard_normal() + 1j * rng.standard_normal()
         curv = represent_form(t, two_point_curvature_form(r_c)).op
         closed = two_point_action(1.0 + r_c, m)
-        r_action = max(r_action, abs(float(np.real(np.trace(curv @ curv))) - closed))
-    return _suite(
-        "spectral_core",
-        [
-            _check("two_point_all_axioms_massless", r_axioms, TAU_ALG),
-            _check("two_point_sign_rows", max(sign_lines), TAU_ALG),
-            _check("gauge_route_coincidence", r_match, TAU_ALG),
-            _check("action_operator_vs_closed_form", r_action, TAU_NUM),
-        ],
-    )
+        checks += [
+            Check("gauge_route_coincidence", res.max_diff, TAU_ALG, frob_norm(res.d_transformed)),
+            Check(
+                "action_operator_vs_closed_form",
+                abs(float(np.real(np.trace(curv @ curv))) - closed),
+                TAU_ALG,
+                frob_norm(curv) ** 2,
+            ),
+        ]
+    return CheckReport("spectral_core", checks).to_record()
 
 
 def run_all(n: int = 2, seed: int = 0) -> dict[str, Any]:

@@ -202,3 +202,16 @@ def test_helper_predicates(rng):
     assert is_hermitian(t) and is_traceless(t)
     assert frob_norm(commutator(h, h)) < 1e-14
     assert np.abs(dagger(u) @ u - np.eye(4)).max() < 1e-12
+
+
+@pytest.mark.parametrize("size", [1e-11, 1.0, 1e11])
+def test_predicates_judge_at_the_operands_scale(size):
+    # a nilpotent block is neither Hermitian nor anti-Hermitian, and a
+    # multiple of the identity is not traceless, however small
+    nil = size * np.array([[0, 1], [0, 0]], dtype=complex)
+    assert not is_hermitian(nil)
+    assert not is_antihermitian(nil)
+    assert not is_traceless(size * np.eye(2))
+    # and the verdicts on genuine members do not change with the size either
+    assert is_hermitian(size * PAULI[0]) and is_traceless(size * PAULI[0])
+    assert is_antihermitian(1j * size * PAULI[1])

@@ -378,6 +378,13 @@ def test_hermitian_compatibility_check(basis2, rng):
     assert not hermitian_compatibility_check(broken)
 
 
+@pytest.mark.parametrize("size", [1e-11, 1.0])
+def test_hermitian_compatibility_is_judged_at_the_coefficients_scale(basis2, rng, size):
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)
+    assert not hermitian_compatibility_check(MatrixConnection(basis2, size * np.stack([nil] * 3)))
+    assert hermitian_compatibility_check(MatrixConnection(basis2, size * random_connection(basis2, rng).coeffs))
+
+
 # ---------------------------------------------------------------------------
 # projector (Grassmann) connections
 # ---------------------------------------------------------------------------

@@ -198,10 +198,11 @@ def test_shifting_ko_by_four_flips_exactly_the_square_sign(k):
 # ---------------------------------------------------------------------------
 
 def test_zero_mass_triple_satisfies_every_axiom():
-    rep = check_axioms(two_point_triple(4, Z4))
+    t = two_point_triple(4, Z4)
+    rep = check_axioms(t)
     assert rep.passed
-    assert rep.ko_dim == 0
-    names = rep.names()
+    assert t.ko_dim == 0
+    names = [ln.name for ln in rep.lines]
     assert names == [
         "dirac_self_adjoint",
         "chirality_self_adjoint",
@@ -229,15 +230,20 @@ def test_report_serialization_roundtrip_and_text():
     rep = check_axioms(two_point_triple(2, I2))
     text = rep.to_text()
     assert "first_order" in text and "FAIL" in text and "PASS" in text
-    js = rep.to_json()
-    assert js == check_axioms(two_point_triple(2, I2)).to_json()  # deterministic
     import json
 
+    js = json.dumps(rep.to_record(), sort_keys=True)
+    assert js == json.dumps(check_axioms(two_point_triple(2, I2)).to_record(), sort_keys=True)
     payload = json.loads(js)
     assert payload["passed"] is False
-    by_name = {ln["name"]: ln for ln in payload["lines"]}
+    by_name = {ln["name"]: ln for ln in payload["checks"]}
     assert by_name["first_order"]["passed"] is False
     assert by_name["dirac_self_adjoint"]["residual"] < 1e-14
+    # the serialized tolerance is the bound the residual was held to
+    first = rep.line("first_order")
+    assert by_name["first_order"]["tolerance"] == first.tol * first.scale
+    assert first.margin > 1.0 >= rep.line("zeroth_order").margin
+    assert by_name["reality_squares_sign"]["note"] == "expect J^2 = +1"
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -373,7 +379,7 @@ def test_every_axiom_line_has_a_catching_mutation():
         "zeroth_order",
         "first_order",
     }
-    assert covered == set(check_axioms(two_point_triple(4, Z4)).names())
+    assert covered == {ln.name for ln in check_axioms(two_point_triple(4, Z4)).lines}
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +556,7 @@ def test_triple_json_roundtrip():
     assert back.ko_dim == 0 and back.algebra == t.algebra
     assert len(back.generators) == 2
     # verdicts identical after the roundtrip
-    assert check_axioms(back).to_json() == check_axioms(t).to_json()
+    assert check_axioms(back).to_record() == check_axioms(t).to_record()
 
 
 def test_triple_json_rejects_malformed():

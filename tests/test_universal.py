@@ -18,7 +18,7 @@ from ncgauge import (
     uinvolution,
     uproduct,
 )
-from ncgauge.universal import MAX_DEGREE, random_form
+from ncgauge.universal import MAX_DEGREE, random_universal_form
 
 
 def test_point_function_identities():
@@ -51,7 +51,7 @@ def test_function_times_one_form_frozen():
 
 def test_differential_of_function_is_difference():
     rng = np.random.default_rng(0)
-    f = random_form(5, 0, rng)
+    f = random_universal_form(5, 0, rng)
     df = duniv(f)
     for x in range(5):
         for y in range(5):
@@ -62,7 +62,7 @@ def test_differential_of_function_is_difference():
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_differential_squares_to_zero(size, degree):
     rng = np.random.default_rng(size * 10 + degree)
-    f = random_form(size, degree, rng)
+    f = random_universal_form(size, degree, rng)
     dd = duniv(duniv(f))
     assert dd.degree == degree + 2
     assert np.abs(dd.values).max() < 1e-13
@@ -71,8 +71,8 @@ def test_differential_squares_to_zero(size, degree):
 @pytest.mark.parametrize("p,q", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
 def test_graded_leibniz(p, q):
     rng = np.random.default_rng(100 * p + q)
-    f = random_form(3, p, rng)
-    g = random_form(3, q, rng)
+    f = random_universal_form(3, p, rng)
+    g = random_universal_form(3, q, rng)
     lhs = duniv(uproduct(f, g))
     rhs = uproduct(duniv(f), g) + (-1.0) ** p * uproduct(f, duniv(g))
     assert np.abs(lhs.values - rhs.values).max() < 1e-12
@@ -81,8 +81,8 @@ def test_graded_leibniz(p, q):
 @pytest.mark.parametrize("p,q", [(0, 1), (1, 1), (1, 2), (2, 2)])
 def test_involution_reverses_products_with_graded_sign(p, q):
     rng = np.random.default_rng(7 * p + q)
-    f = random_form(3, p, rng)
-    g = random_form(3, q, rng)
+    f = random_universal_form(3, p, rng)
+    g = random_universal_form(3, q, rng)
     lhs = uinvolution(uproduct(f, g))
     rhs = (-1.0) ** (p * q) * uproduct(uinvolution(g), uinvolution(f))
     assert np.abs(lhs.values - rhs.values).max() < 1e-12
@@ -91,7 +91,7 @@ def test_involution_reverses_products_with_graded_sign(p, q):
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_involution_commutes_with_differential(degree):
     rng = np.random.default_rng(degree)
-    f = random_form(4, degree, rng)
+    f = random_universal_form(4, degree, rng)
     lhs = uinvolution(duniv(f))
     rhs = duniv(uinvolution(f))
     assert np.abs(lhs.values - rhs.values).max() < 1e-13
@@ -99,7 +99,7 @@ def test_involution_commutes_with_differential(degree):
 
 def test_involution_is_an_involution():
     rng = np.random.default_rng(3)
-    f = random_form(4, 2, rng)
+    f = random_universal_form(4, 2, rng)
     again = uinvolution(uinvolution(f))
     assert np.abs(again.values - f.values).max() < 1e-14
 
@@ -115,8 +115,8 @@ def test_consecutive_diagonal_vanishing_enforced():
 def test_degree_caps():
     rng = np.random.default_rng(0)
     with pytest.raises(DegreeError):
-        random_form(3, MAX_DEGREE + 1, rng)
-    f = random_form(2, MAX_DEGREE, rng)
+        random_universal_form(3, MAX_DEGREE + 1, rng)
+    f = random_universal_form(2, MAX_DEGREE, rng)
     # one differential beyond the soft cap is allowed (needed for d d = 0
     # checks); products beyond the hard cap are rejected
     df = duniv(f)
@@ -127,8 +127,8 @@ def test_degree_caps():
 
 def test_size_mismatch_rejected():
     rng = np.random.default_rng(0)
-    f = random_form(2, 1, rng)
-    g = random_form(3, 1, rng)
+    f = random_universal_form(2, 1, rng)
+    g = random_universal_form(3, 1, rng)
     with pytest.raises(BasisMismatchError):
         uproduct(f, g)
 
@@ -171,7 +171,7 @@ def test_curvature_form_matches_structure_equation():
 def test_zero_and_scalar_arithmetic():
     z = UniversalForm.zero(3, 1)
     rng = np.random.default_rng(1)
-    f = random_form(3, 1, rng)
+    f = random_universal_form(3, 1, rng)
     assert np.array_equal((f + z).values, f.values)
     assert np.abs((2.0 * f - f - f).values).max() == 0.0
     assert (-f).values[0, 1] == -f.values[0, 1]

@@ -3,10 +3,11 @@ and honest structure (each suite reports named checks with residuals)."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from ncgauge import MatrixBasis, gellmann_basis, verify
+from ncgauge import LatticeConfig, MatrixBasis, MatrixConnection, gellmann_basis, verify
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -28,17 +29,70 @@ def test_run_all_passes(n):
             assert check["residual"] < check["tolerance"], check
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.05])
-def test_calculus_suite_does_not_depend_on_frame_scale(monkeypatch, scale):
-    # scaling the frame by s scales √g by s^dim (here 0.05^8 against
-    # (2/3)^4): every verdict must read the same
+#: frame scales the verdicts must not depend on
+FRAME_SCALES = [0.05, 1.0, 1e3]
+
+
+def _scale_frame(monkeypatch, scale):
+    # scaling the frame by s scales √g by s^dim (0.05^8 and 1e24 against
+    # (2/3)^4 at n = 3): every verdict must read the same
     monkeypatch.setattr(
         MatrixBasis,
         "gellmann",
         classmethod(lambda cls, n: cls.from_matrices(scale * gellmann_basis(n))),
     )
-    report = verify.suite_calculus(n=3)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05, 1e3])
+def test_calculus_suite_does_not_depend_on_frame_scale(monkeypatch, scale):
+    _scale_frame(monkeypatch, scale)
+    for n in (2, 3):
+        report = verify.suite_calculus(n=n)
+        assert report["passed"] is True, (n, report["checks"])
+
+
+@pytest.mark.parametrize("scale", FRAME_SCALES)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("suite", ["suite_gauge", "suite_lattice"])
+def test_gauge_and_lattice_suites_do_not_depend_on_frame_scale(monkeypatch, suite, n, scale):
+    _scale_frame(monkeypatch, scale)
+    report = getattr(verify, suite)(n=n)
     assert report["passed"] is True, report["checks"]
+
+
+def _inflate(x):
+    """``x`` with a relative error of 1e-6 in every entry."""
+    if isinstance(x, MatrixConnection):
+        return MatrixConnection(x.basis, (1 + 1e-6) * x.coeffs)
+    if isinstance(x, LatticeConfig):
+        return replace(x, a=(1 + 1e-6) * x.a, b=(1 + 1e-6) * x.b)
+    return (1 + 1e-6) * x
+
+
+#: suite -> (the name in ``verify`` whose result is inflated, the checks that
+#: must fail: the targeted one and any that share the operand)
+MUTATIONS = {
+    "suite_universal": ("uinvolution", {"involution_antimultiplicative"}),
+    "suite_calculus": ("hodge", {"double_hodge_sign"}),
+    "suite_gauge": ("gauge_transform", {"gauge_invariance", "curvature_covariance"}),
+    "suite_lattice": ("lattice_gauge_transform", {"constant_gauge_invariance"}),
+    "suite_spectral": ("two_point_action", {"action_operator_vs_closed_form"}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(MUTATIONS))
+def test_a_relative_error_fails_its_check_at_every_frame_scale(monkeypatch, suite):
+    target, expected = MUTATIONS[suite]
+    original = getattr(verify, target)
+    monkeypatch.setattr(verify, target, lambda *args, **kw: _inflate(original(*args, **kw)))
+    # the universal and spectral suites take no frame
+    sizes = [{}] if suite in ("suite_universal", "suite_spectral") else [{"n": 2}, {"n": 3}]
+    for scale in FRAME_SCALES:
+        _scale_frame(monkeypatch, scale)
+        for kw in sizes:
+            report = getattr(verify, suite)(**kw)
+            failing = {c["name"] for c in report["checks"] if not c["passed"]}
+            assert failing == expected, (scale, kw, report["checks"])
 
 
 def test_run_all_rejects_degenerate_size():
