@@ -268,6 +268,30 @@ class MatrixBasis:
     def sqrt_g_det(self) -> float:
         return float(np.sqrt(self.g_det))
 
+    @cached_property
+    def bracket_triplets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero structure constants over ``l < m``: a ``(T, 3)`` int
+        array of rows ``(l, m, k)`` and the values ``C[l, m, k]``, the terms
+        of ``d'θ^k = −Σ_{l<m} C[l, m, k] θ^l θ^m``."""
+        lmk = np.argwhere(self.c)
+        lmk = lmk[lmk[:, 0] < lmk[:, 1]]
+        table = (lmk, self.c[lmk[:, 0], lmk[:, 1], lmk[:, 2]])
+        for arr in table:
+            arr.setflags(write=False)
+        return table
+
+    @cached_property
+    def ad_table(self) -> np.ndarray:
+        """``(n², D·n²)`` table of the frame's adjoint action: for a matrix
+        ``a``, ``(a.ravel() @ ad_table).reshape(D, n, n)[k] = [iE_k, a]``, so
+        one product gives every commutator of a stack of matrices."""
+        n, eye = self.n, np.eye(self.n)
+        # row-major vec(E a) = (E ⊗ 1) vec(a) and vec(a E) = (1 ⊗ Eᵀ) vec(a)
+        ad = 1j * np.array([np.kron(e, eye) - np.kron(eye, e.T) for e in self.mats])
+        table = ad.transpose(2, 0, 1).reshape(n * n, -1)
+        table.setflags(write=False)
+        return table
+
     # -- expansion ----------------------------------------------------------
 
     def expand(self, a: np.ndarray, strict: bool = True, tol: float = TAU_ALG) -> np.ndarray:
@@ -284,7 +308,7 @@ class MatrixBasis:
         coeff = self.g_inv @ rhs
         if strict:
             resid = a - np.einsum("k,kab->ab", coeff, self.mats)
-            if frob_norm(resid) > tol * max(1.0, frob_norm(a)):
+            if frob_norm(resid) > tol * frob_norm(a):
                 raise ShapeError("matrix is not in the span of the basis")
         return coeff
 

@@ -21,6 +21,7 @@ the whole calculus stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -128,11 +129,7 @@ def curvature_form(conn: MatrixConnection) -> DerForm:
     if conn.r != basis.n:
         raise ShapeError("the form picture needs module row size r equal to n")
     f = curvature(conn)
-    comps = {}
-    for k in range(basis.dim):
-        for l in range(k + 1, basis.dim):
-            comps[(k, l)] = f[k, l]
-    return DerForm(basis, comps)
+    return DerForm(basis, {kl: f[kl] for kl in combinations(range(basis.dim), 2)})
 
 
 def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:
@@ -348,7 +345,7 @@ def grassmann_connection(p: np.ndarray, basis: MatrixBasis, tol: float = TAU_ALG
         raise ShapeError(f"projector entries must form (N, N, {basis.n}, {basis.n})")
     nrows = p.shape[0]
     psq = np.einsum("ikab,kjbc->ijac", p, p)
-    if frob_norm(psq - p) > tol * max(1.0, frob_norm(p)):
+    if frob_norm(psq - p) > tol * frob_norm(p):
         raise NotProjectorError("block matrix is not idempotent")
     dp = [[dprime(DerForm.matrix(basis, p[i, j])) for j in range(nrows)] for i in range(nrows)]
     p_forms = [[DerForm.matrix(basis, p[i, j]) for j in range(nrows)] for i in range(nrows)]

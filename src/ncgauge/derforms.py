@@ -1,29 +1,40 @@
 """Differential calculus on M_n built from its inner derivations.
 
-Forms are elements of ``M_n ⊗ Λ•(dual of the derivation space)``: every
-homogeneous component is a matrix coefficient attached to a strictly
-increasing index tuple ``K = (k_1 < ... < k_p)`` standing for the wedge
-monomial ``θ^{k_1} ∧ ... ∧ θ^{k_p}``, where ``θ^k`` is dual to the basis
-derivation ``∂_k = ad(iE_k)``.  Mixed-degree sums are allowed; operations
-treat each component independently.
+Forms are elements of ``M_n ⊗ Λ•(dual of the derivation space)``: a
+monomial is a matrix coefficient attached to a strictly increasing index
+row ``K = (k_1 < ... < k_p)`` standing for the wedge product
+``θ^{k_1} ∧ ... ∧ θ^{k_p}``, where ``θ^k`` is dual to the basis derivation
+``∂_k = ad(iE_k)``.  Mixed-degree sums are allowed.
+
+Each degree-``p`` part is stored as a read-only ``(K, p)`` integer array of
+index rows in lexicographic order beside the ``(K, n, n)`` stack of their
+coefficients, with no repeated row and no all-zero coefficient.  Operations
+form the candidate rows of a result together, count the swaps that sort
+each row (and find repeated indices) through products of index-membership
+tables, and merge each output degree with one sort of packed row keys and
+``np.add.reduceat``; large inputs go in blocks of rows, so that memory
+stays near the size of the result.  Keys are validated only where a caller
+hands them in: the mapping constructor, ``matrix``/``monomial`` and
+``from_record``.
 
 The differential ``d'`` acts on generators by
 
 * ``d' a   = [iE_k, a] ⊗ θ^k`` for a matrix ``a`` (summed over ``k``),
 * ``d' θ^m = − Σ_{k<l} C[k, l, m] θ^k θ^l``,
 
-and extends as a graded antiderivation; ``d'`` squares to zero and is
-implemented degree-by-degree from these two rules.  Evaluation on tuples
-of derivations, the canonical one-form ``iθ`` with ``d'a = [iθ, a]``, a
-metric Hodge star, the normalized top-degree integral and the graded
-involution complete the calculus.
+and extends as a graded antiderivation; ``d'`` squares to zero.
+Evaluation on tuples of derivations, the canonical one-form ``iθ`` with
+``d'a = [iθ, a]``, a metric Hodge star, the normalized top-degree integral
+and the graded involution complete the calculus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -46,20 +57,6 @@ __all__ = [
 ]
 
 
-def _sort_with_sign(seq: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-    """Parity of sorting ``seq`` ascending; ``(0, None)`` on repeated entries."""
-    items = list(seq)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                items[j], items[j + 1] = items[j + 1], items[j]
-                sign = -sign
-            elif items[j] == items[j + 1]:
-                return 0, None
-    return sign, tuple(items)
-
-
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------
@@ -80,7 +77,7 @@ class Derivation:
         gamma = np.array(self.gamma, dtype=complex)
         if gamma.shape != (self.basis.n, self.basis.n):
             raise ShapeError(f"gamma must be {self.basis.n}x{self.basis.n}")
-        if abs(np.trace(gamma)) > TAU_ALG * max(1.0, frob_norm(gamma)):
+        if abs(np.trace(gamma)) > TAU_ALG * frob_norm(gamma):
             raise ShapeError("gamma must be traceless to define a derivation frame component")
         object.__setattr__(self, "gamma", gamma)
         if self.coeffs is None:
@@ -103,7 +100,10 @@ class Derivation:
     def bracket(self, other: "Derivation") -> "Derivation":
         """Commutator of derivations: ``[ad(γ), ad(η)] = ad([γ, η])``."""
         _require_same_basis(self.basis, other.basis)
-        return Derivation(self.basis, self.gamma @ other.gamma - other.gamma @ self.gamma)
+        c = self.gamma @ other.gamma - other.gamma @ self.gamma
+        # a commutator is traceless: its trace is roundoff of the size of
+        # ‖γ‖‖η‖, which the traceless gate would judge against ‖c‖
+        return Derivation(self.basis, c - np.trace(c) / self.basis.n * np.eye(self.basis.n))
 
 
 def _require_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
@@ -114,40 +114,157 @@ def _require_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
 
 
 # ---------------------------------------------------------------------------
+# index rows
+# ---------------------------------------------------------------------------
+
+_Part = tuple[np.ndarray, np.ndarray]  # (rows, coefficients) of one degree
+_BATCH = 2**14  # coefficient entries per block of candidate monomials
+_SHARED = 2.0**32  # weight of an index two rows share, in the wedge counts
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _tables(d: int) -> tuple[np.ndarray, ...]:
+    """``eye(d)``, ``less[x, y] = 1`` for ``x < y``, and ``lessᵀ + _SHARED·eye``."""
+    eye, less = np.eye(d), np.triu(np.ones((d, d)), 1)
+    return _frozen(eye, less, less.T + _SHARED * eye)
+
+
+@lru_cache(maxsize=None)
+def _key_weights(d: int, p: int) -> np.ndarray:
+    """Weights packing rows of ``p`` indices below ``d`` into int64 keys, as
+    many indices per key as fit in 63 bits, that sort as the rows do."""
+    bits = max(1, (d - 1).bit_length())
+    per = 63 // bits
+    w = np.zeros((p, -(-p // per)), dtype=np.int64)
+    for j in range(p):
+        w[j, j // per] = 1 << (bits * (per - 1 - j % per))
+    return _frozen(w)[0]
+
+
+def _blocks(count: int, fanout: int, n: int) -> list[slice]:
+    """Blocks of ``count`` input rows, each making about a batch of candidates."""
+    step = max(1, _BATCH // (fanout * n * n + 1))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _membership(rows: np.ndarray, d: int) -> np.ndarray:
+    return np.add.reduce(_tables(d)[0][rows], axis=1)
+
+
+def _sign(swaps: np.ndarray) -> np.ndarray:
+    return ((-1.0) ** swaps)[:, None, None]
+
+
+def _merge(rows: np.ndarray, coefs: np.ndarray, d: int) -> _Part | None:
+    """Sorted rows, repeats allowed, to a part: lexicographic order, the
+    coefficients of equal rows summed, zero coefficients dropped."""
+    if len(rows) > 1 and rows.shape[1] == 0:
+        rows, coefs = rows[:1], np.add.reduce(coefs, axis=0, keepdims=True)
+    elif len(rows) > 1:
+        keys = rows @ _key_weights(d, rows.shape[1])
+        order = np.lexsort(keys.T[::-1]) if keys.shape[1] > 1 else keys[:, 0].argsort()
+        keys = keys[order]
+        new = np.logical_or.reduce(keys[1:] != keys[:-1], axis=1)
+        if np.count_nonzero(new) == len(new):
+            rows, coefs = rows[order], coefs[order]
+        else:
+            starts = np.concatenate(([0], new.nonzero()[0] + 1))
+            rows, coefs = rows[order[starts]], np.add.reduceat(coefs[order], starts)
+    return _nonzero(rows, coefs)
+
+
+def _nonzero(rows: np.ndarray, coefs: np.ndarray) -> _Part | None:
+    keep = np.logical_or.reduce(coefs, axis=(1, 2))
+    if np.count_nonzero(keep) < len(keep):
+        rows, coefs = rows[keep], coefs[keep]
+    return (rows, coefs) if len(rows) else None
+
+
+def _collect(basis: MatrixBasis, pieces: Iterable[_Part]) -> "DerForm":
+    """The sum of ``(sorted rows, coefficients)`` pieces.  The pieces of a
+    degree are merged once, or whenever those after the first outgrow both
+    a batch and half the first: merging stays a fraction of all the
+    work, and memory a small multiple of the result."""
+    pending: dict[int, list[_Part]] = {}
+
+    def merge(group: list[_Part]) -> None:
+        rows, coefs = group[0] if len(group) == 1 else map(np.concatenate, zip(*group))
+        group.clear()  # let the pieces go before the merge copies them again
+        part = _merge(rows, coefs, basis.dim)
+        if part is not None:
+            group.append(part)
+
+    for piece in pieces:
+        group = pending.setdefault(piece[0].shape[1], [])
+        group.append(piece)
+        if sum(coefs.size for _, coefs in group[1:]) > max(_BATCH, group[0][1].size // 2):
+            merge(group)
+    for group in pending.values():
+        if group:  # empty when an earlier merge cancelled everything
+            merge(group)
+    return DerForm._of(basis, {p: group[0] for p, group in pending.items() if group})
+
+
+# ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
 
 class DerForm:
     """Matrix-valued exterior form over the derivation frame of a basis.
 
-    ``components`` maps strictly increasing index tuples to ``(n, n)``
-    coefficient matrices; the empty tuple is the degree-0 part.
+    Built from a mapping of strictly increasing index tuples to ``(n, n)``
+    coefficient matrices, the empty tuple for degree 0; all-zero
+    coefficients are dropped.  ``components`` reads it back as a read-only
+    mapping in degree, then lexicographic, order.
     """
 
-    __slots__ = ("basis", "components")
+    __slots__ = ("basis", "_parts", "_components")
 
     def __init__(self, basis: MatrixBasis, components: Mapping[tuple[int, ...], np.ndarray]):
-        self.basis = basis
-        clean: dict[tuple[int, ...], np.ndarray] = {}
+        n, d = basis.n, basis.dim
+        groups: dict[int, list] = {}
         for key, mat in components.items():
-            key = tuple(int(k) for k in key)
-            if any(not 0 <= k < basis.dim for k in key):
-                raise DegreeError(f"index tuple {key} outside 0..{basis.dim - 1}")
-            if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+            key, mat = tuple(int(k) for k in key), np.asarray(mat, dtype=complex)
+            if any(not 0 <= k < d for k in key):
+                raise DegreeError(f"index tuple {key} outside 0..{d - 1}")
+            if any(k >= l for k, l in zip(key, key[1:])):
                 raise DegreeError(f"index tuple {key} is not strictly increasing")
-            mat = np.array(mat, dtype=complex)
-            if mat.shape != (basis.n, basis.n):
-                raise ShapeError(f"coefficient for {key} must be {basis.n}x{basis.n}")
-            if np.count_nonzero(mat):
-                clean[key] = mat
-                mat.setflags(write=False)
-        self.components = clean
+            if mat.shape != (n, n):
+                raise ShapeError(f"coefficient for {key} must be {n}x{n}")
+            groups.setdefault(len(key), []).append((key, mat))
+        parts = {}
+        for p, items in groups.items():
+            keys, mats = zip(*sorted(items, key=lambda item: item[0]))
+            for k, l in zip(keys, keys[1:]):
+                if k == l:  # keys that differ only before int(), such as 1 and 1.5
+                    raise DegreeError(f"index tuple {k} given twice")
+            part = _nonzero(np.array(keys, dtype=np.intp).reshape(len(keys), p), np.array(mats))
+            if part is not None:
+                parts[p] = part
+        self._init(basis, parts)
+
+    def _init(self, basis: MatrixBasis, parts: dict[int, _Part]) -> None:
+        self.basis, self._components = basis, None
+        self._parts = {p: _frozen(*parts[p]) for p in sorted(parts)}
+
+    @classmethod
+    def _of(cls, basis: MatrixBasis, parts: dict[int, _Part]) -> "DerForm":
+        """A form from parts that already hold the invariants (no checks)."""
+        form = cls.__new__(cls)
+        form._init(basis, parts)
+        return form
 
     # -- structure ----------------------------------------------------------
 
     @classmethod
     def zero(cls, basis: MatrixBasis) -> "DerForm":
-        return cls(basis, {})
+        return cls._of(basis, {})
 
     @classmethod
     def matrix(cls, basis: MatrixBasis, a: np.ndarray) -> "DerForm":
@@ -159,58 +276,81 @@ class DerForm:
         """Single component ``a ⊗ θ^key`` (key strictly increasing)."""
         return cls(basis, {tuple(key): a})
 
+    @property
+    def components(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        if self._components is None:
+            self._components = MappingProxyType(
+                {
+                    tuple(row): coef
+                    for rows, coefs in self._parts.values()
+                    for row, coef in zip(rows.tolist(), coefs)
+                }
+            )
+        return self._components
+
     def degrees(self) -> list[int]:
-        return sorted({len(k) for k in self.components})
+        return list(self._parts)
 
     def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
+        return len(self._parts) <= 1
 
     def degree(self) -> int:
         degs = self.degrees()
-        if not degs:
-            return 0
         if len(degs) > 1:
             raise DegreeError(f"form has mixed degrees {degs}")
-        return degs[0]
+        return degs[0] if degs else 0
 
     def component(self, key: tuple[int, ...]) -> np.ndarray:
         n = self.basis.n
         return self.components.get(tuple(key), np.zeros((n, n), dtype=complex))
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in self.components.values())))
+        return float(np.sqrt(sum(np.vdot(c, c).real for _, c in self._parts.values())))
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-        return iter(sorted(self.components.items(), key=lambda kv: (len(kv[0]), kv[0])))
+        return iter(self.components.items())
 
     def __repr__(self) -> str:
-        degs = self.degrees()
-        return f"DerForm(n={self.basis.n}, degrees={degs}, terms={len(self.components)})"
+        terms = sum(len(rows) for rows, _ in self._parts.values())
+        return f"DerForm(n={self.basis.n}, degrees={self.degrees()}, terms={terms})"
 
     # -- graded-algebra arithmetic -------------------------------------------
 
-    def __add__(self, other: "DerForm") -> "DerForm":
+    def _plus(self, other: "DerForm", sign: float) -> "DerForm":
+        """``self + sign·other``: a degree both carry is merged once, and
+        needs no sort where their rows agree."""
         _require_same_basis(self.basis, other.basis)
-        out = dict(self.components)
-        for key, mat in other.components.items():
-            out[key] = out.get(key, 0) + mat
-        return DerForm(self.basis, out)
+        parts = dict(self._parts)
+        for p, (rows, coefs) in other._parts.items():
+            mine = parts.pop(p, None)
+            if mine is None:
+                parts[p] = (rows, sign * coefs)
+                continue
+            if mine[0].shape == rows.shape and (mine[0] == rows).all():
+                merged = _nonzero(rows, mine[1] + sign * coefs)
+            else:
+                both = map(np.concatenate, zip(mine, (rows, sign * coefs)))
+                merged = _merge(*both, self.basis.dim)
+            if merged is not None:
+                parts[p] = merged
+        return DerForm._of(self.basis, parts)
+
+    def __add__(self, other: "DerForm") -> "DerForm":
+        return self._plus(other, 1.0)
 
     def __sub__(self, other: "DerForm") -> "DerForm":
-        return self + (-1.0) * other
+        return self._plus(other, -1.0)
 
     def __neg__(self) -> "DerForm":
         return (-1.0) * self
 
     def __mul__(self, other):
-        if isinstance(other, DerForm):
-            return wedge(self, other)
-        c = complex(other)
-        return DerForm(self.basis, {k: c * m for k, m in self.components.items()})
+        return wedge(self, other) if isinstance(other, DerForm) else self.__rmul__(other)
 
     def __rmul__(self, scalar) -> "DerForm":
         c = complex(scalar)
-        return DerForm(self.basis, {k: c * m for k, m in self.components.items()})
+        scaled = {p: _nonzero(rows, c * cs) for p, (rows, cs) in self._parts.items()}
+        return DerForm._of(self.basis, {p: part for p, part in scaled.items() if part is not None})
 
     def star(self) -> "DerForm":
         return dinvolution(self)
@@ -219,15 +359,10 @@ class DerForm:
 
     def to_record(self) -> dict:
         """JSON-compatible record: indices plus re/im entry tables."""
-        comps = []
-        for key, mat in self:
-            comps.append(
-                {
-                    "indices": list(key),
-                    "re": np.real(mat).tolist(),
-                    "im": np.imag(mat).tolist(),
-                }
-            )
+        comps = [
+            {"indices": list(key), "re": np.real(mat).tolist(), "im": np.imag(mat).tolist()}
+            for key, mat in self
+        ]
         return {"n": self.basis.n, "dim": self.basis.dim, "components": comps}
 
     @classmethod
@@ -248,56 +383,61 @@ class DerForm:
 def wedge(w1: DerForm, w2: DerForm) -> DerForm:
     """Graded product: ``(a ⊗ θ^K)(b ⊗ θ^L) = ab ⊗ θ^K ∧ θ^L``."""
     _require_same_basis(w1.basis, w2.basis)
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for k1, a in w1.components.items():
-        for k2, b in w2.components.items():
-            sign, key = _sort_with_sign(k1 + k2)
-            if key is None:
-                continue
-            term = sign * (a @ b)
-            out[key] = out.get(key, 0) + term
-    return DerForm(w1.basis, out)
+    d = w1.basis.dim
+    right = [(rows2, _membership(rows2, d).T, b) for rows2, b in w2._parts.values()]
+
+    def pieces() -> Iterator[_Part]:
+        for p, (rows1, a) in w1._parts.items():
+            for rows2, m2, b in right:
+                if p == 0 or rows2.shape[1] == 0:  # θ^∅ is the unit: only coefficients multiply
+                    yield rows1 if rows2.shape[1] == 0 else rows2, a @ b
+                    continue
+                for blk in _blocks(len(rows1), len(rows2), w1.basis.n):
+                    # _SHARED per index the rows share, else the swaps sorting K ⧺ L
+                    counts = _membership(rows1[blk], d) @ _tables(d)[2] @ m2
+                    i, j = (counts < _SHARED).nonzero()
+                    rows = np.concatenate([rows1[blk][i], rows2[j]], axis=1)
+                    rows.sort(axis=1)
+                    yield rows, _sign(counts[i, j]) * (a[blk][i] @ b[j])
+
+    return _collect(w1.basis, pieces())
 
 
 def dprime(w: DerForm) -> DerForm:
     """The differential, built from its action on generators."""
     basis = w.basis
-    mats, c = basis.mats, basis.c
-    pairs = _c_pairs(basis)
-    out: dict[tuple[int, ...], np.ndarray] = {}
+    n, d = basis.n, basis.dim
+    lmk, c = basis.bracket_triplets
+    per_index = len(lmk) // d + 1  # about as many (l, m) pairs as one θ^k yields
 
-    def accumulate(key, mat):
-        out[key] = out.get(key, 0) + mat
-
-    for key, a in w.components.items():
-        # coefficient part: [iE_k, a] ⊗ θ^k ∧ θ^key
-        for k in range(basis.dim):
-            sign, merged = _sort_with_sign((k,) + key)
-            if merged is None:
-                continue
-            comm = 1j * (mats[k] @ a - a @ mats[k])
-            accumulate(merged, sign * comm)
-        # frame part: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m, antiderivation signs
-        for i, ki in enumerate(key):
-            presign = -1.0 if i % 2 else 1.0
-            for l, m in pairs[ki]:
-                seq = key[:i] + (l, m) + key[i + 1 :]
-                sign, merged = _sort_with_sign(seq)
-                if merged is None:
+    def pieces() -> Iterator[_Part]:
+        for p, (all_rows, all_a) in w._parts.items():
+            for blk in _blocks(len(all_rows), d + p * per_index, n):
+                rows, a = all_rows[blk], all_a[blk]
+                memb = _membership(rows, d)
+                below = memb @ _tables(d)[1]  # below[r, x]: indices of row r under x
+                # coefficient part: [iE_k, a_r] θ^k ∧ θ^K for k outside K, with
+                # every commutator of the block from one GEMM
+                comm = (a.reshape(len(a), n * n) @ basis.ad_table).reshape(len(a), d, n, n)
+                r, k = (memb == 0).nonzero()
+                new_rows = np.sort(np.concatenate([rows[r], k[:, None]], axis=1), axis=1)
+                yield new_rows, _sign(below[r, k]) * comm[r, k]
+                if p == 0:
                     continue
-                accumulate(merged, (-presign * sign * c[l, m, ki]) * a)
-    return DerForm(basis, out)
+                # frame part: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m at position
+                # i = below[r, k_i], signed (−1)^i and by the swaps sorting l, m
+                # in; l and m must stay out of K∖{k_i}, but either may be k_i
+                r, _, t = (rows[:, :, None] == lmk[:, 2]).nonzero()
+                lm, ki = lmk[t, :2], lmk[t, 2:]
+                free = memb[r[:, None], lm].sum(axis=1) == (lm == ki).sum(axis=1)
+                r, t, lm, ki = r[free], t[free], lm[free], ki[free]
+                swaps = below[r[:, None], lmk[t]].sum(axis=1) - (ki < lm).sum(axis=1)
+                kept = np.where(rows[r] == ki, lm[:, :1], rows[r])  # l in place of k_i
+                new_rows = np.concatenate([kept, lm[:, 1:]], axis=1)
+                new_rows.sort(axis=1)
+                yield new_rows, -_sign(swaps) * c[t][:, None, None] * a[r]
 
-
-def _c_pairs(basis: MatrixBasis) -> list[list[tuple[int, int]]]:
-    """For each frame index m, the pairs l < k with C[l, k, m] != 0."""
-    c = basis.c
-    d = basis.dim
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for m in range(d):
-        ls, ks = np.nonzero(np.triu(c[:, :, m], 1))
-        pairs[m] = list(zip(ls.tolist(), ks.tolist()))
-    return pairs
+    return _collect(basis, pieces())
 
 
 def dinvolution(w: DerForm) -> DerForm:
@@ -309,12 +449,12 @@ def dinvolution(w: DerForm) -> DerForm:
     canonical one-form ``iθ`` has anti-Hermitian coefficients, so it is
     *anti*-real: ``(iθ)* = −iθ``.
     """
-    return DerForm(w.basis, {k: dagger(m) for k, m in w.components.items()})
+    return DerForm._of(w.basis, {p: (rows, dagger(c)) for p, (rows, c) in w._parts.items()})
 
 
 def canonical_theta(basis: MatrixBasis) -> DerForm:
     """The canonical one-form ``iθ = iE_k ⊗ θ^k``; ``d'a = [iθ, a]`` on matrices."""
-    return DerForm(basis, {(k,): 1j * basis.mats[k] for k in range(basis.dim)})
+    return DerForm._of(basis, {1: (np.arange(basis.dim).reshape(-1, 1), 1j * basis.mats)})
 
 
 def evaluate(w: DerForm, ders: list[Derivation]) -> np.ndarray:
@@ -327,17 +467,14 @@ def evaluate(w: DerForm, ders: list[Derivation]) -> np.ndarray:
     for der in ders:
         _require_same_basis(basis, der.basis)
     p = len(ders)
-    if w.components and p not in w.degrees():
-        raise DegreeError(f"form has no degree-{p} part to evaluate")
+    if p not in w._parts:
+        if w._parts:
+            raise DegreeError(f"form has no degree-{p} part to evaluate")
+        return np.zeros((basis.n, basis.n), dtype=complex)
+    rows, coefs = w._parts[p]
     coeff_rows = np.array([d.coeffs for d in ders]).reshape(p, basis.dim)
-    n = basis.n
-    total = np.zeros((n, n), dtype=complex)
-    for key, a in w.components.items():
-        if len(key) != p:
-            continue
-        minor = coeff_rows[:, list(key)].T  # M[i, j] = coeffs_j[k_i]
-        total = total + np.linalg.det(minor) * a
-    return total
+    minors = np.linalg.det(coeff_rows[:, rows].transpose(1, 2, 0))  # M[r][i, j] = coeffs_j[K_r[i]]
+    return np.einsum("r,rab->ab", minors, coefs)
 
 
 def koszul_evaluate(w: DerForm, x: Derivation, y: Derivation) -> np.ndarray:
@@ -362,32 +499,36 @@ def hodge(w: DerForm) -> DerForm:
     of ``M``: a ``p × p`` minor of ``g_inv`` (its p-th compound matrix),
     signed by ``ε(L ⧺ Lᶜ) = (−1)^(ΣL − p(p−1)/2)``.  A minor can be
     nonzero only when ``L`` lies inside the columns that the rows
-    ``g_inv[K]`` reach, so only those ``L`` are enumerated; a diagonal
-    metric costs one minor per component.
+    ``g_inv[K]`` reach, so only those ``L`` are enumerated, each block of
+    them through one stacked determinant; a diagonal metric costs one
+    minor per row.
     """
     basis = w.basis
     if not w.is_homogeneous():
         raise DegreeError("Hodge star needs a homogeneous form")
-    if not w.components:
+    if not w._parts:
         return DerForm.zero(basis)
-    d = basis.dim
-    p = w.degree()
-    g_inv = basis.g_inv
-    reach: list[set[int]] = [set() for _ in range(d)]
-    for k, col in np.argwhere(g_inv).tolist():
-        reach[k].add(col)
-    shift = p * (p - 1) // 2
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for key, a in w.components.items():
-        ls = list(combinations(sorted(set().union(*(reach[k] for k in key))), p))
-        cols = np.array(ls, dtype=int).reshape(len(ls), p)
-        # minors[i] = det(g_inv[K, L_i]), one p × p block per candidate L_i
-        minors = np.linalg.det(g_inv[list(key)][:, cols].transpose(1, 0, 2))
-        for l_tuple, minor in zip(ls, minors.tolist()):
-            coeff = (-1) ** (sum(l_tuple) - shift) * basis.sqrt_g_det * minor
-            m_tuple = tuple(i for i in range(d) if i not in l_tuple)
-            out[m_tuple] = out.get(m_tuple, 0) + coeff * a
-    return DerForm(basis, out)
+    ((p, (rows, coefs)),) = w._parts.items()
+    d, g_inv = basis.dim, basis.g_inv
+    reach = _membership(rows, d) @ (g_inv != 0) > 0
+    sizes = reach.sum(axis=1)
+
+    def pieces() -> Iterator[_Part]:
+        for s in sorted(set(sizes.tolist())):  # rows reaching s columns share one pattern of L
+            pick = list(combinations(range(s), p))
+            pick = np.array(pick, dtype=np.intp).reshape(len(pick), p)
+            group = (sizes == s).nonzero()[0]
+            for rs in (group[blk] for blk in _blocks(len(group), len(pick), basis.n)):
+                reached = reach[rs].nonzero()[1].reshape(len(rs), s)
+                ls = reached[:, pick].reshape(len(rs) * len(pick), p)
+                src = np.repeat(rs, len(pick))
+                minors = np.linalg.det(g_inv[rows[src][:, :, None], ls[:, None, :]])
+                sign = _sign(ls.sum(axis=1) - p * (p - 1) // 2)
+                weight = basis.sqrt_g_det * sign * minors[:, None, None]
+                complements = (_membership(ls, d) == 0).nonzero()[1].reshape(len(ls), d - p)
+                yield complements, weight * coefs[src]
+
+    return _collect(basis, pieces())
 
 
 def nc_integrate(w: DerForm) -> complex:
@@ -395,19 +536,17 @@ def nc_integrate(w: DerForm) -> complex:
     relative to the metric volume ``√g θ^0 ∧ ... ∧ θ^{dim−1}``; zero on
     lower degrees.  Kills differentials: ``∫ d'η = 0``."""
     basis = w.basis
-    top = tuple(range(basis.dim))
-    a = w.components.get(top)
-    if a is None:
+    if basis.dim not in w._parts:
         return 0.0 + 0.0j
-    return complex(np.trace(a) / basis.n / basis.sqrt_g_det)
+    return complex(np.trace(w._parts[basis.dim][1][0]) / basis.n / basis.sqrt_g_det)
 
 
 def random_form(basis: MatrixBasis, degree: int, rng: np.random.Generator) -> DerForm:
     """Random homogeneous form with standard-normal complex entries."""
     if not 0 <= degree <= basis.dim:
         raise DegreeError(f"degree must lie in 0..{basis.dim}")
-    n = basis.n
-    comps = {}
-    for key in combinations(range(basis.dim), degree):
-        comps[key] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return DerForm(basis, comps)
+    keys = list(combinations(range(basis.dim), degree))
+    # per row a real then an imaginary n × n draw, as one stream
+    z = rng.standard_normal((len(keys), 2, basis.n, basis.n))
+    rows = np.array(keys, dtype=np.intp).reshape(len(keys), degree)
+    return DerForm._of(basis, {degree: (rows, z[:, 0] + 1j * z[:, 1])})

@@ -92,12 +92,14 @@ class LatticeConfig:
         if self.mu <= 0:
             raise ShapeError("mu must be positive")
         if self.check:
-            defect = max(frob_norm(a + dagger(a)), frob_norm(b + dagger(b)))
-            scale = max(1.0, frob_norm(a), frob_norm(b))
-            if defect > TAU_ALG * scale:
-                raise NotHermitianError(
-                    f"field matrices must be anti-Hermitian (defect {defect:.3e})"
-                )
+            # each field at its own norm, so a small field next to a large one
+            # is held to its own size
+            for name, x in (("gauge", a), ("algebraic", b)):
+                defect = frob_norm(x + dagger(x))
+                if defect > TAU_ALG * frob_norm(x):
+                    raise NotHermitianError(
+                        f"{name} field matrices must be anti-Hermitian (defect {defect:.3e})"
+                    )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         a.setflags(write=False)

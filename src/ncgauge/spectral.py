@@ -338,7 +338,7 @@ def fluctuate(
     a = omega_op.op if isinstance(omega_op, OperatorForm) else np.asarray(omega_op, dtype=complex)
     if a.shape != (t.hilbert_dim, t.hilbert_dim):
         raise ShapeError("gauge potential must match the Hilbert dimension")
-    if frob_norm(a - dagger(a)) > tol * max(1.0, frob_norm(a)):
+    if frob_norm(a - dagger(a)) > tol * frob_norm(a):
         raise NotHermitianError("gauge potential must be self-adjoint")
     d_new = t.d + a + t.eps_p * t.j.conjugate_operator(a)
     return replace(t, d=d_new)
@@ -414,7 +414,7 @@ def inner_gauge(
     return InnerGaugeResult(
         d_transformed=d1,
         d_from_form=d2,
-        match=bool(diff < tol * max(1.0, frob_norm(d1))),
+        match=bool(diff <= tol * frob_norm(d1)),
         max_diff=diff,
         gamma_invariant=bool(gamma_ok),
         j_invariant=bool(j_ok),
@@ -630,7 +630,7 @@ def sm_algebra_fixture(
     d_f = np.asarray(d_f, dtype=complex)
     if d_f.shape != (32, 32):
         raise ConfigError(f"Dirac block must be 32x32, got {d_f.shape}")
-    if frob_norm(d_f - dagger(d_f)) > tol * max(1.0, frob_norm(d_f)):
+    if frob_norm(d_f - dagger(d_f)) > tol * frob_norm(d_f):
         raise ConfigError("Dirac block must be self-adjoint")
 
     # canonical generating family: the unit of each summand and the
@@ -670,7 +670,7 @@ def sm_algebra_fixture(
         db = d_f @ b - b @ d_f
         for a in conj_reps:
             first = max(first, frob_norm(db @ a - a @ db))
-    if first > tol * max(1.0, frob_norm(d_f)):
+    if first > tol * frob_norm(d_f):
         raise ConfigError(
             f"Dirac block violates the first-order condition (residual {first:.3e})"
         )

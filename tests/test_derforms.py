@@ -11,6 +11,7 @@ from ncgauge import (
     DerForm,
     Derivation,
     MatrixBasis,
+    ShapeError,
     canonical_theta,
     dagger,
     dinvolution,
@@ -293,3 +294,65 @@ def test_degree_bookkeeping(basis2, rng):
     assert z.norm() == 0.0 and z.degrees() == []
     with pytest.raises(DegreeError):
         evaluate(w, [Derivation.frame(basis2, 0)])
+
+
+# ---------------------------------------------------------------------------
+# validation at the public entry points
+# ---------------------------------------------------------------------------
+
+def _by_mapping(basis, key, mat):
+    return DerForm(basis, {key: mat})
+
+
+def _by_record(basis, key, mat):
+    mat = np.asarray(mat, dtype=complex)
+    entry = {"indices": list(key), "re": mat.real.tolist(), "im": mat.imag.tolist()}
+    return DerForm.from_record(basis, {"n": basis.n, "dim": basis.dim, "components": [entry]})
+
+
+ENTRY_POINTS = {"mapping": _by_mapping, "from_record": _by_record}
+ONE = np.eye(2, dtype=complex)
+BAD_INPUTS = {
+    "index_out_of_range": ((0, 3), ONE, DegreeError),
+    "negative_index": ((-1, 2), ONE, DegreeError),
+    "non_increasing_row": ((2, 1), ONE, DegreeError),
+    "repeated_index": ((1, 1), ONE, DegreeError),
+    "wrong_coefficient_shape": ((0, 1), np.eye(3), ShapeError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_public_entry_points_reject_bad_rows(basis2, entry, case):
+    key, mat, error = BAD_INPUTS[case]
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](basis2, key, mat)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_public_entry_points_drop_zero_coefficients(basis2, entry):
+    assert ENTRY_POINTS[entry](basis2, (0, 2), np.zeros((2, 2))).degrees() == []
+    kept = ENTRY_POINTS[entry](basis2, (0, 2), ONE)
+    assert list(kept.components) == [(0, 2)]
+    assert np.array_equal(kept.component((0, 2)), ONE)
+
+
+def test_mapping_constructor_orders_rows_and_rejects_a_key_given_twice(basis2):
+    w = DerForm(basis2, {(1, 2): 2 * ONE, (): ONE, (0,): ONE, (0, 2): ONE})
+    assert list(w.components) == [(), (0,), (0, 2), (1, 2)]
+    assert [k for k, _ in w] == list(w.components)
+    with pytest.raises(DegreeError):
+        DerForm(basis2, {(1,): ONE, (1.5,): ONE})
+
+
+def test_pieces_merged_in_batches_may_cancel_to_nothing(basis2):
+    # pieces of one degree that outgrow a merge batch are merged as they
+    # come; a merge that cancels everything leaves nothing of that degree
+    from ncgauge.derforms import _BATCH, _collect
+
+    count = _BATCH // 4 + 1
+    rows = np.zeros((count, 1), dtype=np.intp)
+    ones = np.ones((count, 2, 2), dtype=complex)
+    assert _collect(basis2, [(rows, ones), (rows, -ones)]).degrees() == []
+    kept = _collect(basis2, [(rows, ones), (rows, -ones), (rows[:1] + 2, ones[:1])])
+    assert list(kept.components) == [(2,)]

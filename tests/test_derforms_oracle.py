@@ -1,0 +1,146 @@
+"""The batched form code against a monomial-at-a-time reference.
+
+The reference keeps a form as a dict from index tuples to matrices and
+applies the generator rules of ``d'`` and the graded product one monomial
+at a time, sorting each index sequence by adjacent swaps; its Hodge star
+takes one stacked determinant per monomial.  The batched code must give
+the same monomials, in order, and agree to 1e-12 relative.
+"""
+from __future__ import annotations
+
+from itertools import combinations
+from math import comb
+
+import numpy as np
+import pytest
+
+from ncgauge import DerForm, MatrixBasis, dprime, hodge, wedge
+from ncgauge.derforms import random_form
+
+
+def _sort_with_sign(seq):
+    """Sign of sorting ``seq`` by adjacent swaps, and the sorted tuple;
+    ``(0, None)`` on a repeated index."""
+    items, sign = list(seq), 1
+    for i in range(len(items)):
+        for j in range(len(items) - 1 - i):
+            if items[j] == items[j + 1]:
+                return 0, None
+            if items[j] > items[j + 1]:
+                items[j], items[j + 1], sign = items[j + 1], items[j], -sign
+    if len(set(items)) < len(items):
+        return 0, None
+    return sign, tuple(items)
+
+
+def _add(out, signed_key, mat):
+    sign, key = signed_key
+    if key is not None:
+        out[key] = out.get(key, 0) + sign * mat
+
+
+def ref_wedge(w1, w2):
+    out = {}
+    for k1, a in w1.items():
+        for k2, b in w2.items():
+            _add(out, _sort_with_sign(k1 + k2), a @ b)
+    return out
+
+
+def ref_dprime(basis, w):
+    out, c = {}, basis.c
+    for key, a in w.items():
+        for k in range(basis.dim):  # [iE_k, a] θ^k θ^K
+            comm = 1j * (basis.mats[k] @ a - a @ basis.mats[k])
+            _add(out, _sort_with_sign((k,) + key), comm)
+        # θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m, with the antiderivation sign (−1)^i
+        for i, ki in enumerate(key):
+            for l, m in zip(*np.nonzero(np.triu(c[:, :, ki], 1))):
+                sign, merged = _sort_with_sign(key[:i] + (int(l), int(m)) + key[i + 1 :])
+                _add(out, (-((-1) ** i) * sign * c[l, m, ki], merged), a)
+    return out
+
+
+def ref_hodge(basis, w):
+    out, d = {}, basis.dim
+    for key, a in w.items():
+        p = len(key)
+        cols = sorted({int(x) for k in key for x in np.flatnonzero(basis.g_inv[k])})
+        ls = list(combinations(cols, p))
+        idx = np.array(ls, dtype=int).reshape(len(ls), p)
+        minors = np.linalg.det(basis.g_inv[list(key)][:, idx].transpose(1, 0, 2))
+        for l_tuple, minor in zip(ls, minors):
+            m_tuple = tuple(i for i in range(d) if i not in l_tuple)
+            sign = (-1) ** (sum(l_tuple) - p * (p - 1) // 2)
+            _add(out, (sign * basis.sqrt_g_det * minor, m_tuple), a)
+    return out
+
+
+def _assert_same(form: DerForm, ref: dict) -> None:
+    ref = {k: v for k, v in ref.items() if np.count_nonzero(v)}
+    # the same monomials, in degree then lexicographic order
+    assert list(form.components) == sorted(ref, key=lambda k: (len(k), k))
+    diff = np.sqrt(sum(np.sum(np.abs(form.component(k) - v) ** 2) for k, v in ref.items()))
+    size = np.sqrt(sum(np.sum(np.abs(v) ** 2) for v in ref.values()))
+    assert diff <= 1e-12 * size
+
+
+def _sparse_form(basis, degree, rows, rng):
+    """``rows`` distinct monomials of one degree (all of them, if fewer
+    exist), drawn at random."""
+    keys = set()
+    while len(keys) < min(rows, comb(basis.dim, degree)):
+        keys.add(tuple(sorted(rng.choice(basis.dim, degree, replace=False).tolist())))
+    n = basis.n
+    draw = {k: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for k in sorted(keys)}
+    return DerForm(basis, draw)
+
+
+def _check_all(basis, forms):
+    comps = [dict(w.components) for w in forms]
+    for w, c in zip(forms, comps):
+        _assert_same(dprime(w), ref_dprime(basis, c))
+        for p in w.degrees():
+            part = {k: v for k, v in c.items() if len(k) == p}
+            _assert_same(hodge(DerForm(basis, part)), ref_hodge(basis, part))
+    for (w1, c1), (w2, c2) in combinations(zip(forms, comps), 2):
+        _assert_same(wedge(w1, w2), ref_wedge(c1, c2))
+        _assert_same(wedge(w2, w1), ref_wedge(c2, c1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_forms_match_reference_on_gellmann_frame(n):
+    b = MatrixBasis.gellmann(n)
+    rng = np.random.default_rng(700 + n)
+    d = b.dim
+    forms = [
+        random_form(b, 0, rng) + random_form(b, 1, rng),
+        random_form(b, 1, rng) + random_form(b, 2, rng),
+        _sparse_form(b, 2, 12, rng) + _sparse_form(b, d - 3, 8, rng),
+        _sparse_form(b, 3, 10, rng) + _sparse_form(b, d - 1, 4, rng),
+    ]
+    _check_all(b, forms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_forms_match_reference_on_skewed_frame(n, skewed_frame):
+    b = skewed_frame(n)[0]
+    rng = np.random.default_rng(800 + n)
+    d = b.dim
+    forms = [
+        random_form(b, 0, rng) + random_form(b, 1, rng),
+        random_form(b, 1, rng) + _sparse_form(b, 2, 6, rng),
+        _sparse_form(b, 3, 5, rng) + _sparse_form(b, d - 2, 3, rng),
+    ]
+    _check_all(b, forms)
+
+
+def test_batched_forms_match_reference_on_rows_longer_than_one_sort_key():
+    # at n = 5 a sort key holds 12 indices: degrees 13 and above take two
+    b = MatrixBasis.gellmann(5)
+    rng = np.random.default_rng(905)
+    forms = [
+        _sparse_form(b, 1, 6, rng) + _sparse_form(b, 12, 3, rng),
+        _sparse_form(b, 2, 4, rng) + _sparse_form(b, 20, 3, rng),
+    ]
+    _check_all(b, forms)

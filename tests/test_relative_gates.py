@@ -1,0 +1,155 @@
+"""Constructor gates judge a defect against the input's own norm.
+
+Each gate compares its defect with ``tol·‖x‖`` (strictly, so an exact zero
+still passes).  A floor such as ``tol·max(1, ‖x‖)`` would accept every
+defect below about 1e-10, however large it is next to the input itself;
+each case below is such an input, 1e-11 or 1e-14 in size and broken at
+its own scale, and the same input written at unit size.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from ncgauge import (
+    ConfigError,
+    Derivation,
+    LatticeConfig,
+    MatrixBasis,
+    NotHermitianError,
+    NotProjectorError,
+    ShapeError,
+    UniversalForm,
+    fluctuate,
+    grassmann_connection,
+    inner_gauge,
+    random_traceless_hermitian,
+    sm_algebra_fixture,
+    two_point_triple,
+)
+
+B2 = MatrixBasis.gellmann(2)
+RAISE_UP = np.array([[0.0, 1.0], [0.0, 0.0]])
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _hermitian(size: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((size, size)) + 0j
+    return (a + a.T) / 2.0
+
+
+def _fluctuate(scale):
+    return fluctuate(two_point_triple(2, np.eye(2)), scale * np.kron(RAISE_UP, np.eye(2)))
+
+
+def _derivation(scale):
+    return Derivation(B2, scale * np.diag([1.0, 0.0]))
+
+
+def _sm_self_adjoint(scale):
+    d_f = np.zeros((32, 32), dtype=complex)
+    d_f[0, 1] = scale
+    return sm_algebra_fixture(d_f)
+
+
+def _sm_first_order(scale):
+    return sm_algebra_fixture(scale * _hermitian(32, 3))
+
+
+def _lattice_alone(scale):
+    # a Hermitian, not anti-Hermitian, gauge field and no algebraic field
+    a = np.broadcast_to(scale * SIGMA_X, (2, 1, 2, 2))
+    return LatticeConfig((2,), B2, a, np.zeros((2, 3, 2, 2)), 1.0)
+
+
+def _lattice_beside_large(scale):
+    # the same gauge field next to a valid algebraic field of norm about 5
+    a = np.broadcast_to(scale * SIGMA_X, (2, 1, 2, 2))
+    b = np.broadcast_to(1j * B2.mats, (2, 3, 2, 2))
+    return LatticeConfig((2,), B2, a, b, 1.0)
+
+
+def _expand(scale):
+    return B2.expand(scale * np.eye(2), strict=True)
+
+
+def _grassmann(scale):
+    # half the unit of M_2 as a 1 × 1 block: p² − p = −p/2 at every scale
+    return grassmann_connection(0.5 * scale * np.eye(2)[None, None], B2)
+
+
+BROKEN = {
+    "spectral.fluctuate": (_fluctuate, NotHermitianError),
+    "derforms.Derivation": (_derivation, ShapeError),
+    "spectral.sm_algebra_fixture.self_adjoint": (_sm_self_adjoint, ConfigError),
+    "spectral.sm_algebra_fixture.first_order": (_sm_first_order, ConfigError),
+    "lattice.LatticeConfig": (_lattice_alone, NotHermitianError),
+    "lattice.LatticeConfig.beside_large_field": (_lattice_beside_large, NotHermitianError),
+    "basis.MatrixBasis.expand": (_expand, ShapeError),
+    "connections.grassmann_connection": (_grassmann, NotProjectorError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+@pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-14])
+def test_gate_rejects_a_defect_at_the_inputs_own_scale(name, scale):
+    build, error = BROKEN[name]
+    with pytest.raises(error):
+        build(scale)
+
+
+VALID = {
+    "spectral.fluctuate": lambda s: fluctuate(
+        two_point_triple(2, np.eye(2)), s * np.kron(SIGMA_X, np.eye(2))
+    ),
+    "derforms.Derivation": lambda s: Derivation(B2, s * np.diag([1.0, -1.0])),
+    "spectral.sm_algebra_fixture": lambda s: sm_algebra_fixture(s * np.eye(32)),
+    "lattice.LatticeConfig": lambda s: LatticeConfig(
+        (2,), B2, np.broadcast_to(s * 1j * SIGMA_X, (2, 1, 2, 2)), np.zeros((2, 3, 2, 2)), 1.0
+    ),
+    "basis.MatrixBasis.expand": lambda s: B2.expand(s * SIGMA_X, strict=True),
+    "connections.grassmann_connection": lambda s: grassmann_connection(
+        np.eye(2)[None, None] * (s > 0), B2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+@pytest.mark.parametrize("scale", [1.0, 1e-11, 0.0])
+def test_gate_accepts_valid_inputs_of_any_size_and_exact_zeros(name, scale):
+    VALID[name](scale)
+
+
+def _inner_gauge(d_scale: float, leak: float):
+    """Gauge routes on the two-point model with Dirac operator scaled by
+    ``d_scale``, through point projections that leak ``leak`` between the
+    points: they still sum to the identity but are no longer idempotent,
+    so the two routes differ at the relative size of ``leak``."""
+    t = two_point_triple(2, d_scale * np.array([[1.0, 2.0], [0.5, -1.0]]))
+    shift = leak * np.kron(SIGMA_X, np.eye(2))
+    projs = [t.generators[0] + shift, t.generators[1] - shift]
+    omega = UniversalForm(2, 1, np.array([[0.0, 0.3 + 0.2j], [-0.7j, 0.0]]))
+    return inner_gauge(t, np.exp(1j * np.array([0.4, 1.3])), omega, projs)
+
+
+@pytest.mark.parametrize("d_scale", [1.0, 1e-6])
+def test_inner_gauge_match_is_judged_at_the_dirac_operators_scale(d_scale):
+    exact = _inner_gauge(d_scale, 0.0)
+    assert exact.match
+    leaking = _inner_gauge(d_scale, 1e-3)
+    # the mismatch is the same relative size whatever the scale of D
+    assert leaking.max_diff > 1e-7 * np.linalg.norm(leaking.d_transformed)
+    assert not leaking.match
+
+
+def test_bracket_of_nearly_commuting_derivations_is_accepted():
+    # the trace of [γ, η] is roundoff of size ‖γ‖‖η‖, far above the traceless
+    # gate's bound tol·‖[γ, η]‖ when γ and η nearly commute
+    b3 = MatrixBasis.gellmann(3)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        h = random_traceless_hermitian(3, rng)
+        x = Derivation(b3, 1j * h)
+        y = Derivation(b3, 1j * (h + 1e-7 * random_traceless_hermitian(3, rng)))
+        br = x.bracket(y)
+        assert np.abs(br.gamma - (x.gamma @ y.gamma - y.gamma @ x.gamma)).max() < 1e-15
