@@ -65,6 +65,24 @@ def frob_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
 
 
+def frozen(a, dtype=complex) -> np.ndarray:
+    """A read-only copy of ``a``: what a constructor stores of an array it is
+    given, so the caller's array stays writable and independent of it."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def complex_record(a: np.ndarray) -> dict:
+    """JSON-compatible record ``{"re": ..., "im": ...}`` of a complex array."""
+    return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
+
+
+def from_complex_record(obj: dict) -> np.ndarray:
+    """Inverse of :func:`complex_record`."""
+    return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+
+
 # The predicates judge at the operand's own norm, as a ``Check`` does: a
 # defect of 1e-11 in a matrix of norm 1e-11 fails, whatever the unit.
 def is_hermitian(a: np.ndarray, tol: float = TAU_ALG) -> bool:
@@ -186,13 +204,13 @@ def structure_constants(mats: np.ndarray, tol: float = TAU_ALG) -> np.ndarray:
         c = np.linalg.solve(gram, rhs.reshape(-1, d).T).T.reshape(d, d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularBasisError("basis matrices are linearly dependent") from exc
-    if frob_norm(c.imag) > tol * max(1.0, frob_norm(c.real)):
+    if frob_norm(c.imag) > tol * frob_norm(c.real):
         raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     c = c.real
     c = (c - c.transpose(1, 0, 2)) / 2.0  # exact antisymmetry
     # closure check: the projected commutators must reproduce the originals
     recon = np.einsum("klm,mab->klab", c, mats)
-    if frob_norm(recon - comm) > tol * max(1.0, frob_norm(comm)):
+    if frob_norm(recon - comm) > tol * frob_norm(comm):
         raise SingularBasisError(
             "commutators leave the span of the family; not a closed basis"
         )
@@ -253,11 +271,10 @@ class MatrixBasis:
         g_det = float(np.prod(eigs))
         g_inv = np.linalg.inv(g)
         c = structure_constants(mats, tol)
-        mats = mats.copy()
-        mats.setflags(write=False)
-        for arr in (c, g, g_inv):
-            arr.setflags(write=False)
-        return cls(n=n, mats=mats, c=c, g=g, g_inv=g_inv, g_det=g_det)
+        return cls(
+            n=n, mats=frozen(mats), c=frozen(c, float), g=frozen(g, float),
+            g_inv=frozen(g_inv, float), g_det=g_det,
+        )
 
     @classmethod
     def gellmann(cls, n: int) -> "MatrixBasis":
@@ -275,10 +292,7 @@ class MatrixBasis:
         of ``d'θ^k = −Σ_{l<m} C[l, m, k] θ^l θ^m``."""
         lmk = np.argwhere(self.c)
         lmk = lmk[lmk[:, 0] < lmk[:, 1]]
-        table = (lmk, self.c[lmk[:, 0], lmk[:, 1], lmk[:, 2]])
-        for arr in table:
-            arr.setflags(write=False)
-        return table
+        return frozen(lmk, np.intp), frozen(self.c[tuple(lmk.T)], float)
 
     @cached_property
     def ad_table(self) -> np.ndarray:
@@ -288,9 +302,7 @@ class MatrixBasis:
         n, eye = self.n, np.eye(self.n)
         # row-major vec(E a) = (E ⊗ 1) vec(a) and vec(a E) = (1 ⊗ Eᵀ) vec(a)
         ad = 1j * np.array([np.kron(e, eye) - np.kron(eye, e.T) for e in self.mats])
-        table = ad.transpose(2, 0, 1).reshape(n * n, -1)
-        table.setflags(write=False)
-        return table
+        return frozen(ad.transpose(2, 0, 1).reshape(n * n, -1))
 
     # -- expansion ----------------------------------------------------------
 
@@ -320,9 +332,9 @@ class MatrixBasis:
         return np.einsum("k,kab->ab", coeff, self.mats)
 
     def same_as(self, other: "MatrixBasis", tol: float = TAU_ALG) -> bool:
-        """True when the two bundles contain the same matrices."""
+        """True when the two bundles contain the same matrices, at their own norm."""
         return (
             self.n == other.n
             and self.dim == other.dim
-            and frob_norm(self.mats - other.mats) <= tol * self.dim
+            and frob_norm(self.mats - other.mats) <= tol * frob_norm(self.mats)
         )

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .basis import MatrixBasis
+from .basis import MatrixBasis, from_complex_record
 from .connections import (
     casimir_invariant,
     flat_connection_check,
@@ -57,20 +57,21 @@ __all__ = ["RunConfig", "build_config", "cmd_verify", "cmd_minimize", "cmd_two_p
 
 _COMMANDS = ("verify", "minimize", "two_point")
 
-_CONFIG_KEYS = {
-    "command",
-    "n",
-    "N",
-    "r",
-    "dims",
-    "mu",
-    "seed",
-    "steps",
-    "tol",
-    "out",
-    "init",
-    "grid",
-    "M",
+# config key -> (type, default, help): each key with a help string is also a
+# flag of the same name, and the config file may set every key and "command"
+_OPTIONS = {
+    "n": (int, 2, "matrix size (default 2)"),
+    "N": (int, 1, "two-point block size"),
+    "r": (int, None, "module row size (default n)"),
+    "dims": (str, None, "lattice shape, e.g. 16 or 8,8"),
+    "mu": (float, 1.0, "algebraic-direction weight"),
+    "seed": (int, 0, "seed for all randomness"),
+    "steps": (int, None, "iteration/grid budget"),
+    "tol": (float, 1e-8, "convergence tolerance"),
+    "out": (str, None, "CSV output path"),
+    "init": (str, "broken", None),
+    "grid": (str, "real", None),
+    "M": (None, None, None),
 }
 
 
@@ -109,10 +110,7 @@ def _parse_dims(text) -> tuple[int, ...]:
 
 def _parse_mass_matrix(obj, big_n: int) -> np.ndarray:
     try:
-        if isinstance(obj, dict):
-            m = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        else:
-            m = np.array(obj, dtype=complex)
+        m = from_complex_record(obj) if isinstance(obj, dict) else np.array(obj, dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed mass matrix: {exc}") from exc
     if m.shape != (big_n, big_n):
@@ -132,35 +130,17 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("positional_command", nargs="?", choices=_COMMANDS, metavar="command")
     parser.add_argument("--command", choices=_COMMANDS, dest="command_flag")
     parser.add_argument("--config", help="JSON file whose entries override flags")
-    parser.add_argument("--n", type=int, default=2, help="matrix size (default 2)")
-    parser.add_argument("--N", type=int, default=1, dest="big_n", help="two-point block size")
-    parser.add_argument("--r", type=int, default=None, help="module row size (default n)")
-    parser.add_argument("--dims", default=None, help="lattice shape, e.g. 16 or 8,8")
-    parser.add_argument("--mu", type=float, default=1.0, help="algebraic-direction weight")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--steps", type=int, default=None, help="iteration/grid budget")
-    parser.add_argument("--tol", type=float, default=1e-8, help="convergence tolerance")
-    parser.add_argument("--out", default=None, help="CSV output path")
+    for key, (kind, default, text) in _OPTIONS.items():
+        if text is not None:
+            metavar = "BIG_N" if key == "N" else None  # "N" is already --n's metavar
+            parser.add_argument(f"--{key}", type=kind, default=default, help=text, metavar=metavar)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         raise ConfigError("unparseable command line") from exc
 
-    merged = {
-        "command": args.command_flag or args.positional_command,
-        "n": args.n,
-        "N": args.big_n,
-        "r": args.r,
-        "dims": args.dims,
-        "mu": args.mu,
-        "seed": args.seed,
-        "steps": args.steps,
-        "tol": args.tol,
-        "out": args.out,
-        "init": "broken",
-        "grid": "real",
-        "M": None,
-    }
+    merged = {key: getattr(args, key, default) for key, (_, default, _) in _OPTIONS.items()}
+    merged["command"] = args.command_flag or args.positional_command
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -168,7 +148,7 @@ def build_config(argv: list[str]) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
+        unknown = set(loaded) - {"command", *_OPTIONS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
@@ -177,13 +157,15 @@ def build_config(argv: list[str]) -> RunConfig:
     if command not in _COMMANDS:
         raise ConfigError(f"command must be one of {_COMMANDS}, got {command!r}")
     try:
-        n = int(merged["n"])
-        big_n = int(merged["N"])
-        seed = int(merged["seed"])
-        mu = float(merged["mu"])
-        tol = float(merged["tol"])
+        # every number through its type in the table; r and steps may stay unset
+        num = {
+            key: None if default is None and merged[key] is None else kind(merged[key])
+            for key, (kind, default, _) in _OPTIONS.items()
+            if kind in (int, float)
+        }
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scalar option: {exc}") from exc
+    n, big_n, mu, tol, r, steps = (num[key] for key in ("n", "N", "mu", "tol", "r", "steps"))
     if n < 2:
         raise ConfigError(f"matrix size must be at least 2, got {n}")
     if big_n < 1:
@@ -192,16 +174,10 @@ def build_config(argv: list[str]) -> RunConfig:
         raise ConfigError(f"mu must be positive, got {mu}")
     if tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
-    r = merged["r"]
-    if r is not None:
-        r = int(r)
-        if r < 1:
-            raise ConfigError(f"module row size must be positive, got {r}")
-    steps = merged["steps"]
-    if steps is not None:
-        steps = int(steps)
-        if steps < 0:
-            raise ConfigError(f"step budget must be non-negative, got {steps}")
+    if r is not None and r < 1:
+        raise ConfigError(f"module row size must be positive, got {r}")
+    if steps is not None and steps < 0:
+        raise ConfigError(f"step budget must be non-negative, got {steps}")
     dims = merged["dims"]
     if dims is not None:
         dims = _parse_dims(dims)
@@ -225,7 +201,7 @@ def build_config(argv: list[str]) -> RunConfig:
         r=r,
         dims=dims,
         mu=mu,
-        seed=seed,
+        seed=num["seed"],
         steps=steps,
         tol=tol,
         out=merged["out"],
@@ -272,9 +248,7 @@ def _classify_orbit(action_value: float, casimir: float, n: int, tol: float) -> 
     return "flat-other"
 
 
-def _cmd_minimize_lattice(cfg: RunConfig) -> int:
-    basis = MatrixBasis.gellmann(cfg.n)
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_minimize_lattice(cfg: RunConfig, basis: MatrixBasis, rng: np.random.Generator) -> int:
     if cfg.init == "random":
         lat = random_lattice_config(cfg.dims, basis, cfg.mu, rng, scale=0.3)
     else:
@@ -301,10 +275,10 @@ def _cmd_minimize_lattice(cfg: RunConfig) -> int:
 
 
 def cmd_minimize(cfg: RunConfig) -> int:
-    if cfg.dims is not None:
-        return _cmd_minimize_lattice(cfg)
     basis = MatrixBasis.gellmann(cfg.n)
     rng = np.random.default_rng(cfg.seed)
+    if cfg.dims is not None:
+        return _cmd_minimize_lattice(cfg, basis, rng)
     conn0 = random_connection(basis, rng, r=cfg.r)
     steps = 20000 if cfg.steps is None else cfg.steps
     res = minimize(conn0, max_iter=steps, gtol=cfg.tol)

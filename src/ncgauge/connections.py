@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import MatrixBasis, dagger, frob_norm, is_unitary
+from .basis import MatrixBasis, dagger, frob_norm, frozen, is_antihermitian, is_unitary
 from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import (
     MaxIterationsError,
@@ -68,13 +68,12 @@ class MatrixConnection:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs = frozen(self.coeffs)
         if coeffs.ndim != 3 or coeffs.shape[0] != self.basis.dim or coeffs.shape[1] != coeffs.shape[2]:
             raise ShapeError(
                 f"coefficients must have shape ({self.basis.dim}, r, r), got {coeffs.shape}"
             )
         object.__setattr__(self, "coeffs", coeffs)
-        coeffs.setflags(write=False)
 
     @property
     def r(self) -> int:
@@ -246,7 +245,6 @@ def minimize(
     step = step0
     trace: list[tuple[int, float, float]] = []
     it = 0
-    converged = False
     stalled = False
     g = action_gradient(point, f)
     gnorm = frob_norm(g)
@@ -254,7 +252,6 @@ def minimize(
         if it % trace_every == 0:
             trace.append((it, s, gnorm))
         if gnorm < gtol:
-            converged = True
             break
         # backtracking on S(a - t g) against the sufficient-decrease bound
         while step > 1e-18:
@@ -273,8 +270,7 @@ def minimize(
         g = action_gradient(point, f)
         gnorm = frob_norm(g)
         it += 1
-    if gnorm < gtol:
-        converged = True
+    converged = bool(gnorm < gtol)
     if not trace or trace[-1][0] != it:
         trace.append((it, s, gnorm))
     return MinimizeResult(
@@ -329,8 +325,7 @@ def flat_connection_check(conn: MatrixConnection, tol: float = TAU_ALG) -> Flatn
 def hermitian_compatibility_check(conn: MatrixConnection, tol: float = TAU_ALG) -> bool:
     """True iff every coefficient is anti-Hermitian (metric compatibility
     of the connection with the canonical Hermitian pairing)."""
-    a = conn.coeffs
-    return bool(frob_norm(a + dagger(a)) <= tol * frob_norm(a))
+    return is_antihermitian(conn.coeffs, tol)
 
 
 def grassmann_connection(p: np.ndarray, basis: MatrixBasis, tol: float = TAU_ALG) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .basis import MatrixBasis, dagger, frob_norm
+from .basis import MatrixBasis, complex_record, dagger, frob_norm, from_complex_record, frozen
 from .errors import BasisMismatchError, DegreeError, ShapeError
 from .tolerances import TAU_ALG
 
@@ -74,18 +74,14 @@ class Derivation:
     coeffs: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        gamma = np.array(self.gamma, dtype=complex)
+        gamma = frozen(self.gamma)
         if gamma.shape != (self.basis.n, self.basis.n):
             raise ShapeError(f"gamma must be {self.basis.n}x{self.basis.n}")
         if abs(np.trace(gamma)) > TAU_ALG * frob_norm(gamma):
             raise ShapeError("gamma must be traceless to define a derivation frame component")
         object.__setattr__(self, "gamma", gamma)
-        if self.coeffs is None:
-            object.__setattr__(self, "coeffs", self.basis.expand(-1j * gamma))
-        else:
-            object.__setattr__(self, "coeffs", np.array(self.coeffs, dtype=complex))
-        self.gamma.setflags(write=False)
-        self.coeffs.setflags(write=False)
+        coeffs = self.basis.expand(-1j * gamma) if self.coeffs is None else self.coeffs
+        object.__setattr__(self, "coeffs", frozen(coeffs))
 
     @classmethod
     def frame(cls, basis: MatrixBasis, k: int) -> "Derivation":
@@ -123,6 +119,7 @@ _SHARED = 2.0**32  # weight of an index two rows share, in the wedge counts
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Make arrays built here read-only in place; a copy would cost the hot path."""
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
@@ -359,20 +356,14 @@ class DerForm:
 
     def to_record(self) -> dict:
         """JSON-compatible record: indices plus re/im entry tables."""
-        comps = [
-            {"indices": list(key), "re": np.real(mat).tolist(), "im": np.imag(mat).tolist()}
-            for key, mat in self
-        ]
+        comps = [{"indices": list(key), **complex_record(mat)} for key, mat in self]
         return {"n": self.basis.n, "dim": self.basis.dim, "components": comps}
 
     @classmethod
     def from_record(cls, basis: MatrixBasis, record: dict) -> "DerForm":
         if record.get("n") != basis.n or record.get("dim") != basis.dim:
             raise BasisMismatchError("record was written over a different basis")
-        comps = {}
-        for entry in record["components"]:
-            mat = np.array(entry["re"], dtype=float) + 1j * np.array(entry["im"], dtype=float)
-            comps[tuple(entry["indices"])] = mat
+        comps = {tuple(e["indices"]): from_complex_record(e) for e in record["components"]}
         return cls(basis, comps)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MatrixBasis, dagger, frob_norm, is_unitary
+from .basis import MatrixBasis, dagger, frob_norm, frozen, gellmann_basis, is_unitary
 from .errors import NotHermitianError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
 
@@ -81,8 +81,7 @@ class LatticeConfig:
         if any(d < 2 or d > MAX_SIDE for d in dims):
             raise ShapeError(f"lattice sides must be in 2..{MAX_SIDE}, got {dims}")
         n = self.basis.n
-        a = np.array(self.a, dtype=complex)
-        b = np.array(self.b, dtype=complex)
+        a, b = frozen(self.a), frozen(self.b)
         if a.shape != dims + (m, n, n):
             raise ShapeError(f"gauge field must have shape {dims + (m, n, n)}, got {a.shape}")
         if b.shape != dims + (self.basis.dim, n, n):
@@ -102,8 +101,6 @@ class LatticeConfig:
                     )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        a.setflags(write=False)
-        b.setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -232,10 +229,12 @@ def random_lattice_config(
 
 def _constant_a_directions(cfg: LatticeConfig) -> list[np.ndarray]:
     """Orthonormal anti-Hermitian directions for site-independent
-    a-fluctuations: i·1/√n and iE_k/√2 per geometric direction."""
+    a-fluctuations: i·1/√n and iλ_k/√2 per geometric direction, with λ_k
+    the Gell-Mann matrices (``tr λ_k λ_l = 2δ_kl``) whatever the frame of
+    ``cfg``, so the spectrum does not depend on that frame."""
     n = cfg.basis.n
     herm = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    herm += [e / np.sqrt(2.0) for e in cfg.basis.mats]
+    herm += [e / np.sqrt(2.0) for e in gellmann_basis(n)]
     dirs = []
     for mu_dir in range(cfg.m):
         for hmat in herm:

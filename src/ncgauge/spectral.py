@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import dagger, frob_norm
+from .basis import complex_record, dagger, frob_norm, from_complex_record, frozen, is_hermitian
 from .errors import (
     ConfigError,
     DegreeError,
@@ -87,36 +87,31 @@ KO_TABLE: dict[int, tuple[int, int, int | None]] = {
 
 @dataclass(frozen=True)
 class RealStructure:
-    """Antiunitary operator ``J(v) = U · conj(v)`` (set ``conjugate=False``
-    for the degenerate linear encoding; axiom checks then treat U alone)."""
+    """Antiunitary operator ``J(v) = U · conj(v)``."""
 
     u: np.ndarray
-    conjugate: bool = True
 
     def __post_init__(self) -> None:
-        u = np.array(self.u, dtype=complex)
+        u = frozen(self.u)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ShapeError("real-structure matrix must be square")
         object.__setattr__(self, "u", u)
-        u.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.u.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        return self.u @ (np.conjugate(v) if self.conjugate else v)
+        return self.u @ np.conjugate(np.asarray(v, dtype=complex))
 
     def conjugate_operator(self, x: np.ndarray) -> np.ndarray:
         """``J X J⁻¹`` (uses the true inverse of U, valid even for a
         malformed non-unitary encoding)."""
-        x = np.conjugate(x) if self.conjugate else x
-        return self.u @ x @ np.linalg.inv(self.u)
+        return self.u @ np.conjugate(x) @ np.linalg.inv(self.u)
 
     def squared(self) -> np.ndarray:
-        """The matrix of J² (``U·conj(U)`` for a genuine antiunitary)."""
-        return self.u @ (np.conjugate(self.u) if self.conjugate else self.u)
+        """The matrix of J², ``U·conj(U)``."""
+        return self.u @ np.conjugate(self.u)
 
 
 @dataclass(frozen=True)
@@ -126,11 +121,10 @@ class OperatorForm:
     op: np.ndarray
 
     def __post_init__(self) -> None:
-        op = np.array(self.op, dtype=complex)
+        op = frozen(self.op)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ShapeError("operator must be a square matrix")
         object.__setattr__(self, "op", op)
-        op.setflags(write=False)
 
     def self_adjoint_defect(self) -> float:
         return frob_norm(self.op - dagger(self.op))
@@ -151,24 +145,20 @@ class FiniteSpectralTriple:
     algebra: str = ""
 
     def __post_init__(self) -> None:
-        d = np.array(self.d, dtype=complex)
+        d = frozen(self.d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ShapeError("Dirac operator must be a square matrix")
         dim = d.shape[0]
-        gens = tuple(np.array(g, dtype=complex) for g in self.generators)
-        for g in gens:
-            if g.shape != (dim, dim):
-                raise ShapeError("every generator must match the Hilbert dimension")
-            g.setflags(write=False)
+        gens = tuple(frozen(g) for g in self.generators)
+        if any(g.shape != (dim, dim) for g in gens):
+            raise ShapeError("every generator must match the Hilbert dimension")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "d", d)
-        d.setflags(write=False)
         if self.gamma is not None:
-            gamma = np.array(self.gamma, dtype=complex)
+            gamma = frozen(self.gamma)
             if gamma.shape != (dim, dim):
                 raise ShapeError("chirality must match the Hilbert dimension")
             object.__setattr__(self, "gamma", gamma)
-            gamma.setflags(write=False)
         if self.j is not None and self.j.dim != dim:
             raise ShapeError("real structure must match the Hilbert dimension")
         if self.ko_dim is not None:
@@ -199,6 +189,18 @@ class FiniteSpectralTriple:
 # ---------------------------------------------------------------------------
 # axiom verification
 # ---------------------------------------------------------------------------
+
+def _order_residuals(conj_gens, gens, d: np.ndarray) -> tuple[float, float]:
+    """The largest zeroth-order residual ``‖[JaJ⁻¹, b]‖`` and first-order
+    residual ``‖[[D, b], JaJ⁻¹]‖`` over all pairs of generators ``a, b``."""
+    res0 = res1 = 0.0
+    for b in gens:
+        db = d @ b - b @ d
+        for a in conj_gens:
+            res0 = max(res0, frob_norm(a @ b - b @ a))
+            res1 = max(res1, frob_norm(db @ a - a @ db))
+    return res0, res1
+
 
 def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> CheckReport:
     """Verify every applicable axiom; residuals are Frobenius norms.
@@ -264,13 +266,7 @@ def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> CheckReport:
                 )
         conj_gens = [t.j.conjugate_operator(g) for g in t.generators]
         conj_norm = max((frob_norm(a) for a in conj_gens), default=0.0)
-        res0 = 0.0
-        res1 = 0.0
-        for a in conj_gens:
-            for b in t.generators:
-                res0 = max(res0, frob_norm(a @ b - b @ a))
-                db = d @ b - b @ d
-                res1 = max(res1, frob_norm(db @ a - a @ db))
+        res0, res1 = _order_residuals(conj_gens, t.generators, d)
         add("zeroth_order", res0, conj_norm * gen_norm)
         add("first_order", res1, d_norm * gen_norm * conj_norm)
 
@@ -338,7 +334,7 @@ def fluctuate(
     a = omega_op.op if isinstance(omega_op, OperatorForm) else np.asarray(omega_op, dtype=complex)
     if a.shape != (t.hilbert_dim, t.hilbert_dim):
         raise ShapeError("gauge potential must match the Hilbert dimension")
-    if frob_norm(a - dagger(a)) > tol * frob_norm(a):
+    if not is_hermitian(a, tol):
         raise NotHermitianError("gauge potential must be self-adjoint")
     d_new = t.d + a + t.eps_p * t.j.conjugate_operator(a)
     return replace(t, d=d_new)
@@ -564,11 +560,7 @@ def sm_represent(lam: complex, q: np.ndarray, m3: np.ndarray) -> np.ndarray:
 
 def _transpose_permutation(k: int) -> np.ndarray:
     """Permutation T with T·vec(X) = vec(Xᵀ) for row-major vec on k×k."""
-    t = np.zeros((k * k, k * k))
-    for i in range(k):
-        for j in range(k):
-            t[k * i + j, k * j + i] = 1.0
-    return t
+    return np.eye(k * k)[np.arange(k * k).reshape(k, k).T.ravel()]
 
 
 def sm_reality() -> RealStructure:
@@ -630,7 +622,7 @@ def sm_algebra_fixture(
     d_f = np.asarray(d_f, dtype=complex)
     if d_f.shape != (32, 32):
         raise ConfigError(f"Dirac block must be 32x32, got {d_f.shape}")
-    if frob_norm(d_f - dagger(d_f)) > tol * frob_norm(d_f):
+    if not is_hermitian(d_f, tol):
         raise ConfigError("Dirac block must be self-adjoint")
 
     # canonical generating family: the unit of each summand and the
@@ -661,15 +653,7 @@ def sm_algebra_fixture(
                 ),
             )
     reps = [sm_represent(*x) for x in sample] + list(gens)
-    conj_reps = [j.conjugate_operator(r) for r in reps]
-    zeroth = max(
-        frob_norm(a @ b - b @ a) for a in conj_reps for b in reps
-    )
-    first = 0.0
-    for b in reps:
-        db = d_f @ b - b @ d_f
-        for a in conj_reps:
-            first = max(first, frob_norm(db @ a - a @ db))
+    zeroth, first = _order_residuals([j.conjugate_operator(r) for r in reps], reps, d_f)
     if first > tol * frob_norm(d_f):
         raise ConfigError(
             f"Dirac block violates the first-order condition (residual {first:.3e})"
@@ -695,24 +679,15 @@ def sm_algebra_fixture(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _array_to_obj(a: np.ndarray) -> dict:
-    return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
-
-
-def _obj_to_array(obj: dict) -> np.ndarray:
-    return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-
-
 def triple_to_json(t: FiniteSpectralTriple) -> str:
     payload = {
         "algebra": t.algebra,
         "hilbert_dim": t.hilbert_dim,
-        "generators": [_array_to_obj(g) for g in t.generators],
-        "d": _array_to_obj(t.d),
-        "gamma": None if t.gamma is None else _array_to_obj(t.gamma),
-        "j": None
-        if t.j is None
-        else {"u": _array_to_obj(t.j.u), "conjugate": t.j.conjugate},
+        "generators": [complex_record(g) for g in t.generators],
+        "d": complex_record(t.d),
+        "gamma": None if t.gamma is None else complex_record(t.gamma),
+        # J is always antiunitary; the flag keeps records readable by older readers
+        "j": None if t.j is None else {"u": complex_record(t.j.u), "conjugate": True},
         "ko_dim": t.ko_dim,
     }
     return json.dumps(payload, sort_keys=True)
@@ -721,15 +696,14 @@ def triple_to_json(t: FiniteSpectralTriple) -> str:
 def triple_from_json(text: str) -> FiniteSpectralTriple:
     try:
         payload = json.loads(text)
+        j = payload["j"]
+        if j is not None and j["conjugate"] is not True:
+            raise ConfigError("a real structure must be antiunitary (conjugate: true)")
         return FiniteSpectralTriple(
-            generators=tuple(_obj_to_array(g) for g in payload["generators"]),
-            d=_obj_to_array(payload["d"]),
-            gamma=None if payload["gamma"] is None else _obj_to_array(payload["gamma"]),
-            j=None
-            if payload["j"] is None
-            else RealStructure(
-                _obj_to_array(payload["j"]["u"]), payload["j"]["conjugate"]
-            ),
+            generators=tuple(from_complex_record(g) for g in payload["generators"]),
+            d=from_complex_record(payload["d"]),
+            gamma=None if payload["gamma"] is None else from_complex_record(payload["gamma"]),
+            j=None if j is None else RealStructure(from_complex_record(j["u"])),
             ko_dim=payload["ko_dim"],
             algebra=payload.get("algebra", ""),
         )

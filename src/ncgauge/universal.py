@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import frozen
 from .errors import BasisMismatchError, DegreeError, ShapeError
 from .tolerances import TAU_ALG
 
@@ -61,7 +62,7 @@ class UniversalForm:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.array(self.values, dtype=complex))
+        object.__setattr__(self, "values", frozen(self.values))
         if self.size < 1:
             raise ShapeError(f"point set must be nonempty, got size {self.size}")
         if self.degree < 0 or self.degree > _HARD_DEGREE_CAP:
@@ -77,13 +78,14 @@ class UniversalForm:
         if self.values.size > _MAX_ENTRIES:
             raise ShapeError("form storage exceeds the dense-array budget")
         self._require_consecutive_vanishing()
-        self.values.setflags(write=False)
 
     def _require_consecutive_vanishing(self) -> None:
         v = self.values
         for axis in range(self.degree):
-            sl = np.abs(np.diagonal(v, axis1=axis, axis2=axis + 1))
-            if sl.size and float(sl.max()) > TAU_ALG:
+            worst = float(np.abs(np.diagonal(v, axis1=axis, axis2=axis + 1)).max(initial=0.0))
+            # judged against the largest entry, so a form of any size is held to
+            # its own scale; an exact zero passes without that reduction
+            if worst > 0.0 and worst > TAU_ALG * float(np.abs(v).max()):
                 raise ShapeError(
                     "form values must vanish when consecutive arguments coincide"
                 )
@@ -109,9 +111,7 @@ class UniversalForm:
         return (-1.0) * self
 
     def __mul__(self, other):
-        if isinstance(other, UniversalForm):
-            return uproduct(self, other)
-        return UniversalForm(self.size, self.degree, self.values * complex(other))
+        return uproduct(self, other) if isinstance(other, UniversalForm) else self.__rmul__(other)
 
     def __rmul__(self, scalar) -> "UniversalForm":
         return UniversalForm(self.size, self.degree, self.values * complex(scalar))

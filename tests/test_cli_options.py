@@ -1,0 +1,48 @@
+"""Every run option reaches the same ``RunConfig`` field whether it is given
+as a flag or in the JSON config file, and the config file wins over a flag."""
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from ncgauge.cli import build_config
+from ncgauge.errors import ConfigError
+
+# option -> (RunConfig field, flag text, the same value in JSON, the field
+# value both give, another JSON value, the field value that one gives)
+CASES = {
+    "n": ("n", "3", 3, 3, 4, 4),
+    "N": ("big_n", "2", 2, 2, 3, 3),
+    "r": ("r", "2", 2, 2, 3, 3),
+    "dims": ("dims", "4,4", [4, 4], (4, 4), "8", (8,)),
+    "mu": ("mu", "0.5", 0.5, 0.5, 2.0, 2.0),
+    "seed": ("seed", "5", 5, 5, 7, 7),
+    "steps": ("steps", "10", 10, 10, 0, 0),
+    "tol": ("tol", "1e-6", 1e-6, 1e-6, 1e-5, 1e-5),
+    "out": ("out", "a.csv", "a.csv", "a.csv", "b.csv", "b.csv"),
+}
+
+
+def _config(tmp_path, entries: dict) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_flag_and_config_set_the_same_field_and_config_wins(key, tmp_path):
+    field, text, value, expected, other, other_expected = CASES[key]
+    by_flag = build_config(["verify", f"--{key}", text])
+    by_config = build_config(["verify", "--config", _config(tmp_path, {key: value})])
+    assert getattr(by_flag, field) == getattr(by_config, field) == expected
+    both = build_config(["verify", f"--{key}", text, "--config", _config(tmp_path, {key: other})])
+    assert getattr(both, field) == other_expected
+
+
+@pytest.mark.parametrize("key", ["init", "grid", "M"])
+def test_config_only_keys_have_no_flag(key, tmp_path):
+    with pytest.raises(ConfigError):
+        build_config(["two_point", f"--{key}", "x"])
+    value = {"init": "symmetric", "grid": "circle", "M": [[2.0]]}[key]
+    build_config(["two_point", "--config", _config(tmp_path, {key: value})])

@@ -214,3 +214,18 @@ def test_symmetric_vacuum_gauge_directions_are_flat(basis2):
     # starts at quartic order); mu^2 masses are a broken-vacuum effect
     spectrum = mass_spectrum(vacuum_config("symmetric", (16,), basis2, mu=1.0))
     assert np.abs(spectrum).max() < 1e-6
+
+
+def test_spectrum_of_the_same_fields_does_not_depend_on_the_frame(basis2, skewed_frame):
+    # the broken-vacuum fields of the Gell-Mann frame, read over a skewed
+    # frame of the same algebra: the a-directions must stay orthonormal.
+    # In one dimension the action is exactly quadratic in a constant shift
+    # of a, so a wide stencil is exact up to the roundoff of the constant
+    # Higgs term (42 over the skewed frame), which h_fd = 1e-3 would lift
+    # to 3e-9 of the spectrum.
+    gm = vacuum_config("broken", (8,), basis2)
+    skewed = LatticeConfig(gm.dims, skewed_frame(2)[0], gm.a, gm.b, gm.mu)
+    expected = mass_spectrum(gm, h_fd=1e-2)
+    np.testing.assert_allclose(expected, [0.0, 4.0, 4.0, 4.0], atol=1e-9)
+    spectrum = mass_spectrum(skewed, h_fd=1e-2)
+    np.testing.assert_allclose(spectrum, expected, atol=1e-9 * expected.max())

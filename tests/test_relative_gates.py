@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 from ncgauge import (
+    BasisMismatchError,
     ConfigError,
+    DerForm,
     Derivation,
     LatticeConfig,
     MatrixBasis,
     NotHermitianError,
     NotProjectorError,
     ShapeError,
+    SingularBasisError,
     UniversalForm,
     fluctuate,
     grassmann_connection,
@@ -26,6 +29,7 @@ from ncgauge import (
     random_traceless_hermitian,
     sm_algebra_fixture,
     two_point_triple,
+    wedge,
 )
 
 B2 = MatrixBasis.gellmann(2)
@@ -78,7 +82,27 @@ def _grassmann(scale):
     return grassmann_connection(0.5 * scale * np.eye(2)[None, None], B2)
 
 
+def _open_family(scale):
+    # σx and σy alone: their bracket leaves the span at every scale
+    return MatrixBasis.from_matrices(scale * B2.mats[:2])
+
+
+def _wedge_over_other_frame(scale):
+    # two frames at the same scale whose first matrices differ by 30%
+    one = MatrixBasis.from_matrices(scale * B2.mats)
+    other = MatrixBasis.from_matrices(scale * B2.mats * np.array([1.3, 1.0, 1.0])[:, None, None])
+    return wedge(DerForm.matrix(one, np.eye(2)), DerForm.matrix(other, np.eye(2)))
+
+
+def _universal_diagonal(scale):
+    # a one-form whose value at a repeated point is its whole size
+    return UniversalForm(2, 1, scale * np.diag([1.0, 0.0]))
+
+
 BROKEN = {
+    "basis.structure_constants": (_open_family, SingularBasisError),
+    "basis.MatrixBasis.same_as": (_wedge_over_other_frame, BasisMismatchError),
+    "universal.UniversalForm": (_universal_diagonal, ShapeError),
     "spectral.fluctuate": (_fluctuate, NotHermitianError),
     "derforms.Derivation": (_derivation, ShapeError),
     "spectral.sm_algebra_fixture.self_adjoint": (_sm_self_adjoint, ConfigError),
@@ -111,6 +135,7 @@ VALID = {
     "connections.grassmann_connection": lambda s: grassmann_connection(
         np.eye(2)[None, None] * (s > 0), B2
     ),
+    "universal.UniversalForm": lambda s: UniversalForm(2, 1, s * np.array([[0, 1], [2, 0]])),
 }
 
 
@@ -118,6 +143,11 @@ VALID = {
 @pytest.mark.parametrize("scale", [1.0, 1e-11, 0.0])
 def test_gate_accepts_valid_inputs_of_any_size_and_exact_zeros(name, scale):
     VALID[name](scale)
+
+
+def test_large_universal_form_with_roundoff_on_its_diagonal_is_accepted():
+    # a diagonal of 1e-13 of the form's size is roundoff, whatever the size
+    UniversalForm(2, 1, 1e6 * np.array([[1e-13, 1.0], [2.0, 0.0]]))
 
 
 def _inner_gauge(d_scale: float, leak: float):
