@@ -191,6 +191,8 @@ def build_config(argv: list[str]) -> RunConfig:
     grid = str(merged["grid"])
     if grid not in ("real", "circle"):
         raise ConfigError(f"grid must be real/circle, got {grid!r}")
+    if merged["out"] is not None and not isinstance(merged["out"], str):
+        raise ConfigError(f"out must be a path string, got {merged['out']!r}")
     m_matrix = None
     if merged["M"] is not None:
         m_matrix = _parse_mass_matrix(merged["M"], big_n)

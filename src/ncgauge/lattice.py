@@ -26,6 +26,7 @@ only their μ-weights matter for the reported spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -45,7 +46,7 @@ __all__ = [
     "zero_momentum_gradient_norm",
 ]
 
-#: caps that keep finite-difference Hessians and action sums at desk scale
+#: caps that keep the action sums and the shift Jacobians at desk scale
 MAX_SIDE = 64
 MAX_LATTICE_DIM = 2
 
@@ -124,32 +125,32 @@ def _forward_diff(field: np.ndarray, axis: int) -> np.ndarray:
     return np.roll(field, -1, axis=axis) - field
 
 
+def _covariant_parts(cfg: LatticeConfig) -> tuple[dict, list[np.ndarray]]:
+    """``F_μν`` for each pair μ < ν, and ``D_μ b`` for each μ."""
+    a, b = cfg.a, cfg.b
+    f = {}
+    for mu_dir, nu_dir in combinations(range(cfg.m), 2):
+        a_mu, a_nu = a[..., mu_dir, :, :], a[..., nu_dir, :, :]
+        f[mu_dir, nu_dir] = (
+            _forward_diff(a_nu, mu_dir) - _forward_diff(a_mu, nu_dir) + a_mu @ a_nu - a_nu @ a_mu
+        )
+    d_b = [
+        _forward_diff(b, mu_dir) + a[..., mu_dir, None, :, :] @ b - b @ a[..., mu_dir, None, :, :]
+        for mu_dir in range(cfg.m)
+    ]
+    return f, d_b
+
+
 def lattice_action(cfg: LatticeConfig) -> float:
     """Total action (non-negative; exactly zero on both vacuum families)."""
-    n = cfg.basis.n
-    m = cfg.m
-    a, b, mu = cfg.a, cfg.b, cfg.mu
+    n, b, mu = cfg.basis.n, cfg.b, cfg.mu
+    f, d_b = _covariant_parts(cfg)
     total = 0.0
-
-    # field strength along geometric directions
-    for mu_dir in range(m):
-        a_mu = a[..., mu_dir, :, :]
-        for nu_dir in range(mu_dir + 1, m):
-            a_nu = a[..., nu_dir, :, :]
-            f = (
-                _forward_diff(a_nu, mu_dir)
-                - _forward_diff(a_mu, nu_dir)
-                + a_mu @ a_nu
-                - a_nu @ a_mu
-            )
-            # ordered double sum Σ_{μν} counts each unordered pair twice
-            total += 2.0 * float(np.sum(np.abs(f) ** 2)) / (4.0 * n)
-
-    # covariant derivative of the algebraic multiplet
-    for mu_dir in range(m):
-        a_mu = a[..., mu_dir, :, :][..., None, :, :]
-        d_b = _forward_diff(b, mu_dir) + a_mu @ b - b @ a_mu
-        total += float(np.sum(np.abs(d_b) ** 2)) * mu**2 / (8.0 * n**2)
+    for f_mn in f.values():
+        # ordered double sum Σ_{μν} counts each unordered pair twice
+        total += 2.0 * float(np.sum(np.abs(f_mn) ** 2)) / (4.0 * n)
+    for d in d_b:
+        total += float(np.sum(np.abs(d) ** 2)) * mu**2 / (8.0 * n**2)
 
     # algebraic-direction field strength (the Higgs self-interaction)
     comm = np.einsum("...kab,...lbc->...klac", b, b)
@@ -227,72 +228,67 @@ def random_lattice_config(
     )
 
 
-def _constant_a_directions(cfg: LatticeConfig) -> list[np.ndarray]:
-    """Orthonormal anti-Hermitian directions for site-independent
-    a-fluctuations: i·1/√n and iλ_k/√2 per geometric direction, with λ_k
-    the Gell-Mann matrices (``tr λ_k λ_l = 2δ_kl``) whatever the frame of
-    ``cfg``, so the spectrum does not depend on that frame."""
-    n = cfg.basis.n
-    herm = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    herm += [e / np.sqrt(2.0) for e in gellmann_basis(n)]
-    dirs = []
-    for mu_dir in range(cfg.m):
-        for hmat in herm:
-            d = np.zeros((cfg.m, n, n), dtype=complex)
-            d[mu_dir] = 1j * hmat
-            dirs.append(d)
-    return dirs
+def _constant_a_directions(n: int) -> np.ndarray:
+    """``i·1/√n`` and ``iλ_k/√2`` stacked ``(n², n, n)``: orthonormal, with λ_k
+    the Gell-Mann matrices (``tr λ_k λ_l = 2δ_kl``) whatever the frame of the
+    fields, so the spectrum does not depend on that frame."""
+    return 1j * np.concatenate([np.eye(n)[None] / np.sqrt(n), gellmann_basis(n) / np.sqrt(2.0)])
 
 
-def _shifted_action(cfg: LatticeConfig, delta_a: np.ndarray) -> float:
-    """Action after adding a site-independent a-shift (shape (m, n, n))."""
-    shifted = LatticeConfig(
-        cfg.dims, cfg.basis, cfg.a + delta_a, cfg.b, cfg.mu, check=False
-    )
-    return lattice_action(shifted)
+def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient and Hessian of the action over site-independent shifts
+    of ``a``: each ``_constant_a_directions`` in each slot, slot-major.
+
+    A constant shift δ has ``Δ_μ δ = 0``, so ``D_μ b`` gains ``[δ_μ, b]``
+    and ``F_μν`` gains ``[δ_μ, a_ν] + [a_μ, δ_ν] + [δ_μ, δ_ν]``.  A term
+    ``w‖R‖²`` with Jacobian J adds ``2w Re(JᴴR)`` to the gradient and
+    ``2w Re(JᴴJ)`` to the Hessian, and ``[δ_μ, δ_ν]`` adds
+    ``2w Re⟨Σ_x F_μν, [e_i, e_j]⟩`` between slots μ ≠ ν.
+    """
+    n, m, a = cfg.basis.n, cfg.m, cfg.a
+    e = _constant_a_directions(n)
+    k = len(e)
+    w_f, w_d = 1.0 / (2.0 * n), cfg.mu**2 / (8.0 * n**2)
+
+    def comm(x: np.ndarray) -> np.ndarray:  # [e_i, x], flattened per direction
+        x = x.reshape(-1, n, n)
+        return (e[:, None] @ x - x @ e[:, None]).reshape(k, -1)
+
+    f, d_b = _covariant_parts(cfg)
+    # D_μ b: the same Jacobian [e_i, b] in every slot
+    jac = comm(cfg.b)
+    grad = np.concatenate([2.0 * w_d * np.real(jac.conj() @ d.ravel()) for d in d_b])
+    hess = np.kron(np.eye(m), 2.0 * w_d * np.real(jac.conj() @ jac.T))
+    blocks = hess.reshape(m, k, m, k)  # a view: writes to it land in hess
+    e_comm = e[:, None] @ e - e @ e[:, None]
+    for (mu_dir, nu_dir), f_mn in f.items():
+        # slot μ sees [e_i, a_ν], slot ν sees −[e_i, a_μ]
+        jac = np.zeros((m, k, f_mn.size), dtype=complex)
+        jac[mu_dir], jac[nu_dir] = comm(a[..., nu_dir, :, :]), -comm(a[..., mu_dir, :, :])
+        jac = jac.reshape(m * k, -1)
+        grad += 2.0 * w_f * np.real(jac.conj() @ f_mn.ravel())
+        hess += 2.0 * w_f * np.real(jac.conj() @ jac.T)
+        curv = 2.0 * w_f * np.real(np.tensordot(e_comm, f_mn.reshape(-1, n, n).sum(0).conj(), 2))
+        blocks[mu_dir, :, nu_dir] += curv
+        blocks[nu_dir, :, mu_dir] += curv.T
+    return grad, hess
 
 
-def mass_spectrum(cfg: LatticeConfig, h_fd: float = 1e-3) -> np.ndarray:
-    """Eigenvalues of the finite-difference Hessian of the action over
+def mass_spectrum(cfg: LatticeConfig) -> np.ndarray:
+    """Eigenvalues of the exact Hessian of the action over
     site-independent a-fluctuations, ascending.
 
     At the broken vacuum this is the gauge-boson mass matrix of the
     Higgs mechanism: the identity direction ``a ∝ i·1`` commutes with
     every ``b_k = iE_k`` and is an exact zero mode, while the remaining
-    eigenvalues are ∝ μ² (the curvature term only enters at quartic
-    order for constant fluctuations).  Directions are orthonormal in the
-    Frobenius metric, so eigenvalues are basis-independent.
+    eigenvalues are ``sites·μ²/n`` (the curvature term only enters at
+    quartic order for constant fluctuations).  Directions are orthonormal
+    in the Frobenius metric, so eigenvalues are basis-independent.
     """
-    dirs = _constant_a_directions(cfg)
-    n_dir = len(dirs)
-    s0 = lattice_action(cfg)
-    hess = np.zeros((n_dir, n_dir))
-    plus = np.zeros(n_dir)
-    minus = np.zeros(n_dir)
-    for i, di in enumerate(dirs):
-        plus[i] = _shifted_action(cfg, h_fd * di)
-        minus[i] = _shifted_action(cfg, -h_fd * di)
-        hess[i, i] = (plus[i] - 2.0 * s0 + minus[i]) / h_fd**2
-    for i in range(n_dir):
-        for j in range(i + 1, n_dir):
-            spp = _shifted_action(cfg, h_fd * (dirs[i] + dirs[j]))
-            smm = _shifted_action(cfg, -h_fd * (dirs[i] + dirs[j]))
-            # symmetric mixed difference via the diagonal evaluations
-            hess[i, j] = hess[j, i] = (
-                spp + smm - plus[i] - minus[i] - plus[j] - minus[j] + 2.0 * s0
-            ) / (2.0 * h_fd**2)
-    return np.linalg.eigvalsh(hess)
+    return np.linalg.eigvalsh(_shift_derivatives(cfg)[1])
 
 
-def zero_momentum_gradient_norm(cfg: LatticeConfig, h_fd: float = 1e-6) -> float:
-    """Norm of the central-difference gradient of the action over the
-    site-independent a-directions (cheap stationarity diagnostic)."""
-    dirs = _constant_a_directions(cfg)
-    grad = np.array(
-        [
-            (_shifted_action(cfg, h_fd * d) - _shifted_action(cfg, -h_fd * d))
-            / (2.0 * h_fd)
-            for d in dirs
-        ]
-    )
-    return float(np.linalg.norm(grad))
+def zero_momentum_gradient_norm(cfg: LatticeConfig) -> float:
+    """Norm of the exact gradient of the action over the site-independent
+    a-directions (cheap stationarity diagnostic)."""
+    return float(np.linalg.norm(_shift_derivatives(cfg)[0]))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -104,10 +105,14 @@ class RealStructure:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.u @ np.conjugate(np.asarray(v, dtype=complex))
 
+    @cached_property
+    def u_inv(self) -> np.ndarray:
+        """U⁻¹, read-only: the true inverse, even of a non-unitary U."""
+        return frozen(np.linalg.inv(self.u))
+
     def conjugate_operator(self, x: np.ndarray) -> np.ndarray:
-        """``J X J⁻¹`` (uses the true inverse of U, valid even for a
-        malformed non-unitary encoding)."""
-        return self.u @ np.conjugate(x) @ np.linalg.inv(self.u)
+        """``J X J⁻¹``."""
+        return self.u @ np.conjugate(x) @ self.u_inv
 
     def squared(self) -> np.ndarray:
         """The matrix of J², ``U·conj(U)``."""
@@ -336,8 +341,12 @@ def fluctuate(
         raise ShapeError("gauge potential must match the Hilbert dimension")
     if not is_hermitian(a, tol):
         raise NotHermitianError("gauge potential must be self-adjoint")
-    d_new = t.d + a + t.eps_p * t.j.conjugate_operator(a)
-    return replace(t, d=d_new)
+    return replace(t, d=_fluctuation(t, a))
+
+
+def _fluctuation(t: FiniteSpectralTriple, a: np.ndarray) -> np.ndarray:
+    """The fluctuated Dirac operator ``D + A + ε′ J A J⁻¹``."""
+    return t.d + a + t.eps_p * t.j.conjugate_operator(a)
 
 
 @dataclass(frozen=True)
@@ -391,15 +400,14 @@ def inner_gauge(
     # route one: transform the operator-level potential
     a = represent_form(t, omega, projs).op
     a_u = pi_u @ a @ pi_u_star + pi_u @ (d @ pi_u_star - pi_u_star @ d)
-    d1 = d + a_u + t.eps_p * t.j.conjugate_operator(a_u)
+    d1 = _fluctuation(t, a_u)
 
     # route two: transform the universal form, then represent
     f_u = UniversalForm(omega.size, 0, u_values)
     omega_u = uproduct(uproduct(f_u, omega), f_u.star()) + uproduct(
         f_u, duniv(f_u.star())
     )
-    a2 = represent_form(t, omega_u, projs).op
-    d2 = d + a2 + t.eps_p * t.j.conjugate_operator(a2)
+    d2 = _fluctuation(t, represent_form(t, omega_u, projs).op)
 
     diff = frob_norm(d1 - d2)
     big_u = pi_u @ t.j.conjugate_operator(pi_u)

@@ -6,7 +6,7 @@ Two regimes are distinguished:
   polluted by floating-point roundoff (commutator bases, Jacobi identity,
   gauge invariance, ...).
 * ``TAU_NUM`` — quantities obtained from an iterative numerical procedure
-  (gradient descent residuals, finite-difference spectra, ...).
+  (gradient descent residuals and endpoints, ...).
 
 A :class:`Check` holds one residual with its verdict rule: it passes when
 ``residual <= tol * scale``, where ``scale`` is the product of the norms of
@@ -25,7 +25,7 @@ __all__ = ["TAU_ALG", "TAU_NUM", "Check", "CheckReport"]
 #: Tolerance for algebraically exact identities (roundoff only).
 TAU_ALG = 1e-10
 
-#: Tolerance for numerically obtained quantities (optimization, FD stencils).
+#: Tolerance for numerically obtained quantities (optimization endpoints).
 TAU_NUM = 1e-8
 
 

@@ -268,16 +268,17 @@ def test_c6_lattice_spectrum():
     for kind in ("broken", "symmetric"):
         assert lattice_action(vacuum_config(kind, (16,), basis, mu=1.0)) <= 1e-12
     spectrum = mass_spectrum(vacuum_config("broken", (16,), basis, mu=1.0))
-    assert spectrum.min() > -TAU_NUM  # Hessian positive semidefinite
-    assert abs(spectrum[0]) < TAU_NUM  # exact zero mode along the identity
+    mass = 8.0  # L mu^2 / 2 at L = 16
+    assert spectrum.min() >= -1e-10 * mass  # Hessian positive semidefinite
+    assert abs(spectrum[0]) <= 1e-10 * mass  # exact zero mode along the identity
     nonzero = spectrum[1:]
-    assert np.allclose(nonzero, 8.0, rtol=1e-3)  # L mu^2 / 2 at L = 16
+    assert np.allclose(nonzero, mass, rtol=1e-10, atol=0.0)
     spectrum2 = mass_spectrum(vacuum_config("broken", (16,), basis, mu=2.0))
     ratios = spectrum2[1:] / nonzero
-    assert np.all(np.abs(ratios - 4.0) < 4.0 * 1e-3)
+    assert np.all(np.abs(ratios - 4.0) < 1e-10)
     return (
         f"both vacua at zero action; spectrum {np.round(spectrum, 6).tolist()} "
-        f"PSD with identity zero mode; mass-doubling ratios within 1e-3 of 4"
+        f"PSD with identity zero mode; mass-doubling ratios within 1e-10 of 4"
     )
 
 

@@ -76,6 +76,17 @@ def test_config_rejections(tmp_path):
         build_config(["verify", "--config", str(bad)])
 
 
+def test_config_rejects_an_out_that_is_not_a_path(capsys, tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"command": "two_point", "out": 5}))
+    with pytest.raises(ConfigError, match="out"):
+        build_config(["--config", str(cfg_file)])
+    code, out, err = run_main(capsys, ["--config", str(cfg_file)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error: out must be a path string")
+
+
 def test_mass_matrix_parsing(tmp_path):
     cfg_file = tmp_path / "m.json"
     cfg_file.write_text(

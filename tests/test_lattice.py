@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ncgauge.lattice as lattice_mod
 from ncgauge import (
     LatticeConfig,
     MatrixBasis,
@@ -19,6 +20,7 @@ from ncgauge import (
     NotUnitaryError,
     ShapeError,
     frob_norm,
+    gellmann_basis,
     lattice_action,
     lattice_gauge_transform,
     mass_spectrum,
@@ -81,7 +83,7 @@ def test_config_rejects_non_antihermitian(basis2):
 def test_vacua_have_exactly_zero_action(basis2, dims, kind):
     cfg = vacuum_config(kind, dims, basis2, mu=1.3)
     assert lattice_action(cfg) == 0.0
-    assert zero_momentum_gradient_norm(cfg) < 1e-8
+    assert zero_momentum_gradient_norm(cfg) == 0.0
 
 
 def test_vacuum_config_contents(basis2):
@@ -187,45 +189,161 @@ def test_broken_vacuum_spectrum_frozen(basis2):
     spectrum = mass_spectrum(cfg)
     assert spectrum.shape == (4,)
     assert np.all(np.diff(spectrum) >= -1e-9)  # ascending
-    assert abs(spectrum[0]) < 1e-6  # exact zero mode along the identity
-    assert np.abs(spectrum[1:] - 8.0).max() < 1e-5  # L mu^2 / 2 = 8
+    assert abs(spectrum[0]) < 1e-12  # exact zero mode along the identity
+    assert np.abs(spectrum[1:] - 8.0).max() < 1e-12  # L mu^2 / 2 = 8
 
 
 def test_spectrum_scales_as_mu_squared(basis2):
     spectrum1 = mass_spectrum(vacuum_config("broken", (16,), basis2, mu=1.0))
     spectrum2 = mass_spectrum(vacuum_config("broken", (16,), basis2, mu=2.0))
     ratios = spectrum2[1:] / spectrum1[1:]
-    assert np.abs(ratios - 4.0).max() < 1e-3
+    assert np.abs(ratios - 4.0).max() < 1e-12
 
 
 def test_spectrum_positive_semidefinite_at_broken_vacuum(basis2):
     spectrum = mass_spectrum(vacuum_config("broken", (16,), basis2, mu=0.7))
-    assert np.all(spectrum > -1e-6)
+    assert np.all(spectrum > -1e-12)
 
 
 def test_spectrum_scales_with_volume(basis2):
     # constant-direction masses are extensive: L=8 gives half of L=16
     spec8 = mass_spectrum(vacuum_config("broken", (8,), basis2, mu=1.0))
-    assert np.abs(spec8[1:] - 4.0).max() < 1e-5
+    assert np.abs(spec8[1:] - 4.0).max() < 1e-12
 
 
 def test_symmetric_vacuum_gauge_directions_are_flat(basis2):
     # with b = 0 every constant gauge direction is a zero mode (the action
     # starts at quartic order); mu^2 masses are a broken-vacuum effect
     spectrum = mass_spectrum(vacuum_config("symmetric", (16,), basis2, mu=1.0))
-    assert np.abs(spectrum).max() < 1e-6
+    assert np.all(spectrum == 0.0)
 
 
 def test_spectrum_of_the_same_fields_does_not_depend_on_the_frame(basis2, skewed_frame):
     # the broken-vacuum fields of the Gell-Mann frame, read over a skewed
-    # frame of the same algebra: the a-directions must stay orthonormal.
-    # In one dimension the action is exactly quadratic in a constant shift
-    # of a, so a wide stencil is exact up to the roundoff of the constant
-    # Higgs term (42 over the skewed frame), which h_fd = 1e-3 would lift
-    # to 3e-9 of the spectrum.
+    # frame of the same algebra: the a-directions must stay orthonormal
     gm = vacuum_config("broken", (8,), basis2)
     skewed = LatticeConfig(gm.dims, skewed_frame(2)[0], gm.a, gm.b, gm.mu)
-    expected = mass_spectrum(gm, h_fd=1e-2)
-    np.testing.assert_allclose(expected, [0.0, 4.0, 4.0, 4.0], atol=1e-9)
-    spectrum = mass_spectrum(skewed, h_fd=1e-2)
-    np.testing.assert_allclose(spectrum, expected, atol=1e-9 * expected.max())
+    expected = mass_spectrum(gm)
+    np.testing.assert_allclose(expected, [0.0, 4.0, 4.0, 4.0], rtol=0.0, atol=1e-12)
+    spectrum = mass_spectrum(skewed)
+    np.testing.assert_allclose(spectrum, expected, rtol=0.0, atol=1e-12 * expected.max())
+
+
+# ---------------------------------------------------------------------------
+# exact second-order expansion against a finite-difference oracle
+# ---------------------------------------------------------------------------
+
+def oracle_directions(cfg: LatticeConfig) -> list[np.ndarray]:
+    """i·1/√n and iλ_k/√2 in each geometric slot, slot by slot."""
+    n = cfg.basis.n
+    herm = [np.eye(n, dtype=complex) / np.sqrt(n)]
+    herm += [e / np.sqrt(2.0) for e in gellmann_basis(n)]
+    dirs = []
+    for mu_dir in range(cfg.m):
+        for hmat in herm:
+            d = np.zeros((cfg.m, n, n), dtype=complex)
+            d[mu_dir] = 1j * hmat
+            dirs.append(d)
+    return dirs
+
+
+def shifted_action(cfg: LatticeConfig, delta_a: np.ndarray) -> float:
+    """Action after adding a site-independent a-shift (shape (m, n, n))."""
+    shifted = LatticeConfig(
+        cfg.dims, cfg.basis, cfg.a + delta_a, cfg.b, cfg.mu, check=False
+    )
+    return lattice_action(shifted)
+
+
+def fd_hessian(cfg: LatticeConfig, h_fd: float = 1e-3) -> np.ndarray:
+    """Finite-difference Hessian over the oracle directions: k² + k + 1
+    whole-lattice actions for k directions."""
+    dirs = oracle_directions(cfg)
+    n_dir = len(dirs)
+    s0 = lattice_action(cfg)
+    hess = np.zeros((n_dir, n_dir))
+    plus = np.zeros(n_dir)
+    minus = np.zeros(n_dir)
+    for i, di in enumerate(dirs):
+        plus[i] = shifted_action(cfg, h_fd * di)
+        minus[i] = shifted_action(cfg, -h_fd * di)
+        hess[i, i] = (plus[i] - 2.0 * s0 + minus[i]) / h_fd**2
+    for i in range(n_dir):
+        for j in range(i + 1, n_dir):
+            spp = shifted_action(cfg, h_fd * (dirs[i] + dirs[j]))
+            smm = shifted_action(cfg, -h_fd * (dirs[i] + dirs[j]))
+            # symmetric mixed difference via the diagonal evaluations
+            hess[i, j] = hess[j, i] = (
+                spp + smm - plus[i] - minus[i] - plus[j] - minus[j] + 2.0 * s0
+            ) / (2.0 * h_fd**2)
+    return hess
+
+
+def fd_gradient(cfg: LatticeConfig, h_fd: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient over the oracle directions."""
+    return np.array(
+        [
+            (shifted_action(cfg, h_fd * d) - shifted_action(cfg, -h_fd * d))
+            / (2.0 * h_fd)
+            for d in oracle_directions(cfg)
+        ]
+    )
+
+
+@pytest.mark.parametrize("frame", ["gellmann", "skewed"])
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+@pytest.mark.parametrize("dims", [(8,), (16,), (4, 4), (3, 5)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_broken_vacuum_spectrum_matches_closed_form(n, dims, mu, frame, skewed_frame):
+    # the Gell-Mann broken-vacuum fields, read over the Gell-Mann frame or a
+    # skewed one: m exact zero modes (the identity in each slot), every other
+    # mass sites·μ²/n
+    gm = vacuum_config("broken", dims, MatrixBasis.gellmann(n), mu=mu)
+    basis = gm.basis if frame == "gellmann" else skewed_frame(n)[0]
+    spectrum = mass_spectrum(LatticeConfig(dims, basis, gm.a, gm.b, mu))
+    m = len(dims)
+    mass = gm.n_sites * mu**2 / n
+    assert spectrum.shape == (m * n * n,)
+    assert np.abs(spectrum[:m]).max() <= 1e-12 * mass
+    assert np.abs(spectrum[m:] / mass - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(16,), (4, 4)])
+def test_symmetric_vacuum_spectrum_and_gradient_are_exactly_zero(basis3, dims):
+    cfg = vacuum_config("symmetric", dims, basis3, mu=1.7)
+    assert np.all(mass_spectrum(cfg) == 0.0)
+    assert zero_momentum_gradient_norm(cfg) == 0.0
+
+
+@pytest.mark.parametrize("dims", [(8,), (4, 4)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_derivatives_agree_with_the_stencil(n, dims):
+    rng = np.random.default_rng(n)
+    cfg = random_lattice_config(dims, MatrixBasis.gellmann(n), 1.3, rng, scale=0.5)
+    grad, hess = lattice_mod._shift_derivatives(cfg)
+    eigs = mass_spectrum(cfg)
+    # in one dimension S is quadratic in a constant shift, so a wide stencil
+    # is exact up to roundoff; in two the [δ_μ, δ_ν] term leaves an h² error
+    h_fd, bound = (1e-2, 1e-8) if len(dims) == 1 else (1e-3, 1e-5)
+    fd_hess = fd_hessian(cfg, h_fd)
+    assert np.abs(hess - fd_hess).max() <= bound * np.abs(hess).max()
+    assert np.abs(eigs - np.linalg.eigvalsh(fd_hess)).max() <= bound * np.abs(eigs).max()
+    assert np.array_equal(eigs, np.linalg.eigvalsh(hess))
+    # along one slot S is exactly quadratic in any dimension
+    fd_grad = fd_gradient(cfg)
+    assert np.abs(grad - fd_grad).max() <= 1e-8 * np.linalg.norm(grad)
+    assert zero_momentum_gradient_norm(cfg) == np.linalg.norm(grad)
+
+
+def test_spectrum_and_gradient_evaluate_no_action(monkeypatch, basis2, rng):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return lattice_action(cfg)
+
+    monkeypatch.setattr(lattice_mod, "lattice_action", counted)
+    cfg = random_lattice_config((4, 4), basis2, 1.0, rng, scale=0.5)
+    mass_spectrum(cfg)
+    zero_momentum_gradient_norm(cfg)
+    assert calls == []

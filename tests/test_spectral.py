@@ -95,6 +95,21 @@ def test_real_structure_is_antilinear(rng):
     assert np.allclose(j.squared(), -I2)
 
 
+def test_real_structure_inverts_u_once(monkeypatch, rng):
+    # a non-unitary U: J X J⁻¹ needs the true inverse, not U†
+    u = np.array([[2.0, 1.0], [0.0, 0.5]], dtype=complex)
+    j = RealStructure(u)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda x: calls.append(x) or inv(x))
+    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    for _ in range(3):
+        np.testing.assert_allclose(j.conjugate_operator(x), u @ x.conj() @ inv(u), atol=1e-14)
+    assert len(calls) == 1
+    assert j.u_inv is j.u_inv and not j.u_inv.flags.writeable
+    np.testing.assert_allclose(j.u_inv @ u, I2, atol=1e-14)
+
+
 def test_operator_form_defect():
     assert OperatorForm(SX).self_adjoint_defect() < 1e-15
     assert OperatorForm(np.array([[0, 1], [0, 0]], dtype=complex)).self_adjoint_defect() > 0.5
