@@ -43,9 +43,9 @@ for seed in range(6):
     )
 
 # the action decreases monotonically along the trace
-res = minimize(random_connection(basis, np.random.default_rng(42)), trace_every=25)
+res = minimize(random_connection(basis, np.random.default_rng(42)))
 print("\ntrace for seed 42 (every 25 iterations):")
-for it, s, g in res.trace[:8]:
+for it, s, g in res.trace[::25][:8]:
     print(f"  iter {it:>5}  S = {s:.6e}  |grad| = {g:.3e}")
 print(f"  ... converged = {res.converged} after {res.iterations} iterations")
 

@@ -15,7 +15,7 @@ Five layers, each usable on its own:
   inner fluctuations, products, the two-point model and the
   C (+) H (+) M3(C) fixture.
 
-:mod:`ncgauge.tolerances` holds the tolerances and the ``Check`` record
+:mod:`ncgauge.tolerances` holds the tolerance and the ``Check`` record
 every named residual is reported in; :mod:`ncgauge.errors` the exception
 types.  The package re-exports each layer's ``__all__``.
 

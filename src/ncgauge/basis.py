@@ -85,21 +85,21 @@ def from_complex_record(obj: dict) -> np.ndarray:
 
 # The predicates judge at the operand's own norm, as a ``Check`` does: a
 # defect of 1e-11 in a matrix of norm 1e-11 fails, whatever the unit.
-def is_hermitian(a: np.ndarray, tol: float = TAU_ALG) -> bool:
-    return frob_norm(a - dagger(a)) <= tol * frob_norm(a)
+def is_hermitian(a: np.ndarray) -> bool:
+    return frob_norm(a - dagger(a)) <= TAU_ALG * frob_norm(a)
 
 
-def is_antihermitian(a: np.ndarray, tol: float = TAU_ALG) -> bool:
-    return frob_norm(a + dagger(a)) <= tol * frob_norm(a)
+def is_antihermitian(a: np.ndarray) -> bool:
+    return frob_norm(a + dagger(a)) <= TAU_ALG * frob_norm(a)
 
 
-def is_traceless(a: np.ndarray, tol: float = TAU_ALG) -> bool:
-    return abs(np.trace(a)) <= tol * frob_norm(a)
+def is_traceless(a: np.ndarray) -> bool:
+    return abs(np.trace(a)) <= TAU_ALG * frob_norm(a)
 
 
-def is_unitary(a: np.ndarray, tol: float = TAU_ALG) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     n = a.shape[-1]
-    return frob_norm(dagger(a) @ a - np.eye(n)) <= tol * n
+    return frob_norm(dagger(a) @ a - np.eye(n)) <= TAU_ALG * n
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def basis_metric(mats: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("kab,lba->kl", mats, mats)) / n
 
 
-def structure_constants(mats: np.ndarray, tol: float = TAU_ALG) -> np.ndarray:
+def structure_constants(mats: np.ndarray) -> np.ndarray:
     """Structure constants ``C[k, l, m]`` with ``i [E_k, E_l] = C[k, l, m] E_m``.
 
     Computed by solving the Gram system of the basis, so the result is
@@ -204,13 +204,13 @@ def structure_constants(mats: np.ndarray, tol: float = TAU_ALG) -> np.ndarray:
         c = np.linalg.solve(gram, rhs.reshape(-1, d).T).T.reshape(d, d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularBasisError("basis matrices are linearly dependent") from exc
-    if frob_norm(c.imag) > tol * frob_norm(c.real):
+    if frob_norm(c.imag) > TAU_ALG * frob_norm(c.real):
         raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     c = c.real
     c = (c - c.transpose(1, 0, 2)) / 2.0  # exact antisymmetry
     # closure check: the projected commutators must reproduce the originals
     recon = np.einsum("klm,mab->klab", c, mats)
-    if frob_norm(recon - comm) > tol * frob_norm(comm):
+    if frob_norm(recon - comm) > TAU_ALG * frob_norm(comm):
         raise SingularBasisError(
             "commutators leave the span of the family; not a closed basis"
         )
@@ -252,25 +252,25 @@ class MatrixBasis:
         return self.mats.shape[0]
 
     @classmethod
-    def from_matrices(cls, mats: np.ndarray, tol: float = TAU_ALG) -> "MatrixBasis":
+    def from_matrices(cls, mats: np.ndarray) -> "MatrixBasis":
         """Build the basis bundle from raw matrices, validating as we go."""
         mats = np.asarray(mats, dtype=complex)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[0] == 0:
             raise ShapeError(f"expected shape (D, n, n) with D ≥ 1, got {mats.shape}")
         n = mats.shape[-1]
         for k, e in enumerate(mats):
-            if not is_hermitian(e, tol):
+            if not is_hermitian(e):
                 raise NotHermitianError(f"basis matrix {k} is not Hermitian")
-            if not is_traceless(e, tol):
+            if not is_traceless(e):
                 raise SingularBasisError(f"basis matrix {k} is not traceless")
         g = basis_metric(mats)
         # positive-definite relative to its own scale, whatever the scale
         eigs = np.linalg.eigvalsh(g)
-        if eigs[0] <= tol * eigs[-1]:
+        if eigs[0] <= TAU_ALG * eigs[-1]:
             raise SingularBasisError("basis metric is singular; matrices are dependent")
         g_det = float(np.prod(eigs))
         g_inv = np.linalg.inv(g)
-        c = structure_constants(mats, tol)
+        c = structure_constants(mats)
         return cls(
             n=n, mats=frozen(mats), c=frozen(c, float), g=frozen(g, float),
             g_inv=frozen(g_inv, float), g_det=g_det,
@@ -306,22 +306,20 @@ class MatrixBasis:
 
     # -- expansion ----------------------------------------------------------
 
-    def expand(self, a: np.ndarray, strict: bool = True, tol: float = TAU_ALG) -> np.ndarray:
+    def expand(self, a: np.ndarray) -> np.ndarray:
         """Coefficients ``c_k`` with ``a = sum_k c_k E_k`` (complex in general).
 
-        Solves the Gram system, so non-orthogonal bases are handled.  With
-        ``strict=True`` a residual outside the span raises
-        :class:`ShapeError`.
+        Solves the Gram system, so non-orthogonal bases are handled.  A
+        residual outside the span raises :class:`ShapeError`.
         """
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.n, self.n):
             raise ShapeError(f"expected ({self.n}, {self.n}) matrix, got {a.shape}")
         rhs = np.einsum("kba,ba->k", np.conjugate(self.mats), a) / self.n
         coeff = self.g_inv @ rhs
-        if strict:
-            resid = a - np.einsum("k,kab->ab", coeff, self.mats)
-            if frob_norm(resid) > tol * frob_norm(a):
-                raise ShapeError("matrix is not in the span of the basis")
+        resid = a - np.einsum("k,kab->ab", coeff, self.mats)
+        if frob_norm(resid) > TAU_ALG * frob_norm(a):
+            raise ShapeError("matrix is not in the span of the basis")
         return coeff
 
     def reconstruct(self, coeff: np.ndarray) -> np.ndarray:
@@ -331,10 +329,10 @@ class MatrixBasis:
             raise ShapeError(f"expected {self.dim} coefficients, got {coeff.shape}")
         return np.einsum("k,kab->ab", coeff, self.mats)
 
-    def same_as(self, other: "MatrixBasis", tol: float = TAU_ALG) -> bool:
+    def same_as(self, other: "MatrixBasis") -> bool:
         """True when the two bundles contain the same matrices, at their own norm."""
         return (
             self.n == other.n
             and self.dim == other.dim
-            and frob_norm(self.mats - other.mats) <= tol * frob_norm(self.mats)
+            and frob_norm(self.mats - other.mats) <= TAU_ALG * frob_norm(self.mats)
         )

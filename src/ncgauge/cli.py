@@ -80,18 +80,18 @@ class RunConfig:
     """Fully resolved run parameters (flags merged with the JSON config)."""
 
     command: str
-    n: int = 2
-    big_n: int = 1
-    r: int | None = None
-    dims: tuple[int, ...] | None = None
-    mu: float = 1.0
-    seed: int = 0
-    steps: int | None = None
-    tol: float = 1e-8
-    out: str | None = None
-    init: str = "broken"
-    grid: str = "real"
-    m_matrix: np.ndarray | None = None
+    n: int
+    big_n: int
+    r: int | None
+    dims: tuple[int, ...] | None
+    mu: float
+    seed: int
+    steps: int | None
+    tol: float
+    out: str | None
+    init: str
+    grid: str
+    m_matrix: np.ndarray | None
 
 
 def _parse_dims(text) -> tuple[int, ...]:

@@ -203,7 +203,7 @@ class MinimizeResult:
     grad_norm: float
     iterations: int
     converged: bool
-    #: rows (iteration, action, gradient norm), subsampled by trace_every
+    #: rows (iteration, action, gradient norm), one per iteration
     trace: list[tuple[int, float, float]] = field(default_factory=list)
     #: why :func:`minimize` stopped: ``"gtol"``, ``"max_iter"`` or
     #: ``"line_search_stalled"`` (``None`` on a result built by hand)
@@ -219,16 +219,10 @@ class MinimizeResult:
         return self
 
 
-def minimize(
-    conn: MatrixConnection,
-    max_iter: int = 20000,
-    gtol: float = 1e-10,
-    step0: float = 0.5,
-    armijo: float = 1e-4,
-    trace_every: int = 1,
-) -> MinimizeResult:
+def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10) -> MinimizeResult:
     """Gradient descent with backtracking line search (sufficient-decrease
-    rule), staying exactly on the anti-Hermitian slice.
+    rule with factor 1e-4, first trial step 0.5), staying exactly on the
+    anti-Hermitian slice.
 
     Stops when the gradient norm drops below ``gtol`` or after
     ``max_iter`` accepted steps.  A step is accepted only if it lowers
@@ -242,16 +236,15 @@ def minimize(
     point = MatrixConnection(basis, conn.coeffs.copy())
     f = curvature(point)
     s = action(point, f)
-    step = step0
+    step = 0.5
     trace: list[tuple[int, float, float]] = []
     it = 0
     stalled = False
     g = action_gradient(point, f)
     gnorm = frob_norm(g)
-    while it < max_iter:
-        if it % trace_every == 0:
-            trace.append((it, s, gnorm))
-        if gnorm < gtol:
+    while True:
+        trace.append((it, s, gnorm))
+        if gnorm < gtol or it >= max_iter:
             break
         # backtracking on S(a - t g) against the sufficient-decrease bound
         while step > 1e-18:
@@ -259,7 +252,7 @@ def minimize(
             f_cand = curvature(cand)
             s_cand = action(cand, f_cand)
             # the strict test rejects a step whose decrease rounds away
-            if s_cand < s and s_cand <= s - armijo * step * gnorm**2:
+            if s_cand < s and s_cand <= s - 1e-4 * step * gnorm**2:
                 point, f, s = cand, f_cand, s_cand
                 break
             step /= 2.0
@@ -271,8 +264,6 @@ def minimize(
         gnorm = frob_norm(g)
         it += 1
     converged = bool(gnorm < gtol)
-    if not trace or trace[-1][0] != it:
-        trace.append((it, s, gnorm))
     return MinimizeResult(
         connection=point,
         action=s,
@@ -310,25 +301,33 @@ def casimir_invariant(conn: MatrixConnection) -> float:
 
 
 def flat_connection_check(conn: MatrixConnection, tol: float = TAU_ALG) -> FlatnessReport:
-    """Check ``F = 0`` (within ``tol``), i.e. that ``k ↦ A_k`` represents the
-    frame bracket; report the Casimir invariant alongside."""
+    """Check ``F = 0``, i.e. that ``k ↦ A_k`` represents the frame bracket;
+    report the Casimir invariant alongside.
+
+    ``F_kl = [A_k, A_l] − C[k, l, m] A_m``, so the largest ``‖F_kl‖`` is
+    held to ``tol·(a² + ‖C‖·a)`` with whole-array Frobenius norms, where
+    ``a = max(‖A‖, ‖E‖)``: the connection's size, or the frame's where the
+    connection is smaller, so a descent that ends near ``A = 0`` is judged
+    at the frame's scale.  Rescaling the frame and the connection together
+    changes no verdict."""
     f = curvature(conn)
     residual = float(np.sqrt(np.max(np.sum(np.abs(f) ** 2, axis=(2, 3)))))
+    a = max(frob_norm(conn.coeffs), frob_norm(conn.basis.mats))
     return FlatnessReport(
-        is_flat=residual < tol,
+        is_flat=residual <= tol * (a**2 + frob_norm(conn.basis.c) * a),
         max_residual=residual,
         casimir=casimir_invariant(conn),
         r=conn.r,
     )
 
 
-def hermitian_compatibility_check(conn: MatrixConnection, tol: float = TAU_ALG) -> bool:
+def hermitian_compatibility_check(conn: MatrixConnection) -> bool:
     """True iff every coefficient is anti-Hermitian (metric compatibility
     of the connection with the canonical Hermitian pairing)."""
-    return is_antihermitian(conn.coeffs, tol)
+    return is_antihermitian(conn.coeffs)
 
 
-def grassmann_connection(p: np.ndarray, basis: MatrixBasis, tol: float = TAU_ALG) -> np.ndarray:
+def grassmann_connection(p: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """Curvature ``p (d'p) (d'p)`` of the projector connection on ``p·A^N``.
 
     ``p`` is an ``(N, N, n, n)`` array of algebra entries forming an
@@ -340,7 +339,7 @@ def grassmann_connection(p: np.ndarray, basis: MatrixBasis, tol: float = TAU_ALG
         raise ShapeError(f"projector entries must form (N, N, {basis.n}, {basis.n})")
     nrows = p.shape[0]
     psq = np.einsum("ikab,kjbc->ijac", p, p)
-    if frob_norm(psq - p) > tol * frob_norm(p):
+    if frob_norm(psq - p) > TAU_ALG * frob_norm(p):
         raise NotProjectorError("block matrix is not idempotent")
     dp = [[dprime(DerForm.matrix(basis, p[i, j])) for j in range(nrows)] for i in range(nrows)]
     p_forms = [[DerForm.matrix(basis, p[i, j]) for j in range(nrows)] for i in range(nrows)]

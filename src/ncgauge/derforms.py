@@ -38,9 +38,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .basis import MatrixBasis, complex_record, dagger, frob_norm, from_complex_record, frozen
+from .basis import MatrixBasis, complex_record, dagger, from_complex_record, frozen, is_traceless
 from .errors import BasisMismatchError, DegreeError, ShapeError
-from .tolerances import TAU_ALG
 
 __all__ = [
     "DerForm",
@@ -77,7 +76,7 @@ class Derivation:
         gamma = frozen(self.gamma)
         if gamma.shape != (self.basis.n, self.basis.n):
             raise ShapeError(f"gamma must be {self.basis.n}x{self.basis.n}")
-        if abs(np.trace(gamma)) > TAU_ALG * frob_norm(gamma):
+        if not is_traceless(gamma):
             raise ShapeError("gamma must be traceless to define a derivation frame component")
         object.__setattr__(self, "gamma", gamma)
         coeffs = self.basis.expand(-1j * gamma) if self.coeffs is None else self.coeffs

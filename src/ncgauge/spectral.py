@@ -207,7 +207,7 @@ def _order_residuals(conj_gens, gens, d: np.ndarray) -> tuple[float, float]:
     return res0, res1
 
 
-def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> CheckReport:
+def check_axioms(t: FiniteSpectralTriple) -> CheckReport:
     """Verify every applicable axiom; residuals are Frobenius norms.
 
     Lines (in order, skipping structures the triple does not carry):
@@ -217,14 +217,14 @@ def check_axioms(t: FiniteSpectralTriple, tol: float = TAU_ALG) -> CheckReport:
     KO signs; the zeroth-order (commutant) and first-order conditions
     over all generator pairs.
 
-    A line passes when its residual is at most ``tol`` times the product
+    A line passes when its residual is at most ``TAU_ALG`` times the product
     of the Frobenius norms of the operators it is built from, so the
     verdict does not change when an operator is rescaled.
     """
     lines: list[Check] = []
 
     def add(name: str, residual: float, scale: float, note: str = "") -> None:
-        lines.append(Check(name, residual, tol, scale, note))
+        lines.append(Check(name, residual, TAU_ALG, scale, note))
 
     d = t.d
     dim = t.hilbert_dim
@@ -328,9 +328,7 @@ def represent_form(
     return OperatorForm(out)
 
 
-def fluctuate(
-    t: FiniteSpectralTriple, omega_op: OperatorForm | np.ndarray, tol: float = TAU_ALG
-) -> FiniteSpectralTriple:
+def fluctuate(t: FiniteSpectralTriple, omega_op: OperatorForm | np.ndarray) -> FiniteSpectralTriple:
     """Inner fluctuation ``D ↦ D + A + ε′ J A J⁻¹`` for a self-adjoint
     gauge potential A (checked); the result is again self-adjoint and
     every non-Dirac axiom is untouched."""
@@ -339,7 +337,7 @@ def fluctuate(
     a = omega_op.op if isinstance(omega_op, OperatorForm) else np.asarray(omega_op, dtype=complex)
     if a.shape != (t.hilbert_dim, t.hilbert_dim):
         raise ShapeError("gauge potential must match the Hilbert dimension")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitianError("gauge potential must be self-adjoint")
     return replace(t, d=_fluctuation(t, a))
 
@@ -368,7 +366,6 @@ def inner_gauge(
     u_values: np.ndarray,
     omega: UniversalForm,
     projections=None,
-    tol: float = TAU_ALG,
 ) -> InnerGaugeResult:
     """Check the coincidence of the two gauge-transformation routes for
     a unitary algebra element ``u`` (one unit-modulus value per point)
@@ -389,7 +386,7 @@ def inner_gauge(
     u_values = np.asarray(u_values, dtype=complex)
     if u_values.shape != (omega.size,):
         raise ShapeError(f"need {omega.size} unitary values, got shape {u_values.shape}")
-    if np.max(np.abs(np.abs(u_values) - 1.0)) > tol:
+    if np.max(np.abs(np.abs(u_values) - 1.0)) > TAU_ALG:
         raise NotUnitaryError("algebra element must have unit modulus at every point")
 
     projs = _point_projections(t, omega.size, projections)
@@ -413,12 +410,12 @@ def inner_gauge(
     big_u = pi_u @ t.j.conjugate_operator(pi_u)
     gamma_ok = True
     if t.gamma is not None:
-        gamma_ok = frob_norm(big_u @ t.gamma @ dagger(big_u) - t.gamma) < tol
-    j_ok = frob_norm(big_u @ t.j.u @ big_u.T - t.j.u) < tol
+        gamma_ok = frob_norm(big_u @ t.gamma @ dagger(big_u) - t.gamma) < TAU_ALG
+    j_ok = frob_norm(big_u @ t.j.u @ big_u.T - t.j.u) < TAU_ALG
     return InnerGaugeResult(
         d_transformed=d1,
         d_from_form=d2,
-        match=bool(diff <= tol * frob_norm(d1)),
+        match=bool(diff <= TAU_ALG * frob_norm(d1)),
         max_diff=diff,
         gamma_invariant=bool(gamma_ok),
         j_invariant=bool(j_ok),
@@ -530,11 +527,12 @@ def quaternion(alpha: complex, beta: complex) -> np.ndarray:
     )
 
 
-def _is_quaternion(q: np.ndarray, tol: float = TAU_ALG) -> bool:
+def _is_quaternion(q: np.ndarray) -> bool:
+    bound = TAU_ALG * frob_norm(q)
     return (
         q.shape == (2, 2)
-        and abs(q[1, 1] - np.conjugate(q[0, 0])) <= tol
-        and abs(q[1, 0] + np.conjugate(q[0, 1])) <= tol
+        and abs(q[1, 1] - np.conjugate(q[0, 0])) <= bound
+        and abs(q[1, 0] + np.conjugate(q[0, 1])) <= bound
     )
 
 
@@ -612,12 +610,10 @@ def _sm_multiply(x, y):
     return (x[0] * y[0], x[1] @ y[1], x[2] @ y[2])
 
 
-def sm_algebra_fixture(
-    d_f: np.ndarray | None = None, samples: int = 6, seed: int = 7, tol: float = TAU_ALG
-) -> SMFixture:
+def sm_algebra_fixture(d_f: np.ndarray | None = None) -> SMFixture:
     """Build and verify the ℂ ⊕ ℍ ⊕ M₃(ℂ) representation on ℂ³².
 
-    Checks, on a deterministic random sample plus a canonical generating
+    Checks, on six seeded random elements plus a canonical generating
     family: that the representation is multiplicative, and that the
     commutant (zeroth-order) condition holds against the swap-adjoint
     reality operator.  ``d_f`` is opaque input — only its shape,
@@ -630,7 +626,7 @@ def sm_algebra_fixture(
     d_f = np.asarray(d_f, dtype=complex)
     if d_f.shape != (32, 32):
         raise ConfigError(f"Dirac block must be 32x32, got {d_f.shape}")
-    if not is_hermitian(d_f, tol):
+    if not is_hermitian(d_f):
         raise ConfigError("Dirac block must be self-adjoint")
 
     # canonical generating family: the unit of each summand and the
@@ -649,8 +645,7 @@ def sm_algebra_fixture(
             gens_abstract.append((0j, np.zeros((2, 2)), m3))
     gens = tuple(sm_represent(*x) for x in gens_abstract)
 
-    rng = np.random.default_rng(seed)
-    sample = _sm_sample_elements(rng, samples)
+    sample = _sm_sample_elements(np.random.default_rng(7), 6)
     hom_res = 0.0
     for x in sample:
         for y in sample:
@@ -662,7 +657,7 @@ def sm_algebra_fixture(
             )
     reps = [sm_represent(*x) for x in sample] + list(gens)
     zeroth, first = _order_residuals([j.conjugate_operator(r) for r in reps], reps, d_f)
-    if first > tol * frob_norm(d_f):
+    if first > TAU_ALG * frob_norm(d_f):
         raise ConfigError(
             f"Dirac block violates the first-order condition (residual {first:.3e})"
         )

@@ -1,12 +1,8 @@
-"""Numerical tolerances, and the one record every named residual is reported in.
+"""The roundoff tolerance, and the one record every named residual is reported in.
 
-Two regimes are distinguished:
-
-* ``TAU_ALG`` — identities that hold exactly in the algebra and are only
-  polluted by floating-point roundoff (commutator bases, Jacobi identity,
-  gauge invariance, ...).
-* ``TAU_NUM`` — quantities obtained from an iterative numerical procedure
-  (gradient descent residuals and endpoints, ...).
+``TAU_ALG`` is the tolerance of every gate: each tests an identity that
+holds exactly in the algebra and is only polluted by floating-point
+roundoff (commutator bases, Jacobi identity, gauge invariance, ...).
 
 A :class:`Check` holds one residual with its verdict rule: it passes when
 ``residual <= tol * scale``, where ``scale`` is the product of the norms of
@@ -20,13 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["TAU_ALG", "TAU_NUM", "Check", "CheckReport"]
+__all__ = ["TAU_ALG", "Check", "CheckReport"]
 
 #: Tolerance for algebraically exact identities (roundoff only).
 TAU_ALG = 1e-10
-
-#: Tolerance for numerically obtained quantities (optimization endpoints).
-TAU_NUM = 1e-8
 
 
 @dataclass(frozen=True)

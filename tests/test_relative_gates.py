@@ -18,16 +18,21 @@ from ncgauge import (
     Derivation,
     LatticeConfig,
     MatrixBasis,
+    MatrixConnection,
     NotHermitianError,
     NotProjectorError,
     ShapeError,
     SingularBasisError,
     UniversalForm,
+    flat_connection_check,
     fluctuate,
     grassmann_connection,
     inner_gauge,
+    quaternion,
+    random_connection,
     random_traceless_hermitian,
     sm_algebra_fixture,
+    sm_represent,
     two_point_triple,
     wedge,
 )
@@ -74,7 +79,7 @@ def _lattice_beside_large(scale):
 
 
 def _expand(scale):
-    return B2.expand(scale * np.eye(2), strict=True)
+    return B2.expand(scale * np.eye(2))
 
 
 def _grassmann(scale):
@@ -99,6 +104,33 @@ def _universal_diagonal(scale):
     return UniversalForm(2, 1, scale * np.diag([1.0, 0.0]))
 
 
+class NotFlatError(Exception):
+    pass
+
+
+def _require_flat(conn):
+    # flat_connection_check reports a verdict; the tables expect a gate
+    if not flat_connection_check(conn).is_flat:
+        raise NotFlatError
+
+
+def _curved(scale):
+    # a random connection of the frame's size over the frame scaled by `scale`
+    frame = MatrixBasis.from_matrices(scale * B2.mats)
+    return _require_flat(random_connection(frame, np.random.default_rng(0), scale=scale))
+
+
+def _flat(scale):
+    # the broken vacuum over the frame scaled by `scale`; at 0, A = 0
+    if scale == 0:
+        return _require_flat(MatrixConnection.zero(B2))
+    return _require_flat(MatrixConnection.canonical_flat(MatrixBasis.from_matrices(scale * B2.mats)))
+
+
+def _non_quaternion(scale):
+    return sm_represent(1.0, scale * np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((3, 3)))
+
+
 BROKEN = {
     "basis.structure_constants": (_open_family, SingularBasisError),
     "basis.MatrixBasis.same_as": (_wedge_over_other_frame, BasisMismatchError),
@@ -111,6 +143,8 @@ BROKEN = {
     "lattice.LatticeConfig.beside_large_field": (_lattice_beside_large, NotHermitianError),
     "basis.MatrixBasis.expand": (_expand, ShapeError),
     "connections.grassmann_connection": (_grassmann, NotProjectorError),
+    "connections.flat_connection_check": (_curved, NotFlatError),
+    "spectral.sm_represent": (_non_quaternion, ShapeError),
 }
 
 
@@ -131,11 +165,15 @@ VALID = {
     "lattice.LatticeConfig": lambda s: LatticeConfig(
         (2,), B2, np.broadcast_to(s * 1j * SIGMA_X, (2, 1, 2, 2)), np.zeros((2, 3, 2, 2)), 1.0
     ),
-    "basis.MatrixBasis.expand": lambda s: B2.expand(s * SIGMA_X, strict=True),
+    "basis.MatrixBasis.expand": lambda s: B2.expand(s * SIGMA_X),
     "connections.grassmann_connection": lambda s: grassmann_connection(
         np.eye(2)[None, None] * (s > 0), B2
     ),
     "universal.UniversalForm": lambda s: UniversalForm(2, 1, s * np.array([[0, 1], [2, 0]])),
+    "connections.flat_connection_check": _flat,
+    "spectral.sm_represent": lambda s: sm_represent(
+        1.0, s * quaternion(1 + 2j, 3 - 1j), np.zeros((3, 3))
+    ),
 }
 
 
@@ -148,6 +186,34 @@ def test_gate_accepts_valid_inputs_of_any_size_and_exact_zeros(name, scale):
 def test_large_universal_form_with_roundoff_on_its_diagonal_is_accepted():
     # a diagonal of 1e-13 of the form's size is roundoff, whatever the size
     UniversalForm(2, 1, 1e6 * np.array([[1e-13, 1.0], [2.0, 0.0]]))
+
+
+def test_large_quaternion_with_roundoff_is_accepted():
+    # a last-bit defect of a quaternion of norm about 5.5e8 is roundoff, not a
+    # departure from ℍ, although it is far above 1e-10 in absolute terms
+    q = 1e8 * quaternion(1 + 2j, 3 - 1j)
+    sm_represent(1.0, q, np.zeros((3, 3)))
+    q[1, 1] += 1e-7
+    sm_represent(1.0, q, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flat_verdict_does_not_depend_on_the_frame_scale(n):
+    mats = MatrixBasis.gellmann(n).mats
+    rng = np.random.default_rng(n)
+    for scale in (1e-4, 1e-2, 1.0, 1e2, 1e3, 1e4):
+        basis = MatrixBasis.from_matrices(scale * mats)
+        assert flat_connection_check(MatrixConnection.canonical_flat(basis)).is_flat, scale
+        assert flat_connection_check(MatrixConnection.zero(basis)).is_flat, scale
+    basis = MatrixBasis.gellmann(n)
+    for scale in (1e-6, 1.0, 1e3):
+        curved = random_connection(basis, rng, scale=scale)
+        assert not flat_connection_check(curved).is_flat, scale
+    # the frame and the connection rescaled together keep their verdict
+    curved = random_connection(basis, rng)
+    for scale in (1e-11, 1e-6, 1e4):
+        frame = MatrixBasis.from_matrices(scale * mats)
+        assert not flat_connection_check(MatrixConnection(frame, scale * curved.coeffs)).is_flat
 
 
 def _inner_gauge(d_scale: float, leak: float):
