@@ -40,6 +40,7 @@ __all__ = [
     "random_traceless_hermitian",
     "random_unitary",
     "gellmann_basis",
+    "antihermitian_frame",
     "basis_metric",
     "structure_constants",
     "MatrixBasis",
@@ -174,6 +175,13 @@ def gellmann_basis(n: int) -> np.ndarray:
         d[l, l] = -l
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * d)
     return np.array(mats)
+
+
+def antihermitian_frame(n: int) -> np.ndarray:
+    """``i·1/√n`` and ``iλ_k/√2`` (λ_k Gell-Mann) stacked ``(n², n, n)``: an
+    orthonormal frame of the anti-Hermitian ``n × n`` matrices in the trace metric."""
+    lam = gellmann_basis(n) if n > 1 else np.zeros((0, 1, 1))
+    return 1j * np.concatenate([np.eye(n)[None] / np.sqrt(n), lam / np.sqrt(2.0)])
 
 
 def basis_metric(mats: np.ndarray) -> np.ndarray:

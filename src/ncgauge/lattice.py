@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import MatrixBasis, dagger, frob_norm, frozen, gellmann_basis, is_unitary
+from .basis import MatrixBasis, antihermitian_frame, dagger, frob_norm, frozen, is_unitary
 from .errors import NotHermitianError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
 
@@ -228,16 +228,9 @@ def random_lattice_config(
     )
 
 
-def _constant_a_directions(n: int) -> np.ndarray:
-    """``i·1/√n`` and ``iλ_k/√2`` stacked ``(n², n, n)``: orthonormal, with λ_k
-    the Gell-Mann matrices (``tr λ_k λ_l = 2δ_kl``) whatever the frame of the
-    fields, so the spectrum does not depend on that frame."""
-    return 1j * np.concatenate([np.eye(n)[None] / np.sqrt(n), gellmann_basis(n) / np.sqrt(2.0)])
-
-
 def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient and Hessian of the action over site-independent shifts
-    of ``a``: each ``_constant_a_directions`` in each slot, slot-major.
+    of ``a``: each ``antihermitian_frame(n)`` direction in each slot, slot-major.
 
     A constant shift δ has ``Δ_μ δ = 0``, so ``D_μ b`` gains ``[δ_μ, b]``
     and ``F_μν`` gains ``[δ_μ, a_ν] + [a_μ, δ_ν] + [δ_μ, δ_ν]``.  A term
@@ -246,7 +239,7 @@ def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     ``2w Re⟨Σ_x F_μν, [e_i, e_j]⟩`` between slots μ ≠ ν.
     """
     n, m, a = cfg.basis.n, cfg.m, cfg.a
-    e = _constant_a_directions(n)
+    e = antihermitian_frame(n)
     k = len(e)
     w_f, w_d = 1.0 / (2.0 * n), cfg.mu**2 / (8.0 * n**2)
 

@@ -408,10 +408,9 @@ def inner_gauge(
 
     diff = frob_norm(d1 - d2)
     big_u = pi_u @ t.j.conjugate_operator(pi_u)
-    gamma_ok = True
-    if t.gamma is not None:
-        gamma_ok = frob_norm(big_u @ t.gamma @ dagger(big_u) - t.gamma) < TAU_ALG
-    j_ok = frob_norm(big_u @ t.j.u @ big_u.T - t.j.u) < TAU_ALG
+    gamma = np.zeros_like(d) if t.gamma is None else t.gamma
+    gamma_ok = frob_norm(big_u @ gamma @ dagger(big_u) - gamma) <= TAU_ALG * frob_norm(gamma)
+    j_ok = frob_norm(big_u @ t.j.u @ big_u.T - t.j.u) <= TAU_ALG * frob_norm(t.j.u)
     return InnerGaugeResult(
         d_transformed=d1,
         d_from_form=d2,

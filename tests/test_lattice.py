@@ -9,11 +9,15 @@ exact zero mode (X proportional to the identity) and n^2-1 eigenvalues
 ``L mu^2 / 2`` — i.e. (0, 8, 8, 8) for n=2, L=16, mu=1."""
 from __future__ import annotations
 
+from functools import partial
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import ncgauge.lattice as lattice_mod
 from ncgauge import (
+    TAU_ALG,
     LatticeConfig,
     MatrixBasis,
     NotHermitianError,
@@ -29,6 +33,7 @@ from ncgauge import (
     vacuum_config,
     zero_momentum_gradient_norm,
 )
+from ncgauge.verify import line_derivative
 
 
 def expm_antihermitian(x: np.ndarray) -> np.ndarray:
@@ -230,7 +235,7 @@ def test_spectrum_of_the_same_fields_does_not_depend_on_the_frame(basis2, skewed
 
 
 # ---------------------------------------------------------------------------
-# exact second-order expansion against a finite-difference oracle
+# exact second-order expansion against the exact five-point stencils
 # ---------------------------------------------------------------------------
 
 def oracle_directions(cfg: LatticeConfig) -> list[np.ndarray]:
@@ -255,39 +260,32 @@ def shifted_action(cfg: LatticeConfig, delta_a: np.ndarray) -> float:
     return lattice_action(shifted)
 
 
-def fd_hessian(cfg: LatticeConfig, h_fd: float = 1e-3) -> np.ndarray:
-    """Finite-difference Hessian over the oracle directions: k² + k + 1
-    whole-lattice actions for k directions."""
+# The action is a quartic in a constant shift, so both five-point stencils
+# below are exact up to roundoff at any step: the unit step is used.
+
+def second_derivative(cfg: LatticeConfig, v: np.ndarray) -> float:
+    """``d²/dt² S(a + t·v)`` at 0: (−S₂ + 16S₁ − 30S₀ + 16S₋₁ − S₋₂)/12."""
+    weights = {-2: -1.0, -1: 16.0, 0: -30.0, 1: 16.0, 2: -1.0}
+    return sum(c * shifted_action(cfg, t * v) for t, c in weights.items()) / 12.0
+
+
+def fd_hessian(cfg: LatticeConfig) -> np.ndarray:
+    """Hessian over the oracle directions: second derivatives on the diagonal,
+    ``(S''_{dᵢ+dⱼ} − S''_{dᵢ−dⱼ})/4`` off it."""
     dirs = oracle_directions(cfg)
-    n_dir = len(dirs)
-    s0 = lattice_action(cfg)
-    hess = np.zeros((n_dir, n_dir))
-    plus = np.zeros(n_dir)
-    minus = np.zeros(n_dir)
-    for i, di in enumerate(dirs):
-        plus[i] = shifted_action(cfg, h_fd * di)
-        minus[i] = shifted_action(cfg, -h_fd * di)
-        hess[i, i] = (plus[i] - 2.0 * s0 + minus[i]) / h_fd**2
-    for i in range(n_dir):
-        for j in range(i + 1, n_dir):
-            spp = shifted_action(cfg, h_fd * (dirs[i] + dirs[j]))
-            smm = shifted_action(cfg, -h_fd * (dirs[i] + dirs[j]))
-            # symmetric mixed difference via the diagonal evaluations
-            hess[i, j] = hess[j, i] = (
-                spp + smm - plus[i] - minus[i] - plus[j] - minus[j] + 2.0 * s0
-            ) / (2.0 * h_fd**2)
+    hess = np.diag([second_derivative(cfg, d) for d in dirs])
+    for i, j in combinations(range(len(dirs)), 2):
+        hess[i, j] = hess[j, i] = (
+            second_derivative(cfg, dirs[i] + dirs[j]) - second_derivative(cfg, dirs[i] - dirs[j])
+        ) / 4.0
     return hess
 
 
-def fd_gradient(cfg: LatticeConfig, h_fd: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient over the oracle directions."""
-    return np.array(
-        [
-            (shifted_action(cfg, h_fd * d) - shifted_action(cfg, -h_fd * d))
-            / (2.0 * h_fd)
-            for d in oracle_directions(cfg)
-        ]
-    )
+def fd_gradient(cfg: LatticeConfig) -> np.ndarray:
+    """Gradient over the oracle directions."""
+    zero = np.zeros_like(cfg.a[(0,) * cfg.m])
+    along = partial(shifted_action, cfg)
+    return np.array([line_derivative(along, zero, v)[0] for v in oracle_directions(cfg)])
 
 
 @pytest.mark.parametrize("frame", ["gellmann", "skewed"])
@@ -322,16 +320,13 @@ def test_exact_derivatives_agree_with_the_stencil(n, dims):
     cfg = random_lattice_config(dims, MatrixBasis.gellmann(n), 1.3, rng, scale=0.5)
     grad, hess = lattice_mod._shift_derivatives(cfg)
     eigs = mass_spectrum(cfg)
-    # in one dimension S is quadratic in a constant shift, so a wide stencil
-    # is exact up to roundoff; in two the [δ_μ, δ_ν] term leaves an h² error
-    h_fd, bound = (1e-2, 1e-8) if len(dims) == 1 else (1e-3, 1e-5)
-    fd_hess = fd_hessian(cfg, h_fd)
-    assert np.abs(hess - fd_hess).max() <= bound * np.abs(hess).max()
-    assert np.abs(eigs - np.linalg.eigvalsh(fd_hess)).max() <= bound * np.abs(eigs).max()
+    # both stencils are exact, so they agree to roundoff in any dimension
+    fd_hess = fd_hessian(cfg)
+    assert np.abs(hess - fd_hess).max() <= TAU_ALG * np.abs(hess).max()
+    assert np.abs(eigs - np.linalg.eigvalsh(fd_hess)).max() <= TAU_ALG * np.abs(eigs).max()
     assert np.array_equal(eigs, np.linalg.eigvalsh(hess))
-    # along one slot S is exactly quadratic in any dimension
     fd_grad = fd_gradient(cfg)
-    assert np.abs(grad - fd_grad).max() <= 1e-8 * np.linalg.norm(grad)
+    assert np.abs(grad - fd_grad).max() <= TAU_ALG * np.linalg.norm(grad)
     assert zero_momentum_gradient_norm(cfg) == np.linalg.norm(grad)
 
 

@@ -8,6 +8,8 @@ its own scale, and the same input written at unit size.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from ncgauge import (
     MatrixConnection,
     NotHermitianError,
     NotProjectorError,
+    RealStructure,
     ShapeError,
     SingularBasisError,
     UniversalForm,
@@ -236,6 +239,23 @@ def test_inner_gauge_match_is_judged_at_the_dirac_operators_scale(d_scale):
     # the mismatch is the same relative size whatever the scale of D
     assert leaking.max_diff > 1e-7 * np.linalg.norm(leaking.d_transformed)
     assert not leaking.match
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e3])
+def test_inner_gauge_invariance_flags_are_judged_at_the_operands_scale(scale):
+    t = two_point_triple(2, np.array([[1.0, 2.0], [0.5, -1.0]]))
+    swap = np.kron(SIGMA_X, np.eye(2))
+    omega = UniversalForm(2, 1, np.array([[0.0, 0.3 + 0.2j], [-0.7j, 0.0]]))
+    u = np.exp(1j * np.array([0.4, 1.3]))
+    # under a swap J the implementing unitary moves a generic γ; a generic
+    # U_J is moved by its own implementing unitary
+    moved_gamma = replace(t, j=RealStructure(swap), gamma=scale * _hermitian(4, 1))
+    moved_j = replace(t, j=RealStructure(scale * _hermitian(4, 2)))
+    assert not inner_gauge(moved_gamma, u, omega).gamma_invariant
+    assert not inner_gauge(moved_j, u, omega).j_invariant
+    # the model's own γ and a swap J are invariant at any scale
+    kept = inner_gauge(replace(t, j=RealStructure(scale * swap), gamma=scale * t.gamma), u, omega)
+    assert kept.gamma_invariant and kept.j_invariant
 
 
 def test_bracket_of_nearly_commuting_derivations_is_accepted():

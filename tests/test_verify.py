@@ -4,10 +4,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import partial
 
+import numpy as np
 import pytest
 
-from ncgauge import LatticeConfig, MatrixBasis, MatrixConnection, gellmann_basis, verify
+from ncgauge import (
+    TAU_ALG,
+    LatticeConfig,
+    MatrixBasis,
+    MatrixConnection,
+    action_gradient,
+    frob_norm,
+    gellmann_basis,
+    random_connection,
+    verify,
+)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -95,6 +107,62 @@ def test_a_relative_error_fails_its_check_at_every_frame_scale(monkeypatch, suit
             assert failing == expected, (scale, kw, report["checks"])
 
 
+def _with_hermitian_part(g):
+    """``g`` plus a Hermitian part of 1e-6 of its norm."""
+    x = np.random.default_rng(0).standard_normal(g.shape)
+    herm = x + x.swapaxes(-1, -2)
+    return g + 1e-6 * frob_norm(g) * herm / frob_norm(herm)
+
+
+#: mutation of ``verify.action_gradient`` -> the gradient checks it must fail:
+#: a relative error shows along the directions, a Hermitian part only in the
+#: anti-Hermitian check, since the directions are anti-Hermitian
+GRADIENT_MUTATIONS = {
+    "inflated": (_inflate, {"gradient_vs_finite_differences"}),
+    "hermitian_part": (_with_hermitian_part, {"gradient_antihermitian"}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(GRADIENT_MUTATIONS))
+def test_a_wrong_gradient_fails_its_check_at_every_frame_scale(monkeypatch, mutation):
+    mutate, expected = GRADIENT_MUTATIONS[mutation]
+    monkeypatch.setattr(verify, "action_gradient", lambda conn: mutate(action_gradient(conn)))
+    for scale in FRAME_SCALES:
+        _scale_frame(monkeypatch, scale)
+        for n in (2, 3):
+            report = verify.suite_gauge(n=n)
+            failing = {c["name"] for c in report["checks"] if not c["passed"]}
+            assert failing == expected, (scale, n, report["checks"])
+
+
+def _polynomial(x, w, b, degree):
+    """``Σ_i (w_i·x + b_i)^degree``."""
+    return float(np.sum((w @ x + b) ** degree))
+
+
+@pytest.mark.parametrize(
+    "x_norm, v_norm", [(1e-3, 5e-4), (1.0, 0.5), (1e3, 500.0), (0.0, 1e-3), (0.0, 1e3)]
+)
+def test_line_derivative_is_exact_on_quartics_at_any_step(x_norm, v_norm):
+    # Σ (w_i·x + b_i)⁴ is a quartic along every line; the step is
+    # max(‖x‖, ‖v‖) long, here 1e-3 to 1e3, at x = 0 too, and b is as large
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        w, b = rng.standard_normal((6, 5)), max(x_norm, v_norm) * rng.standard_normal(6)
+        x, v = rng.standard_normal(5), rng.standard_normal(5)
+        x *= x_norm / np.linalg.norm(x)
+        v *= v_norm / np.linalg.norm(v)
+        for degree in (4, 5):
+            deriv, size = verify.line_derivative(partial(_polynomial, w=w, b=b, degree=degree), x, v)
+            error = abs(deriv - np.sum(degree * (w @ x + b) ** (degree - 1) * (w @ v)))
+            # exact on the quartic; on a quintic an error far above roundoff,
+            # so exactness, not luck, carries the gradient checks
+            if degree == 4:
+                assert error <= 1e-13 * size, (error, size)
+            else:
+                assert error > 1e-6 * size, (error, size)
+
+
 def test_run_all_rejects_degenerate_size():
     with pytest.raises(ValueError):
         verify.run_all(n=1)
@@ -127,12 +195,8 @@ def test_individual_suites_report_check_names():
 
 
 def test_fd_gradient_helper_matches_analytic():
-    import numpy as np
-
-    from ncgauge import MatrixBasis, action_gradient, random_connection
-
     basis = MatrixBasis.gellmann(2)
     conn = random_connection(basis, rng=np.random.default_rng(5))
     g_an = action_gradient(conn)
     g_fd = verify.fd_action_gradient(conn)
-    assert np.max(np.abs(g_an - g_fd)) < 1e-6
+    assert frob_norm(g_an - g_fd) <= TAU_ALG * frob_norm(g_an)
