@@ -44,9 +44,9 @@ for seed in range(6):
 
 # the action decreases monotonically along the trace
 res = minimize(random_connection(basis, np.random.default_rng(42)))
-print("\ntrace for seed 42 (every 25 iterations):")
-for it, s, g in res.trace[::25][:8]:
-    print(f"  iter {it:>5}  S = {s:.6e}  |grad| = {g:.3e}")
+print("\ntrace for seed 42 (each accepted step, with its halvings):")
+for it, s, g, step, backtracks in res.trace:
+    print(f"  iter {it:>3}  S = {s:.6e}  |grad| = {g:.3e}  step = {step:.3e}  halvings = {backtracks}")
 print(f"  ... converged = {res.converged} after {res.iterations} iterations")
 
 # the Casimir is constant on gauge orbits, so it separates the two endpoints

@@ -23,6 +23,9 @@ def run_main(capsys, argv):
     return code, captured.out, captured.err
 
 
+MINIMIZE_HEADER = ["iter", "action", "grad_norm", "step", "backtracks"]
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], [[float(x) for x in row] for row in rows[1:]]
@@ -135,10 +138,16 @@ def test_minimize_converges_and_reports(capsys):
     code, out, err = run_main(capsys, ["minimize", "--n", "2", "--seed", "1"])
     assert code == 0
     header, rows = parse_csv(out)
-    assert header == ["iter", "action", "grad_norm"]
+    assert header == MINIMIZE_HEADER
     assert rows[0][0] == 0.0 and rows[-1][1] < 1e-8
     actions = [r[1] for r in rows]
     assert all(b <= a + 1e-15 for a, b in zip(actions, actions[1:]))
+    # each row says how its step was taken: row 0 took none, every later
+    # row a positive step after a whole number of halvings
+    raw = list(csv.reader(io.StringIO(out)))[1:]
+    assert all(row[4].isdigit() for row in raw)
+    assert rows[0][3:] == [0.0, 0.0]
+    assert all(r[3] > 0.0 for r in rows[1:])
     summary = json.loads(err)
     assert summary["converged"] is True and summary["flat"] is True
     assert summary["classification"] in ("symmetric", "canonical-flat")
@@ -180,7 +189,7 @@ def test_minimize_out_file_swaps_streams(capsys, tmp_path):
     summary = json.loads(out)  # summary moves to stdout
     assert summary["mode"] == "matrix"
     header, rows = parse_csv(out_file.read_text())
-    assert header == ["iter", "action", "grad_norm"] and rows
+    assert header == MINIMIZE_HEADER and rows
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +199,9 @@ def test_minimize_out_file_swaps_streams(capsys, tmp_path):
 def test_lattice_broken_vacuum_exits_zero(capsys):
     code, out, err = run_main(capsys, ["minimize", "--dims", "8", "--n", "2"])
     assert code == 0
+    # the lattice row takes no step
+    raw = list(csv.reader(io.StringIO(out)))
+    assert raw[0] == MINIMIZE_HEADER and [row[3:] for row in raw[1:]] == [["0.0", "0"]]
     summary = json.loads(err)
     assert summary["mode"] == "lattice"
     assert summary["action"] == 0.0
