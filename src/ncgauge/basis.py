@@ -304,13 +304,20 @@ class MatrixBasis:
 
     @cached_property
     def ad_table(self) -> np.ndarray:
-        """``(n², D·n²)`` table of the frame's adjoint action: for a matrix
-        ``a``, ``(a.ravel() @ ad_table).reshape(D, n, n)[k] = [iE_k, a]``, so
-        one product gives every commutator of a stack of matrices."""
+        """``(D, n², n²)`` table of the frame's adjoint action: for a stack of
+        matrices ``a``, ``(a.reshape(-1, n²) @ ad_table[k]).reshape(-1, n, n)``
+        is the stack of commutators ``[iE_k, a]``, all from one product."""
         n, eye = self.n, np.eye(self.n)
         # row-major vec(E a) = (E ⊗ 1) vec(a) and vec(a E) = (1 ⊗ Eᵀ) vec(a)
         ad = 1j * np.array([np.kron(e, eye) - np.kron(eye, e.T) for e in self.mats])
-        return frozen(ad.transpose(2, 0, 1).reshape(n * n, -1))
+        return frozen(ad.transpose(0, 2, 1))
+
+    @cached_property
+    def derform_plans(self) -> dict:
+        """Index plans of :mod:`ncgauge.derforms` for full parts, keyed by
+        operation and degrees: they hold this basis' structure constants and
+        metric minors, never a form's coefficients."""
+        return {}
 
     # -- expansion ----------------------------------------------------------
 

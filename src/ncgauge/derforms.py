@@ -8,12 +8,12 @@ row ``K = (k_1 < ... < k_p)`` standing for the wedge product
 
 Each degree-``p`` part is stored as a read-only ``(K, p)`` integer array of
 index rows in lexicographic order beside the ``(K, n, n)`` stack of their
-coefficients, with no repeated row and no all-zero coefficient.  Operations
-form the candidate rows of a result together, count the swaps that sort
-each row (and find repeated indices) through products of index-membership
-tables, and merge each output degree with one sort of packed row keys and
-``np.add.reduceat``; large inputs go in blocks of rows, so that memory
-stays near the size of the result.  Keys are validated only where a caller
+coefficients, with no repeated row and no all-zero coefficient.  ``wedge``,
+``d'``, ``⋆`` and ``+`` make an integer plan from the rows alone (result
+rows by their ranks in the combinatorial number system, and the candidate
+monomials in groups that add into no row twice), kept on the basis for a
+full part, then add each group with one ``out[targets] += pieces``, so
+coefficients are never sorted.  Keys are validated only where a caller
 hands them in: the mapping constructor, ``matrix``/``monomial`` and
 ``from_record``.
 
@@ -31,10 +31,11 @@ and the graded involution complete the calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
+from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -113,7 +114,6 @@ def _require_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
 # ---------------------------------------------------------------------------
 
 _Part = tuple[np.ndarray, np.ndarray]  # (rows, coefficients) of one degree
-_BATCH = 2**14  # coefficient entries per block of candidate monomials
 _SHARED = 2.0**32  # weight of an index two rows share, in the wedge counts
 
 
@@ -132,47 +132,56 @@ def _tables(d: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _key_weights(d: int, p: int) -> np.ndarray:
-    """Weights packing rows of ``p`` indices below ``d`` into int64 keys, as
-    many indices per key as fit in 63 bits, that sort as the rows do."""
-    bits = max(1, (d - 1).bit_length())
-    per = 63 // bits
-    w = np.zeros((p, -(-p // per)), dtype=np.int64)
-    for j in range(p):
-        w[j, j // per] = 1 << (bits * (per - 1 - j % per))
-    return _frozen(w)[0]
-
-
-def _blocks(count: int, fanout: int, n: int) -> list[slice]:
-    """Blocks of ``count`` input rows, each making about a batch of candidates."""
-    step = max(1, _BATCH // (fanout * n * n + 1))
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
+def _rank_table(d: int, p: int) -> np.ndarray:
+    """``C(d−1−x, p−i)`` where index ``x`` can stand at place ``i`` of a row of
+    ``p`` indices below ``d``, else 0; Python integers once ``C(d, p) ≥ 2⁶³``."""
+    table = [[comb(d - 1 - x, p - i) * (i <= x <= d - p + i) for i in range(p)] for x in range(d)]
+    return _frozen(np.array(table, np.int64 if comb(d, p) < 2**63 else object).reshape(d, p))[0]
 
 
 def _membership(rows: np.ndarray, d: int) -> np.ndarray:
     return np.add.reduce(_tables(d)[0][rows], axis=1)
 
 
-def _sign(swaps: np.ndarray) -> np.ndarray:
-    return ((-1.0) ** swaps)[:, None, None]
+def _targets(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sorted rows in lexicographic order, and each row's index
+    among them, by their ranks ``C(d, p) − 1 − Σ_i C(d−1−k_i, p−i)``
+    (combinatorial number system, Knuth TAOCP 4A §7.2.1.3)."""
+    p = rows.shape[1]
+    ranks = comb(d, p) - 1 - _rank_table(d, p)[rows, np.arange(p)].sum(axis=1)
+    _, first, tgt = np.unique(ranks, return_index=True, return_inverse=True)
+    return rows[first], tgt
 
 
-def _merge(rows: np.ndarray, coefs: np.ndarray, d: int) -> _Part | None:
-    """Sorted rows, repeats allowed, to a part: lexicographic order, the
-    coefficients of equal rows summed, zero coefficients dropped."""
-    if len(rows) > 1 and rows.shape[1] == 0:
-        rows, coefs = rows[:1], np.add.reduce(coefs, axis=0, keepdims=True)
-    elif len(rows) > 1:
-        keys = rows @ _key_weights(d, rows.shape[1])
-        order = np.lexsort(keys.T[::-1]) if keys.shape[1] > 1 else keys[:, 0].argsort()
-        keys = keys[order]
-        new = np.logical_or.reduce(keys[1:] != keys[:-1], axis=1)
-        if np.count_nonzero(new) == len(new):
-            rows, coefs = rows[order], coefs[order]
-        else:
-            starts = np.concatenate(([0], new.nonzero()[0] + 1))
-            rows, coefs = rows[order[starts]], np.add.reduceat(coefs[order], starts)
-    return _nonzero(rows, coefs)
+def _groups(cands: list[np.ndarray], keys: tuple[int, ...] = ()) -> list[tuple]:
+    """Candidate columns (targets, sources..., weights) in groups that add into
+    no row twice: by the column among ``keys`` with the fewest values (first
+    on a tie), passed as one scalar, or else by slot, the s-th slot holding
+    each target's s-th candidate."""
+    if keys:
+        key = min(keys, key=lambda c: np.count_nonzero(np.bincount(cands[c])))
+        by = cands[key]
+    else:
+        key, by, order = None, np.empty_like(cands[0]), np.argsort(cands[0], kind="stable")
+        by[order] = np.arange(len(order)) - np.searchsorted(cands[0][order], cands[0][order])
+    order = np.argsort(by, kind="stable")
+    cuts = [s for s in np.split(order, np.flatnonzero(np.diff(by[order])) + 1) if len(s)]
+    return [tuple(col[s[0]] if c == key else col[s] for c, col in enumerate(cands)) for s in cuts]
+
+
+def _apply(build: Callable, basis: MatrixBasis, rows: tuple, piece: Callable) -> _Part | None:
+    """``build(basis, *rows)``'s plan, made once per basis and degrees for full
+    parts, then the pass ``out[targets] += piece(sources..., weights)``."""
+    key = (build.__name__, *(r.shape[1] for r in rows))
+    if any(len(r) < comb(basis.dim, r.shape[1]) for r in rows):
+        plan = build(basis, *rows)
+    elif (plan := basis.derform_plans.get(key)) is None:
+        plan = basis.derform_plans[key] = build(basis, *rows)
+    result, groups = plan
+    out = np.zeros((len(result), basis.n, basis.n), dtype=complex)
+    for tgt, *src in groups:
+        out[tgt] += piece(*src)
+    return _nonzero(result, out)
 
 
 def _nonzero(rows: np.ndarray, coefs: np.ndarray) -> _Part | None:
@@ -182,29 +191,23 @@ def _nonzero(rows: np.ndarray, coefs: np.ndarray) -> _Part | None:
     return (rows, coefs) if len(rows) else None
 
 
-def _collect(basis: MatrixBasis, pieces: Iterable[_Part]) -> "DerForm":
-    """The sum of ``(sorted rows, coefficients)`` pieces.  The pieces of a
-    degree are merged once, or whenever those after the first outgrow both
-    a batch and half the first: merging stays a fraction of all the
-    work, and memory a small multiple of the result."""
-    pending: dict[int, list[_Part]] = {}
-
-    def merge(group: list[_Part]) -> None:
-        rows, coefs = group[0] if len(group) == 1 else map(np.concatenate, zip(*group))
-        group.clear()  # let the pieces go before the merge copies them again
-        part = _merge(rows, coefs, basis.dim)
+def _sum(basis: MatrixBasis, parts: Iterable[_Part | None]) -> "DerForm":
+    """The form summing ``parts``; a degree met again adds in where the rows
+    agree, else into the union of the rows, found by their ranks."""
+    out: dict[int, _Part] = {}
+    for rows, coefs in filter(None, parts):
+        part, mine = (rows, coefs), out.pop(rows.shape[1], None)
+        if mine is not None and mine[0].shape == rows.shape and (mine[0] == rows).all():
+            part = _nonzero(rows, mine[1] + coefs)
+        elif mine is not None:
+            union, tgt = _targets(np.concatenate([mine[0], rows]), basis.dim)
+            both = np.zeros((len(union),) + coefs.shape[1:], dtype=complex)
+            both[tgt[: len(mine[0])]] = mine[1]
+            both[tgt[len(mine[0]) :]] += coefs
+            part = _nonzero(union, both)
         if part is not None:
-            group.append(part)
-
-    for piece in pieces:
-        group = pending.setdefault(piece[0].shape[1], [])
-        group.append(piece)
-        if sum(coefs.size for _, coefs in group[1:]) > max(_BATCH, group[0][1].size // 2):
-            merge(group)
-    for group in pending.values():
-        if group:  # empty when an earlier merge cancelled everything
-            merge(group)
-    return DerForm._of(basis, {p: group[0] for p, group in pending.items() if group})
+            out[rows.shape[1]] = part
+    return DerForm._of(basis, out)
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +316,9 @@ class DerForm:
     # -- graded-algebra arithmetic -------------------------------------------
 
     def _plus(self, other: "DerForm", sign: float) -> "DerForm":
-        """``self + sign·other``: a degree both carry is merged once, and
-        needs no sort where their rows agree."""
         _require_same_basis(self.basis, other.basis)
-        parts = dict(self._parts)
-        for p, (rows, coefs) in other._parts.items():
-            mine = parts.pop(p, None)
-            if mine is None:
-                parts[p] = (rows, sign * coefs)
-                continue
-            if mine[0].shape == rows.shape and (mine[0] == rows).all():
-                merged = _nonzero(rows, mine[1] + sign * coefs)
-            else:
-                both = map(np.concatenate, zip(mine, (rows, sign * coefs)))
-                merged = _merge(*both, self.basis.dim)
-            if merged is not None:
-                parts[p] = merged
-        return DerForm._of(self.basis, parts)
+        theirs = ((rows, sign * coefs) for rows, coefs in other._parts.values())
+        return _sum(self.basis, [*self._parts.values(), *theirs])
 
     def __add__(self, other: "DerForm") -> "DerForm":
         return self._plus(other, 1.0)
@@ -345,8 +334,7 @@ class DerForm:
 
     def __rmul__(self, scalar) -> "DerForm":
         c = complex(scalar)
-        scaled = {p: _nonzero(rows, c * cs) for p, (rows, cs) in self._parts.items()}
-        return DerForm._of(self.basis, {p: part for p, part in scaled.items() if part is not None})
+        return _sum(self.basis, [_nonzero(rows, c * cs) for rows, cs in self._parts.values()])
 
     def star(self) -> "DerForm":
         return dinvolution(self)
@@ -373,61 +361,76 @@ class DerForm:
 def wedge(w1: DerForm, w2: DerForm) -> DerForm:
     """Graded product: ``(a ⊗ θ^K)(b ⊗ θ^L) = ab ⊗ θ^K ∧ θ^L``."""
     _require_same_basis(w1.basis, w2.basis)
-    d = w1.basis.dim
-    right = [(rows2, _membership(rows2, d).T, b) for rows2, b in w2._parts.values()]
 
-    def pieces() -> Iterator[_Part]:
-        for p, (rows1, a) in w1._parts.items():
-            for rows2, m2, b in right:
-                if p == 0 or rows2.shape[1] == 0:  # θ^∅ is the unit: only coefficients multiply
-                    yield rows1 if rows2.shape[1] == 0 else rows2, a @ b
-                    continue
-                for blk in _blocks(len(rows1), len(rows2), w1.basis.n):
-                    # _SHARED per index the rows share, else the swaps sorting K ⧺ L
-                    counts = _membership(rows1[blk], d) @ _tables(d)[2] @ m2
-                    i, j = (counts < _SHARED).nonzero()
-                    rows = np.concatenate([rows1[blk][i], rows2[j]], axis=1)
-                    rows.sort(axis=1)
-                    yield rows, _sign(counts[i, j]) * (a[blk][i] @ b[j])
+    def part(rows1: np.ndarray, a: np.ndarray, rows2: np.ndarray, b: np.ndarray) -> _Part | None:
+        if rows1.shape[1] == 0 or rows2.shape[1] == 0:  # θ^∅ is the unit: coefficients multiply
+            return _nonzero(rows1 if rows2.shape[1] == 0 else rows2, a @ b)
+        return _apply(_wedge_plan, w1.basis, (rows1, rows2), partial(_products, a, b))
 
-    return _collect(w1.basis, pieces())
+    return _sum(w1.basis, [part(*x, *y) for x in w1._parts.values() for y in w2._parts.values()])
+
+
+def _products(a: np.ndarray, b: np.ndarray, i, j, sign: np.ndarray) -> np.ndarray:
+    """``sign · a_i b_j`` by one GEMM: per pair if ``j`` or ``i`` is one row, else summed."""
+    n = a.shape[-1]
+    if np.ndim(j) == 0:
+        prods = (a[i].reshape(-1, n) @ b[j]).reshape(len(i), n, n)
+    elif np.ndim(i) == 0:
+        prods = np.tensordot(a[i], b[j], (1, 1)).transpose(1, 0, 2)
+    else:
+        return np.tensordot(sign[:, None, None] * a[i], b[j], ((0, 2), (0, 1)))
+    prods *= sign[:, None, None]
+    return prods
+
+
+def _wedge_plan(basis: MatrixBasis, rows1: np.ndarray, rows2: np.ndarray) -> tuple:
+    """Row pairs sharing no index, signed by the swaps sorting ``K ⧺ L``."""
+    d = basis.dim
+    # _SHARED per index the rows share, else the swaps sorting K ⧺ L
+    counts = _membership(rows1, d) @ _tables(d)[2] @ _membership(rows2, d).T
+    i, j = (counts < _SHARED).nonzero()
+    result, tgt = _targets(np.sort(np.concatenate([rows1[i], rows2[j]], axis=1), axis=1), d)
+    return result, _groups([tgt, i, j, (-1.0) ** counts[i, j]], (2, 1, 0))
 
 
 def dprime(w: DerForm) -> DerForm:
     """The differential, built from its action on generators."""
-    basis = w.basis
-    n, d = basis.n, basis.dim
+    passes = [((rows,), partial(_terms, w.basis, a)) for rows, a in w._parts.values()]
+    return _sum(w.basis, [_apply(_dprime_plan, w.basis, *args) for args in passes])
+
+
+def _terms(basis: MatrixBasis, a: np.ndarray, r, weight, k: int | None = None) -> np.ndarray:
+    """``weight · a_r``, or with ``k`` the commutators ``weight · [iE_k, a_r]`` by one GEMM."""
+    n = basis.n
+    terms = a[r] if k is None else (a[r].reshape(-1, n * n) @ basis.ad_table[k]).reshape(-1, n, n)
+    terms *= weight[:, None, None]
+    return terms
+
+
+def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
+    """The coefficient part grouped by its new index ``k``, the frame part by slot."""
+    d, p = basis.dim, rows.shape[1]
     lmk, c = basis.bracket_triplets
-    per_index = len(lmk) // d + 1  # about as many (l, m) pairs as one θ^k yields
-
-    def pieces() -> Iterator[_Part]:
-        for p, (all_rows, all_a) in w._parts.items():
-            for blk in _blocks(len(all_rows), d + p * per_index, n):
-                rows, a = all_rows[blk], all_a[blk]
-                memb = _membership(rows, d)
-                below = memb @ _tables(d)[1]  # below[r, x]: indices of row r under x
-                # coefficient part: [iE_k, a_r] θ^k ∧ θ^K for k outside K, with
-                # every commutator of the block from one GEMM
-                comm = (a.reshape(len(a), n * n) @ basis.ad_table).reshape(len(a), d, n, n)
-                r, k = (memb == 0).nonzero()
-                new_rows = np.sort(np.concatenate([rows[r], k[:, None]], axis=1), axis=1)
-                yield new_rows, _sign(below[r, k]) * comm[r, k]
-                if p == 0:
-                    continue
-                # frame part: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m at position
-                # i = below[r, k_i], signed (−1)^i and by the swaps sorting l, m
-                # in; l and m must stay out of K∖{k_i}, but either may be k_i
-                r, _, t = (rows[:, :, None] == lmk[:, 2]).nonzero()
-                lm, ki = lmk[t, :2], lmk[t, 2:]
-                free = memb[r[:, None], lm].sum(axis=1) == (lm == ki).sum(axis=1)
-                r, t, lm, ki = r[free], t[free], lm[free], ki[free]
-                swaps = below[r[:, None], lmk[t]].sum(axis=1) - (ki < lm).sum(axis=1)
-                kept = np.where(rows[r] == ki, lm[:, :1], rows[r])  # l in place of k_i
-                new_rows = np.concatenate([kept, lm[:, 1:]], axis=1)
-                new_rows.sort(axis=1)
-                yield new_rows, -_sign(swaps) * c[t][:, None, None] * a[r]
-
-    return _collect(basis, pieces())
+    memb = _membership(rows, d)
+    below = memb @ _tables(d)[1]  # below[r, x]: indices of row r under x
+    # coefficient part: [iE_k, a_r] θ^k ∧ θ^K for k outside K, signed by the
+    # place of k in the sorted row
+    r0, k = (memb == 0).nonzero()
+    sign = (-1.0) ** below[r0, k]
+    # frame part: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m at place
+    # i = below[r, k_i], signed (−1)^i and by the swaps sorting l, m in;
+    # l and m must stay out of K∖{k_i}, but either may be k_i
+    r, _, t = (rows[:, :, None] == lmk[:, 2]).nonzero()
+    lm, ki = lmk[t, :2], lmk[t, 2:]
+    free = memb[r[:, None], lm].sum(axis=1) == (lm == ki).sum(axis=1)
+    r1, t, lm, ki = r[free], t[free], lm[free], ki[free]
+    swaps = below[r1[:, None], lmk[t]].sum(axis=1) - (ki < lm).sum(axis=1)
+    kept = np.where(rows[r1] == ki, lm[:, :1], rows[r1])  # l in place of k_i
+    weight = -((-1.0) ** swaps) * c[t]
+    new_rows = np.concatenate([np.column_stack([rows[r0], k]), np.column_stack([kept, lm[:, 1]])])
+    result, tgt = _targets(np.sort(new_rows, axis=1), d)
+    t0, t1 = tgt[: len(r0)], tgt[len(r0) :]
+    return result, _groups([t0, r0, sign, k], (3,)) + _groups([t1, r1, weight])
 
 
 def dinvolution(w: DerForm) -> DerForm:
@@ -487,38 +490,34 @@ def hodge(w: DerForm) -> DerForm:
     The coefficient of ``θ^M`` in ``⋆(a ⊗ θ^K)`` is
     ``√g · ε(L ⧺ M) · det(g_inv[K, L])``, with ``L`` the sorted complement
     of ``M``: a ``p × p`` minor of ``g_inv`` (its p-th compound matrix),
-    signed by ``ε(L ⧺ Lᶜ) = (−1)^(ΣL − p(p−1)/2)``.  A minor can be
-    nonzero only when ``L`` lies inside the columns that the rows
-    ``g_inv[K]`` reach, so only those ``L`` are enumerated, each block of
-    them through one stacked determinant; a diagonal metric costs one
-    minor per row.
+    signed by ``ε(L ⧺ Lᶜ) = (−1)^(ΣL − p(p−1)/2)``.  Only the ``L`` inside
+    the columns that the rows ``g_inv[K]`` reach are enumerated, all through
+    one stacked determinant; a diagonal metric costs one minor per row.
     """
-    basis = w.basis
     if not w.is_homogeneous():
         raise DegreeError("Hodge star needs a homogeneous form")
-    if not w._parts:
-        return DerForm.zero(basis)
-    ((p, (rows, coefs)),) = w._parts.items()
-    d, g_inv = basis.dim, basis.g_inv
+    passes = [((rows,), partial(_terms, w.basis, coefs)) for rows, coefs in w._parts.values()]
+    return _sum(w.basis, [_apply(_hodge_plan, w.basis, *args) for args in passes])
+
+
+def _hodge_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
+    """Slots of the pairs (row ``K``, ``M``) whose minor can be nonzero."""
+    d, p, g_inv = basis.dim, rows.shape[1], basis.g_inv
     reach = _membership(rows, d) @ (g_inv != 0) > 0
     sizes = reach.sum(axis=1)
-
-    def pieces() -> Iterator[_Part]:
-        for s in sorted(set(sizes.tolist())):  # rows reaching s columns share one pattern of L
-            pick = list(combinations(range(s), p))
-            pick = np.array(pick, dtype=np.intp).reshape(len(pick), p)
-            group = (sizes == s).nonzero()[0]
-            for rs in (group[blk] for blk in _blocks(len(group), len(pick), basis.n)):
-                reached = reach[rs].nonzero()[1].reshape(len(rs), s)
-                ls = reached[:, pick].reshape(len(rs) * len(pick), p)
-                src = np.repeat(rs, len(pick))
-                minors = np.linalg.det(g_inv[rows[src][:, :, None], ls[:, None, :]])
-                sign = _sign(ls.sum(axis=1) - p * (p - 1) // 2)
-                weight = basis.sqrt_g_det * sign * minors[:, None, None]
-                complements = (_membership(ls, d) == 0).nonzero()[1].reshape(len(ls), d - p)
-                yield complements, weight * coefs[src]
-
-    return _collect(basis, pieces())
+    src, ls = [], []
+    for s in sorted(set(sizes.tolist())):  # rows reaching s columns share one pattern of L
+        pick = np.array(list(combinations(range(s), p)), dtype=np.intp).reshape(comb(s, p), p)
+        group = (sizes == s).nonzero()[0]
+        reached = reach[group].nonzero()[1].reshape(len(group), s)
+        ls.append(reached[:, pick].reshape(len(group) * len(pick), p))
+        src.append(np.repeat(group, len(pick)))
+    src, ls = np.concatenate(src), np.concatenate(ls)
+    minors = np.linalg.det(g_inv[rows[src][:, :, None], ls[:, None, :]])
+    weight = basis.sqrt_g_det * (-1.0) ** (ls.sum(axis=1) - p * (p - 1) // 2) * minors
+    complements = (_membership(ls, d) == 0).nonzero()[1].reshape(len(ls), d - p)
+    result, tgt = _targets(complements, d)
+    return result, _groups([tgt, src, weight])
 
 
 def nc_integrate(w: DerForm) -> complex:

@@ -346,13 +346,10 @@ def test_mapping_constructor_orders_rows_and_rejects_a_key_given_twice(basis2):
 
 
 def test_pieces_merged_in_batches_may_cancel_to_nothing(basis2):
-    # pieces of one degree that outgrow a merge batch are merged as they
-    # come; a merge that cancels everything leaves nothing of that degree
-    from ncgauge.derforms import _BATCH, _collect
-
-    count = _BATCH // 4 + 1
-    rows = np.zeros((count, 1), dtype=np.intp)
-    ones = np.ones((count, 2, 2), dtype=complex)
-    assert _collect(basis2, [(rows, ones), (rows, -ones)]).degrees() == []
-    kept = _collect(basis2, [(rows, ones), (rows, -ones), (rows[:1] + 2, ones[:1])])
-    assert list(kept.components) == [(2,)]
+    # θ⁰θ¹ is reached twice, from θ⁰ ∧ θ¹ and θ¹ ∧ θ⁰, in different groups
+    # of the coefficient pass: the two cancel exactly and leave no row
+    theta = {k: DerForm.monomial(basis2, (k,), ONE) for k in range(3)}
+    pair = theta[0] + theta[1]
+    assert wedge(pair, pair).degrees() == []
+    kept = wedge(pair, pair + theta[2])
+    assert list(kept.components) == [(0, 2), (1, 2)]

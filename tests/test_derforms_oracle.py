@@ -136,7 +136,8 @@ def test_batched_forms_match_reference_on_skewed_frame(n, skewed_frame):
 
 
 def test_batched_forms_match_reference_on_rows_longer_than_one_sort_key():
-    # at n = 5 a sort key holds 12 indices: degrees 13 and above take two
+    # long rows at n = 5 (D = 24): degrees 12 and 20, whose ranks run to
+    # C(24, 12) ≈ 2.7e6, and products reaching degree 23
     b = MatrixBasis.gellmann(5)
     rng = np.random.default_rng(905)
     forms = [
@@ -144,3 +145,35 @@ def test_batched_forms_match_reference_on_rows_longer_than_one_sort_key():
         _sparse_form(b, 2, 4, rng) + _sparse_form(b, 20, 3, rng),
     ]
     _check_all(b, forms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_plans_kept_on_one_basis_serve_fresh_coefficients_and_no_other_basis(n, skewed_frame):
+    # the Gell-Mann and skewed frames share D but not C or g: a plan shared
+    # between them, or one that kept the coefficients of its first use,
+    # gives the wrong monomials on a later call
+    bases = [MatrixBasis.gellmann(n), skewed_frame(n)[0]]
+    rng = np.random.default_rng(600 + n)
+    for _ in range(2):
+        for b in bases:
+            w1, w2 = random_form(b, 1, rng), random_form(b, 2, rng)
+            c1, c2 = dict(w1.components), dict(w2.components)
+            _assert_same(dprime(w1), ref_dprime(b, c1))
+            _assert_same(dprime(w2), ref_dprime(b, c2))
+            _assert_same(wedge(w1, w2), ref_wedge(c1, c2))
+            _assert_same(wedge(w2, w1), ref_wedge(c2, c1))
+            _assert_same(hodge(w1), ref_hodge(b, c1))
+            _assert_same(hodge(w2), ref_hodge(b, c2))
+
+
+def test_ranks_past_int64_at_n9():
+    # D = 80 and C(80, 40) > 2⁶³: rows of degree 40 and 41 are ranked in
+    # Python integers
+    b = MatrixBasis.gellmann(9)
+    rng = np.random.default_rng(909)
+    w = _sparse_form(b, 40, 2, rng)
+    one = _sparse_form(b, 1, 3, rng)
+    c, c1 = dict(w.components), dict(one.components)
+    _assert_same(dprime(w), ref_dprime(b, c))
+    _assert_same(wedge(w, one), ref_wedge(c, c1))
+    _assert_same(wedge(one, w), ref_wedge(c1, c))
