@@ -43,6 +43,7 @@ __all__ = [
     "antihermitian_frame",
     "basis_metric",
     "structure_constants",
+    "bracket_defect",
     "MatrixBasis",
 ]
 
@@ -99,8 +100,10 @@ def is_traceless(a: np.ndarray) -> bool:
 
 
 def is_unitary(a: np.ndarray) -> bool:
+    """True when every matrix of the stack ``a`` is unitary, each judged alone."""
     n = a.shape[-1]
-    return frob_norm(dagger(a) @ a - np.eye(n)) <= TAU_ALG * n
+    defects = np.linalg.norm(dagger(a) @ a - np.eye(n), axis=(-2, -1))
+    return bool(np.all(defects <= TAU_ALG * n))
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +219,26 @@ def structure_constants(mats: np.ndarray) -> np.ndarray:
         raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     c = c.real
     c = (c - c.transpose(1, 0, 2)) / 2.0  # exact antisymmetry
-    # closure check: the projected commutators must reproduce the originals
-    recon = np.einsum("klm,mab->klab", c, mats)
-    if frob_norm(recon - comm) > TAU_ALG * frob_norm(comm):
+    # closure check: the frame curvature of A_k = iE_k is i(comm − C·E), zero
+    # exactly when the projected commutators reproduce the originals
+    if frob_norm(bracket_defect(c, 1j * mats)) > TAU_ALG * frob_norm(comm):
         raise SingularBasisError(
             "commutators leave the span of the family; not a closed basis"
         )
     return c
+
+
+def bracket_defect(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Frame curvature ``F[..., k, l] = [A_k, A_l] − C[k, l, m] A_m`` of a stack
+    ``a`` of shape ``(..., D, r, r)``, shape ``(..., D, D, r, r)``: zero exactly
+    when ``k ↦ A_k`` represents the frame bracket, as ``A_k = iE_k`` does."""
+    lead, (d, r) = a.shape[:-3], a.shape[-3:-1]
+    # every product A_k A_l of a stack from one (d·r × r)(r × d·r) GEMM
+    prod = a.reshape(lead + (d * r, r)) @ a.swapaxes(-3, -2).reshape(lead + (r, d * r))
+    prod = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
+    f = prod - prod.swapaxes(-4, -3)
+    f -= (c.reshape(d * d, d) @ a.reshape(lead + (d, r * r))).reshape(f.shape)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import MatrixBasis, dagger, frob_norm, frozen, is_antihermitian, is_unitary
+from .basis import (
+    MatrixBasis, bracket_defect, dagger, frob_norm, frozen, is_antihermitian, is_unitary
+)
 from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import (
     MaxIterationsError,
@@ -81,9 +83,9 @@ class MatrixConnection:
         return self.coeffs.shape[1]
 
     @classmethod
-    def zero(cls, basis: MatrixBasis, r: int | None = None) -> "MatrixConnection":
-        r = basis.n if r is None else r
-        return cls(basis, np.zeros((basis.dim, r, r), dtype=complex))
+    def zero(cls, basis: MatrixBasis) -> "MatrixConnection":
+        """The symmetric vacuum ``A = 0`` on the module with ``r = n``."""
+        return cls(basis, np.zeros((basis.dim, basis.n, basis.n), dtype=complex))
 
     @classmethod
     def canonical_flat(cls, basis: MatrixBasis) -> "MatrixConnection":
@@ -92,34 +94,22 @@ class MatrixConnection:
 
 
 def random_connection(
-    basis: MatrixBasis, rng: np.random.Generator, r: int | None = None, scale: float = 1.0
+    basis: MatrixBasis, rng: np.random.Generator, r: int | None = None
 ) -> MatrixConnection:
     """Random anti-Hermitian connection coefficients."""
     r = basis.n if r is None else r
     a = rng.standard_normal((basis.dim, r, r)) + 1j * rng.standard_normal((basis.dim, r, r))
-    return MatrixConnection(basis, scale * (a - dagger(a)) / 2.0)
+    return MatrixConnection(basis, (a - dagger(a)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
 # curvature and action
 # ---------------------------------------------------------------------------
 
-def _c_by_last_index(basis: MatrixBasis) -> np.ndarray:
-    """``C[k, l, m]`` as the ``(D, D·D)`` matrix with rows ``m``; a view, as
-    ``structure_constants`` stores ``C`` with its last index slowest."""
-    return basis.c.transpose(2, 0, 1).reshape(basis.dim, basis.dim**2)
-
-
 def curvature(conn: MatrixConnection) -> np.ndarray:
     """Curvature components, shape ``(dim, dim, r, r)``:
     ``F[k, l] = [A_k, A_l] − C[k, l, m] A_m``."""
-    a = conn.coeffs
-    d, r = a.shape[:2]
-    # every product A_k A_l from one (d·r × r)(r × d·r) GEMM
-    prod = a.reshape(d * r, r) @ a.transpose(1, 0, 2).reshape(r, d * r)
-    prod = prod.reshape(d, r, d, r).transpose(0, 2, 1, 3)
-    c_term = (_c_by_last_index(conn.basis).T @ a.reshape(d, r * r)).reshape(d, d, r, r)
-    return prod - prod.transpose(1, 0, 2, 3) - c_term
+    return bracket_defect(conn.basis.c, conn.coeffs)
 
 
 def curvature_form(conn: MatrixConnection) -> DerForm:
@@ -138,7 +128,7 @@ def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:
         raise ShapeError(f"gauge matrix must be {conn.r}x{conn.r}")
     if not is_unitary(g):
         raise NotUnitaryError("gauge transformations must be unitary")
-    return MatrixConnection(conn.basis, np.einsum("ba,kbc,cd->kad", np.conjugate(g), conn.coeffs, g))
+    return MatrixConnection(conn.basis, dagger(g) @ conn.coeffs @ g)
 
 
 def _raised(conn: MatrixConnection, f: np.ndarray) -> np.ndarray:
@@ -189,7 +179,9 @@ def action_gradient(conn: MatrixConnection, f: np.ndarray | None = None) -> np.n
     a_row = a.transpose(1, 0, 2).reshape(r, d * r)
     f_row = f_up.transpose(0, 2, 1, 3).reshape(d, r, d * r)
     comm = a_row @ f_up.reshape(d, d * r, r) - f_row @ a.reshape(d * r, r)
-    c_term = (_c_by_last_index(conn.basis) @ f_up.reshape(d * d, r * r)).reshape(d, r, r)
+    # Σ_ab C[a, b, k] F^ab: a view of C with rows k, as ``structure_constants``
+    # stores C with its last index slowest
+    c_term = (conn.basis.c.reshape(d * d, d).T @ f_up.reshape(d * d, r * r)).reshape(d, r, r)
     m = 2.0 * comm - c_term
     return (m - dagger(m)) / (2.0 * 4.0 * conn.basis.n)
 

@@ -515,9 +515,11 @@ def _hodge_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     src, ls = np.concatenate(src), np.concatenate(ls)
     minors = np.linalg.det(g_inv[rows[src][:, :, None], ls[:, None, :]])
     weight = basis.sqrt_g_det * (-1.0) ** (ls.sum(axis=1) - p * (p - 1) // 2) * minors
-    complements = (_membership(ls, d) == 0).nonzero()[1].reshape(len(ls), d - p)
-    result, tgt = _targets(complements, d)
-    return result, _groups([tgt, src, weight])
+    # complements of rows of one size run in reverse lexicographic order, so
+    # only the distinct L are complemented, the last first
+    distinct, tgt = _targets(ls, d)
+    result = (_membership(distinct[::-1], d) == 0).nonzero()[1].reshape(len(distinct), d - p)
+    return result, _groups([len(distinct) - 1 - tgt, src, weight])
 
 
 def nc_integrate(w: DerForm) -> complex:

@@ -11,12 +11,15 @@ three non-negative norm terms
 
 with ``F_μν = Δ_μ a_ν − Δ_ν a_μ + [a_μ, a_ν]`` and
 ``D_μ b_k = Δ_μ b_k + [a_μ, b_k]`` built from forward periodic
-differences.  S vanishes exactly on two vacuum families: the symmetric
-one ``(a, b) = (0, 0)`` and the broken one ``(a, b_k) = (0, iE_k)``,
-whose Higgs term dies on the bracket identity ``[iE_k, iE_l] =
-C^m_kl (iE_m)``.  Around the broken vacuum the quadratic form over
-constant ``a``-fluctuations is a mass term ∝ μ² with an exact zero mode
-along the identity matrix — a small-scale Higgs mechanism.
+differences.  The Higgs term is the frame curvature of ``b`` at each
+site: ``[b_k, b_l] − C^m_kl b_m`` is :func:`ncgauge.basis.bracket_defect`,
+the kernel of ``connections.curvature``, so at every site it equals
+``curvature(MatrixConnection(basis, b(x)))``.  S vanishes exactly on two
+vacuum families: the symmetric one ``(a, b) = (0, 0)`` and the broken one
+``(a, b_k) = (0, iE_k)``, whose Higgs term dies on the bracket identity
+``[iE_k, iE_l] = C^m_kl (iE_m)``.  Around the broken vacuum the quadratic
+form over constant ``a``-fluctuations is a mass term ∝ μ² with an exact
+zero mode along the identity matrix — a small-scale Higgs mechanism.
 
 Relative prefactors of the three terms are a fixed convention of this
 module (each term is a genuine squared norm, so S ≥ 0 by construction);
@@ -30,7 +33,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import MatrixBasis, antihermitian_frame, dagger, frob_norm, frozen, is_unitary
+from .basis import (
+    MatrixBasis, antihermitian_frame, bracket_defect, dagger, frob_norm, frozen, is_unitary
+)
 from .errors import NotHermitianError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
 
@@ -143,7 +148,7 @@ def _covariant_parts(cfg: LatticeConfig) -> tuple[dict, list[np.ndarray]]:
 
 def lattice_action(cfg: LatticeConfig) -> float:
     """Total action (non-negative; exactly zero on both vacuum families)."""
-    n, b, mu = cfg.basis.n, cfg.b, cfg.mu
+    n, mu = cfg.basis.n, cfg.mu
     f, d_b = _covariant_parts(cfg)
     total = 0.0
     for f_mn in f.values():
@@ -152,10 +157,8 @@ def lattice_action(cfg: LatticeConfig) -> float:
     for d in d_b:
         total += float(np.sum(np.abs(d) ** 2)) * mu**2 / (8.0 * n**2)
 
-    # algebraic-direction field strength (the Higgs self-interaction)
-    comm = np.einsum("...kab,...lbc->...klac", b, b)
-    comm = comm - comm.swapaxes(-4, -3)
-    h = comm - np.einsum("klm,...mab->...klab", cfg.basis.c, b)
+    # the Higgs self-interaction: the frame curvature of b at every site
+    h = bracket_defect(cfg.basis.c, cfg.b)
     total += float(np.sum(np.abs(h) ** 2)) * mu**4 / (16.0 * n**2)
 
     return total
@@ -174,16 +177,13 @@ def lattice_gauge_transform(cfg: LatticeConfig, g: np.ndarray) -> LatticeConfig:
     g = np.asarray(g, dtype=complex)
     if g.shape != cfg.dims + (n, n):
         raise ShapeError(f"gauge field must have shape {cfg.dims + (n, n)}, got {g.shape}")
+    if not is_unitary(g):
+        raise NotUnitaryError("gauge transformation must be unitary at every site")
+    g = g[..., None, :, :]  # one g per site, broadcast over the direction axis
     gh = dagger(g)
-    flat = g.reshape(-1, n, n)
-    for site in range(flat.shape[0]):
-        if not is_unitary(flat[site]):
-            raise NotUnitaryError("gauge transformation must be unitary at every site")
-    a_new = np.empty_like(cfg.a)
-    for mu_dir in range(cfg.m):
-        a_mu = cfg.a[..., mu_dir, :, :]
-        a_new[..., mu_dir, :, :] = gh @ a_mu @ g + gh @ _forward_diff(g, mu_dir)
-    b_new = np.einsum("...ab,...kbc,...cd->...kad", gh, cfg.b, g)
+    dg = np.concatenate([_forward_diff(g, mu_dir) for mu_dir in range(cfg.m)], axis=-3)
+    a_new = gh @ cfg.a @ g + gh @ dg
+    b_new = gh @ cfg.b @ g
     return LatticeConfig(cfg.dims, cfg.basis, a_new, b_new, cfg.mu, check=False)
 
 

@@ -51,7 +51,6 @@ from .universal import UniversalForm, duniv, uproduct
 __all__ = [
     "KO_TABLE",
     "RealStructure",
-    "OperatorForm",
     "FiniteSpectralTriple",
     "check_axioms",
     "represent_form",
@@ -117,22 +116,6 @@ class RealStructure:
     def squared(self) -> np.ndarray:
         """The matrix of J², ``U·conj(U)``."""
         return self.u @ np.conjugate(self.u)
-
-
-@dataclass(frozen=True)
-class OperatorForm:
-    """A represented form: a single operator on the Hilbert space."""
-
-    op: np.ndarray
-
-    def __post_init__(self) -> None:
-        op = frozen(self.op)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ShapeError("operator must be a square matrix")
-        object.__setattr__(self, "op", op)
-
-    def self_adjoint_defect(self) -> float:
-        return frob_norm(self.op - dagger(self.op))
 
 
 @dataclass(frozen=True)
@@ -282,16 +265,11 @@ def check_axioms(t: FiniteSpectralTriple) -> CheckReport:
 # representing universal forms
 # ---------------------------------------------------------------------------
 
-def _point_projections(
-    t: FiniteSpectralTriple, size: int, projections=None
-) -> list[np.ndarray]:
-    projs = list(t.generators) if projections is None else [
-        np.asarray(p, dtype=complex) for p in projections
-    ]
+def _point_projections(t: FiniteSpectralTriple, size: int) -> tuple[np.ndarray, ...]:
+    """The triple's generators, as the indicator functions of ``size`` points."""
+    projs = t.generators
     if len(projs) != size:
-        raise ShapeError(
-            f"need {size} point projections, got {len(projs)}"
-        )
+        raise ShapeError(f"need {size} point projections, got {len(projs)}")
     total = sum(projs)
     if frob_norm(total - np.eye(t.hilbert_dim)) > TAU_ALG * t.hilbert_dim:
         raise ShapeError(
@@ -300,22 +278,21 @@ def _point_projections(
     return projs
 
 
-def represent_form(
-    t: FiniteSpectralTriple, omega: UniversalForm, projections=None
-) -> OperatorForm:
-    """Represent a universal form over a finite point set on the triple:
+def represent_form(t: FiniteSpectralTriple, omega: UniversalForm) -> np.ndarray:
+    """Represent a universal form over a finite point set on the triple as
+    one operator on its Hilbert space:
 
         a₀ d_U a₁ ⋯ d_U a_p  ↦  π(a₀) [D, π(a₁)] ⋯ [D, π(a_p)],
 
     computed through the chain decomposition of ``omega`` in terms of
-    the point-indicator functions (default projections: the triple's
-    generators, which must resolve the identity).  Degrees 0–2 only;
-    this is a linear representation of individual forms, not an algebra
-    map — products may pick up junk beyond degree guarantees.
+    the point-indicator functions, the triple's generators, which must
+    resolve the identity.  Degrees 0–2 only; this is a linear
+    representation of individual forms, not an algebra map — products
+    may pick up junk beyond degree guarantees.
     """
     if omega.degree > 2:
         raise DegreeError(f"degrees above 2 are not supported, got {omega.degree}")
-    projs = _point_projections(t, omega.size, projections)
+    projs = _point_projections(t, omega.size)
     d = t.d
     comms = [d @ p - p @ d for p in projs]
     out = np.zeros((t.hilbert_dim, t.hilbert_dim), dtype=complex)
@@ -325,16 +302,16 @@ def represent_form(
         for point in idx[1:]:
             term = term @ comms[point]
         out += values[idx] * term
-    return OperatorForm(out)
+    return out
 
 
-def fluctuate(t: FiniteSpectralTriple, omega_op: OperatorForm | np.ndarray) -> FiniteSpectralTriple:
+def fluctuate(t: FiniteSpectralTriple, a: np.ndarray) -> FiniteSpectralTriple:
     """Inner fluctuation ``D ↦ D + A + ε′ J A J⁻¹`` for a self-adjoint
     gauge potential A (checked); the result is again self-adjoint and
     every non-Dirac axiom is untouched."""
     if t.j is None:
         raise MissingStructureError("fluctuation needs a real structure")
-    a = omega_op.op if isinstance(omega_op, OperatorForm) else np.asarray(omega_op, dtype=complex)
+    a = np.asarray(a, dtype=complex)
     if a.shape != (t.hilbert_dim, t.hilbert_dim):
         raise ShapeError("gauge potential must match the Hilbert dimension")
     if not is_hermitian(a):
@@ -362,10 +339,7 @@ class InnerGaugeResult:
 
 
 def inner_gauge(
-    t: FiniteSpectralTriple,
-    u_values: np.ndarray,
-    omega: UniversalForm,
-    projections=None,
+    t: FiniteSpectralTriple, u_values: np.ndarray, omega: UniversalForm
 ) -> InnerGaugeResult:
     """Check the coincidence of the two gauge-transformation routes for
     a unitary algebra element ``u`` (one unit-modulus value per point)
@@ -389,13 +363,13 @@ def inner_gauge(
     if np.max(np.abs(np.abs(u_values) - 1.0)) > TAU_ALG:
         raise NotUnitaryError("algebra element must have unit modulus at every point")
 
-    projs = _point_projections(t, omega.size, projections)
+    projs = _point_projections(t, omega.size)
     pi_u = sum(u_values[x] * projs[x] for x in range(omega.size))
     pi_u_star = dagger(pi_u)
     d = t.d
 
     # route one: transform the operator-level potential
-    a = represent_form(t, omega, projs).op
+    a = represent_form(t, omega)
     a_u = pi_u @ a @ pi_u_star + pi_u @ (d @ pi_u_star - pi_u_star @ d)
     d1 = _fluctuation(t, a_u)
 
@@ -404,7 +378,7 @@ def inner_gauge(
     omega_u = uproduct(uproduct(f_u, omega), f_u.star()) + uproduct(
         f_u, duniv(f_u.star())
     )
-    d2 = _fluctuation(t, represent_form(t, omega_u, projs).op)
+    d2 = _fluctuation(t, represent_form(t, omega_u))
 
     diff = frob_norm(d1 - d2)
     big_u = pi_u @ t.j.conjugate_operator(pi_u)

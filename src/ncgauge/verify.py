@@ -19,7 +19,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .basis import MatrixBasis, antihermitian_frame, dagger, frob_norm, random_unitary
+from .basis import (
+    MatrixBasis, antihermitian_frame, bracket_defect, dagger, frob_norm, random_unitary
+)
 from .connections import (
     MatrixConnection,
     action,
@@ -176,7 +178,7 @@ def suite_gauge(n: int = 2, seed: int = 0) -> dict[str, Any]:
         s = action(conn, f)
         g = random_unitary(n, rng)
         conn_g = gauge_transform(conn, g)
-        f_moved = curvature(conn_g) - np.einsum("ba,klbc,cd->klad", np.conjugate(g), f, g)
+        f_moved = curvature(conn_g) - dagger(g) @ f @ g
         checks += [
             # a sum of squares: negative at any size is a failure
             Check("action_nonnegative", max(0.0, -s), TAU_ALG, abs(s)),
@@ -219,11 +221,9 @@ def suite_lattice(n: int = 2, seed: int = 0) -> dict[str, Any]:
     cfg = random_lattice_config(dims, basis, 1.0, rng)
     s_cfg = lattice_action(cfg)
     s_gauged = lattice_action(lattice_gauge_transform(cfg, g_const))
-    # the algebraic heart of the broken vacuum
+    # the algebraic heart of the broken vacuum: its frame curvature vanishes
     b = 1j * basis.mats
-    comm = np.einsum("kab,lbc->klac", b, b)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    higgs = frob_norm(comm - np.einsum("klm,mab->klab", basis.c, b))
+    higgs = frob_norm(bracket_defect(basis.c, b))
     # the Higgs term's size at the broken vacuum; the symmetric vacuum, whose
     # fields vanish, is judged at it too
     unit = (brk.mu**2 * frob_norm(brk.b) ** 2) ** 2 / (16.0 * n**2)
@@ -264,7 +264,7 @@ def suite_spectral(seed: int = 0) -> dict[str, Any]:
         )
         res = inner_gauge(t, u, omega)
         r_c = rng.standard_normal() + 1j * rng.standard_normal()
-        curv = represent_form(t, two_point_curvature_form(r_c)).op
+        curv = represent_form(t, two_point_curvature_form(r_c))
         closed = two_point_action(1.0 + r_c, m)
         checks += [
             Check("gauge_route_coincidence", res.max_diff, TAU_ALG, frob_norm(res.d_transformed)),

@@ -299,7 +299,7 @@ def test_c7_two_point_potential():
         )
         phi = complex(rng.standard_normal(), rng.standard_normal())
         t = two_point_triple(big_n, m)
-        op = represent_form(t, two_point_curvature_form(phi - 1.0)).op
+        op = represent_form(t, two_point_curvature_form(phi - 1.0))
         s_op = float(np.real(np.trace(op @ op)))
         worst = max(
             worst, abs(two_point_action(phi, m) - s_op) / max(1.0, abs(s_op))

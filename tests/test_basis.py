@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncgauge import (
+    TAU_ALG,
     MatrixBasis,
     NotHermitianError,
     ShapeError,
@@ -199,6 +200,17 @@ def test_helper_predicates(rng):
     assert is_hermitian(t) and is_traceless(t)
     assert frob_norm(commutator(h, h)) < 1e-14
     assert np.abs(dagger(u) @ u - np.eye(4)).max() < 1e-12
+
+
+def test_unitary_verdict_does_not_depend_on_the_stack_size(rng):
+    # each matrix of a stack is judged alone: 64 copies of a matrix at 0.8 of
+    # its own bound τ·n read as one copy does, and one bad member fails them
+    n = 3
+    u = np.sqrt(1.0 + 0.8 * TAU_ALG * np.sqrt(n)) * random_unitary(n, rng)
+    stack = np.broadcast_to(u, (64, n, n)).copy()
+    assert is_unitary(u) and is_unitary(stack)
+    stack[17] = np.diag([2.0, 1.0, 1.0])
+    assert not is_unitary(stack)
 
 
 @pytest.mark.parametrize("size", [1e-11, 1.0, 1e11])

@@ -63,7 +63,7 @@ def test_connection_validation(basis2):
 
 
 def test_random_connection_properties(basis3, rng):
-    conn = random_connection(basis3, rng, r=4, scale=0.7)
+    conn = MatrixConnection(basis3, 0.7 * random_connection(basis3, rng, r=4).coeffs)
     assert conn.coeffs.shape == (8, 4, 4)
     assert frob_norm(conn.coeffs + dagger(conn.coeffs)) < 1e-12
     # seed reproducibility

@@ -2,6 +2,8 @@
 involution, Hodge star, integration, and the evaluation pairings."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,21 @@ def test_double_hodge_sign(skewed, n, degree, skewed_frame):
     d = b.dim
     sign = (-1.0) ** (degree * (d - degree))
     assert (hodge(hodge(w)) - sign * w).norm() < 1e-10 * max(1.0, w.norm())
+
+
+def test_hodge_on_a_dense_metric_complements_each_minor_column_set_once(skewed_frame):
+    # a full degree-3 form on the n = 4 skewed frame: 455 rows each reach all
+    # 15 columns, so ⋆ pairs them with 207k column sets L of only 455 kinds
+    b = skewed_frame(4)[0]  # a new basis, so the plan is made below
+    w = random_form(b, 3, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        star = hodge(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert star.degrees() == [b.dim - 3] and len(star.components) == 455
+    assert peak < 40e6, peak
 
 
 def test_double_hodge_of_unit_at_n5():

@@ -9,6 +9,7 @@ exact zero mode (X proportional to the identity) and n^2-1 eigenvalues
 ``L mu^2 / 2`` — i.e. (0, 8, 8, 8) for n=2, L=16, mu=1."""
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -20,9 +21,11 @@ from ncgauge import (
     TAU_ALG,
     LatticeConfig,
     MatrixBasis,
+    MatrixConnection,
     NotHermitianError,
     NotUnitaryError,
     ShapeError,
+    curvature,
     frob_norm,
     gellmann_basis,
     lattice_action,
@@ -122,6 +125,17 @@ def test_action_extensivity_of_constant_fields(basis2, rng):
     assert s16 == pytest.approx(2.0 * s8, rel=1e-12)
 
 
+def test_higgs_term_is_the_frame_curvature_at_every_site(basis3):
+    # S = F + μ²X + μ⁴H for fixed fields: the second difference over μ² = 1,
+    # 2, 3 isolates H, which must be Σ_x ‖curvature of the connection b(x)‖²/16n²
+    cfg = random_lattice_config((3, 4), basis3, 1.0, np.random.default_rng(7))
+    s1, s2, s3 = (lattice_action(replace(cfg, mu=np.sqrt(t))) for t in (1.0, 2.0, 3.0))
+    n, d = basis3.n, basis3.dim
+    sites = [curvature(MatrixConnection(basis3, b_x)) for b_x in cfg.b.reshape(-1, d, n, n)]
+    expect = sum(frob_norm(f) ** 2 for f in sites) / (16.0 * n**2)
+    assert abs((s3 - 2.0 * s2 + s1) / 2.0 - expect) <= TAU_ALG * expect
+
+
 # ---------------------------------------------------------------------------
 # gauge transformations
 # ---------------------------------------------------------------------------
@@ -138,6 +152,11 @@ def test_constant_gauge_transform_is_exact_symmetry(basis2, rng):
 def test_gauge_transform_rejects_non_unitary(basis2, rng):
     cfg = random_lattice_config((8,), basis2, 1.0, rng)
     g = np.broadcast_to(np.diag([2.0, 1.0]).astype(complex), (8, 2, 2)).copy()
+    with pytest.raises(NotUnitaryError):
+        lattice_gauge_transform(cfg, g)
+    # one bad site among unitary ones
+    g = np.broadcast_to(random_unitary(2, rng), (8, 2, 2)).copy()
+    g[5] *= 1.0 + 1e-6
     with pytest.raises(NotUnitaryError):
         lattice_gauge_transform(cfg, g)
 

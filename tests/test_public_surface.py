@@ -37,7 +37,9 @@ def test_every_layer_name_resolves_on_the_package():
 
 
 # Every gate holds its residual to TAU_ALG times the norms of its operands, so
-# no caller needs a tolerance, mode, step or sample size of its own: these
+# no caller needs a tolerance, mode, step or sample size of its own; the point
+# projections are the triple's generators, the zero connection lives on r = n,
+# and a caller rescales a random connection's coefficients itself: these
 # parameters are constants.
 FIXED_PARAMETERS = [
     (basis.is_hermitian, "tol"),
@@ -49,6 +51,8 @@ FIXED_PARAMETERS = [
     (basis.MatrixBasis.expand, "tol"),
     (basis.MatrixBasis.expand, "strict"),
     (basis.MatrixBasis.same_as, "tol"),
+    (connections.MatrixConnection.zero, "r"),
+    (connections.random_connection, "scale"),
     (connections.hermitian_compatibility_check, "tol"),
     (connections.grassmann_connection, "tol"),
     (connections.minimize, "step0"),
@@ -56,7 +60,9 @@ FIXED_PARAMETERS = [
     (connections.minimize, "trace_every"),
     (spectral.check_axioms, "tol"),
     (spectral.fluctuate, "tol"),
+    (spectral.represent_form, "projections"),
     (spectral.inner_gauge, "tol"),
+    (spectral.inner_gauge, "projections"),
     (spectral.sm_algebra_fixture, "samples"),
     (spectral.sm_algebra_fixture, "seed"),
     (spectral.sm_algebra_fixture, "tol"),
@@ -72,7 +78,7 @@ FIXED_PARAMETERS = [
 
 
 def test_no_gate_takes_a_fixed_parameter():
-    assert len(FIXED_PARAMETERS) == 28
+    assert len(FIXED_PARAMETERS) == 32
     present = [
         f"{fn.__qualname__}({name})"
         for fn, name in FIXED_PARAMETERS

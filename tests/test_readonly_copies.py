@@ -13,7 +13,6 @@ from ncgauge import (
     LatticeConfig,
     MatrixBasis,
     MatrixConnection,
-    OperatorForm,
     RealStructure,
     UniversalForm,
 )
@@ -62,11 +61,6 @@ CASES = {
         lambda: np.eye(2, dtype=complex),
         lambda x: RealStructure(x),
         lambda obj: obj.u,
-    ),
-    "OperatorForm.op": (
-        lambda: SIGMA_Z.copy(),
-        lambda x: OperatorForm(x),
-        lambda obj: obj.op,
     ),
     "FiniteSpectralTriple.generators": (
         lambda: np.eye(2, dtype=complex),

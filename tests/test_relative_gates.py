@@ -120,7 +120,8 @@ def _require_flat(conn):
 def _curved(scale):
     # a random connection of the frame's size over the frame scaled by `scale`
     frame = MatrixBasis.from_matrices(scale * B2.mats)
-    return _require_flat(random_connection(frame, np.random.default_rng(0), scale=scale))
+    conn = random_connection(frame, np.random.default_rng(0))
+    return _require_flat(MatrixConnection(frame, scale * conn.coeffs))
 
 
 def _flat(scale):
@@ -210,7 +211,7 @@ def test_flat_verdict_does_not_depend_on_the_frame_scale(n):
         assert flat_connection_check(MatrixConnection.zero(basis)).is_flat, scale
     basis = MatrixBasis.gellmann(n)
     for scale in (1e-6, 1.0, 1e3):
-        curved = random_connection(basis, rng, scale=scale)
+        curved = MatrixConnection(basis, scale * random_connection(basis, rng).coeffs)
         assert not flat_connection_check(curved).is_flat, scale
     # the frame and the connection rescaled together keep their verdict
     curved = random_connection(basis, rng)
@@ -221,14 +222,14 @@ def test_flat_verdict_does_not_depend_on_the_frame_scale(n):
 
 def _inner_gauge(d_scale: float, leak: float):
     """Gauge routes on the two-point model with Dirac operator scaled by
-    ``d_scale``, through point projections that leak ``leak`` between the
-    points: they still sum to the identity but are no longer idempotent,
+    ``d_scale``, on a triple whose point projections leak ``leak`` between
+    the points: they still sum to the identity but are no longer idempotent,
     so the two routes differ at the relative size of ``leak``."""
     t = two_point_triple(2, d_scale * np.array([[1.0, 2.0], [0.5, -1.0]]))
     shift = leak * np.kron(SIGMA_X, np.eye(2))
-    projs = [t.generators[0] + shift, t.generators[1] - shift]
+    t = replace(t, generators=(t.generators[0] + shift, t.generators[1] - shift))
     omega = UniversalForm(2, 1, np.array([[0.0, 0.3 + 0.2j], [-0.7j, 0.0]]))
-    return inner_gauge(t, np.exp(1j * np.array([0.4, 1.3])), omega, projs)
+    return inner_gauge(t, np.exp(1j * np.array([0.4, 1.3])), omega)
 
 
 @pytest.mark.parametrize("d_scale", [1.0, 1e-6])

@@ -33,7 +33,6 @@ from ncgauge import (
     MissingStructureError,
     NotHermitianError,
     NotUnitaryError,
-    OperatorForm,
     RealStructure,
     ShapeError,
     UniversalForm,
@@ -108,11 +107,6 @@ def test_real_structure_inverts_u_once(monkeypatch, rng):
     assert len(calls) == 1
     assert j.u_inv is j.u_inv and not j.u_inv.flags.writeable
     np.testing.assert_allclose(j.u_inv @ u, I2, atol=1e-14)
-
-
-def test_operator_form_defect():
-    assert OperatorForm(SX).self_adjoint_defect() < 1e-15
-    assert OperatorForm(np.array([[0, 1], [0, 0]], dtype=complex)).self_adjoint_defect() > 0.5
 
 
 def test_triple_shape_validation():
@@ -404,7 +398,7 @@ def test_every_axiom_line_has_a_catching_mutation():
 def test_represent_degree_zero_is_block_scalars():
     t = two_point_triple(3, np.eye(3, dtype=complex))
     f = UniversalForm(2, 0, np.array([2.0, -1.0j]))
-    op = represent_form(t, f).op
+    op = represent_form(t, f)
     expect = blockdiag(2.0 * np.eye(3), -1.0j * np.eye(3))
     assert frob_norm(op - expect) < 1e-14
 
@@ -412,7 +406,7 @@ def test_represent_degree_zero_is_block_scalars():
 def test_represent_one_form_frozen_blocks(rng):
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     t = two_point_triple(3, m)
-    op = represent_form(t, two_point_one_form(2.0, 3.0j)).op
+    op = represent_form(t, two_point_one_form(2.0, 3.0j))
     expect = np.zeros((6, 6), dtype=complex)
     expect[:3, 3:] = 2.0 * dagger(m)
     expect[3:, :3] = 3.0j * m
@@ -423,7 +417,7 @@ def test_represent_curvature_frozen_blocks(rng):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     t = two_point_triple(2, m)
     r = 0.3 - 0.7j
-    op = represent_form(t, two_point_curvature_form(r)).op
+    op = represent_form(t, two_point_curvature_form(r))
     c = abs(1.0 + r) ** 2 - 1.0
     expect = blockdiag(c * dagger(m) @ m, c * m @ dagger(m))
     assert frob_norm(op - expect) < 1e-12
@@ -446,9 +440,9 @@ def test_represent_rejects_bad_projections():
     t = two_point_triple(2, I2)
     w = two_point_one_form(1.0, 1.0)
     with pytest.raises(ShapeError):
-        represent_form(t, w, projections=[t.generators[0]])  # wrong count
+        represent_form(replace(t, generators=t.generators[:1]), w)  # wrong count
     with pytest.raises(ShapeError):
-        represent_form(t, w, projections=[t.generators[0], t.generators[0]])
+        represent_form(replace(t, generators=(t.generators[0],) * 2), w)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +474,7 @@ def test_fluctuate_rejects_non_self_adjoint():
 def test_two_point_action_closed_formula(phi, rng):
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     t = two_point_triple(3, m)
-    op = represent_form(t, two_point_curvature_form(phi - 1.0)).op
+    op = represent_form(t, two_point_curvature_form(phi - 1.0))
     s_op = float(np.real(np.trace(op @ op)))
     assert two_point_action(phi, m) == pytest.approx(s_op, rel=1e-10, abs=1e-10)
 
