@@ -1,9 +1,10 @@
 """One-dimensional lattice with a matrix-geometry Higgs sector.
 
-Each site carries a gauge link and a triple of algebra-valued scalars
-b_k.  The action has three pieces: link curvature, covariant scalar
-kinetic term, and a quartic potential whose minima are the frame
-configuration b_k = iE_k.  The demo evaluates both exact vacua, then
+Each site carries an anti-Hermitian gauge potential a_mu and a triple of
+algebra-valued scalars b_k.  Together they form one connection with one
+curvature F_AB; its weighted squared norm has three pieces: the gauge
+curvature, the covariant scalar kinetic term, and a quartic potential
+whose minima are the frame configuration b_k = iE_k.  The demo evaluates both exact vacua, then
 computes the small-fluctuation mass spectrum at the broken vacuum and
 shows the Higgs-mechanism pattern: one exact zero mode (the residual
 U(1) along the identity) and a degenerate massive triplet whose mass
@@ -34,7 +35,7 @@ rng = np.random.default_rng(1)
 rough = random_lattice_config((L,), basis, 1.0, rng, scale=0.3)
 print(f"   random config: S = {lattice_action(rough):.4f}  (positive, as it must be)")
 
-print("\nmass spectrum over constant scalar fluctuations (broken vacuum, L = 16):")
+print("\nmass spectrum over constant gauge-potential shifts of a (broken vacuum, L = 16):")
 print(f"{'mu':>5} {'eigenvalues':>36} {'nonzero/mu^2':>14}")
 for mu in (0.5, 1.0, 2.0):
     spectrum = mass_spectrum(vacuum_config("broken", (L,), basis, mu=mu))

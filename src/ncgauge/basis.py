@@ -237,8 +237,19 @@ def bracket_defect(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     prod = a.reshape(lead + (d * r, r)) @ a.swapaxes(-3, -2).reshape(lead + (r, d * r))
     prod = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
     f = prod - prod.swapaxes(-4, -3)
+    del prod  # free the products before the second GEMM's output is allocated
     f -= (c.reshape(d * d, d) @ a.reshape(lead + (d, r * r))).reshape(f.shape)
     return f
+
+
+def adjoint_table(frame: np.ndarray) -> np.ndarray:
+    """``(K, n², n²)`` table of the adjoint action of a ``(K, n, n)`` stack:
+    ``a.reshape(-1, n²) @ table[k]`` is ``[frame[k], a]`` flattened row-major."""
+    k, n = frame.shape[:2]
+    eye = np.eye(n)
+    # table[k, (r, s), (p, q)] = E[p, r] δ_qs − δ_pr E[s, q], as ([E, a])_pq = Σ_rs a_rs table
+    ad = np.einsum("kpr,qs->krspq", frame, eye) - np.einsum("pr,ksq->krspq", eye, frame)
+    return ad.reshape(k, n * n, n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +331,8 @@ class MatrixBasis:
 
     @cached_property
     def ad_table(self) -> np.ndarray:
-        """``(D, n², n²)`` table of the frame's adjoint action: for a stack of
-        matrices ``a``, ``(a.reshape(-1, n²) @ ad_table[k]).reshape(-1, n, n)``
-        is the stack of commutators ``[iE_k, a]``, all from one product."""
-        n, eye = self.n, np.eye(self.n)
-        # row-major vec(E a) = (E ⊗ 1) vec(a) and vec(a E) = (1 ⊗ Eᵀ) vec(a)
-        ad = 1j * np.array([np.kron(e, eye) - np.kron(eye, e.T) for e in self.mats])
-        return frozen(ad.transpose(0, 2, 1))
+        """:func:`adjoint_table` of the frame ``iE_k``: ``[iE_k, a]`` for a whole stack ``a``."""
+        return frozen(adjoint_table(1j * self.mats))
 
     @cached_property
     def derform_plans(self) -> dict:

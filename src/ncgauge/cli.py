@@ -91,13 +91,21 @@ class RunConfig:
     m_matrix: np.ndarray | None
 
 
+def _number(kind: type, value):
+    """``kind(value)``, refusing a boolean and a fraction that ``int`` would truncate."""
+    truncated = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or truncated:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _parse_dims(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
         items = list(text)
     else:
         items = [part for part in str(text).split(",") if part.strip()]
     try:
-        dims = tuple(int(x) for x in items)
+        dims = tuple(_number(int, x) for x in items)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot parse lattice dims from {text!r}") from exc
     if not dims:
@@ -156,21 +164,20 @@ def build_config(argv: list[str]) -> RunConfig:
     try:
         # every number through its type in the table; r and steps may stay unset
         num = {
-            key: None if default is None and merged[key] is None else kind(merged[key])
+            key: None if default is None and merged[key] is None else _number(kind, merged[key])
             for key, (kind, default, _) in _OPTIONS.items()
             if kind in (int, float)
         }
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scalar option: {exc}") from exc
     n, big_n, mu, tol, r, steps = (num[key] for key in ("n", "N", "mu", "tol", "r", "steps"))
     if n < 2:
         raise ConfigError(f"matrix size must be at least 2, got {n}")
     if big_n < 1:
         raise ConfigError(f"two-point block size must be at least 1, got {big_n}")
-    if mu <= 0:
-        raise ConfigError(f"mu must be positive, got {mu}")
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+    for name, value in (("mu", mu), ("tolerance", tol)):
+        if not 0 < value < np.inf:  # NaN fails the comparison too
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
     if r is not None and r < 1:
         raise ConfigError(f"module row size must be positive, got {r}")
     if steps is not None and steps < 0:

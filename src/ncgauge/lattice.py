@@ -3,38 +3,38 @@
 The fields live on a small periodic lattice of dimension m ∈ {1, 2}
 (spacing fixed to 1): an anti-Hermitian gauge potential ``a_mu(x)`` per
 geometric direction and an anti-Hermitian multiplet ``b_k(x)`` indexed
-by the n²−1 frame directions of a matrix basis.  The action is a sum of
-three non-negative norm terms
+by the n²−1 frame directions of a matrix basis.  Stacked as one
+connection ``X = (a_μ, b_k)`` over the m + n²−1 directions they have one
+curvature ``F_AB = Δ_A X_B − Δ_B X_A + [X_A, X_B] − C̃^M_AB X_M``, with
+``Δ_μ`` the forward periodic difference, ``Δ_k = 0``, and ``C̃`` the
+frame's structure constants on frame indices, zero wherever an index is
+geometric.  Its blocks are ``F_μν``, ``F_μk = D_μ b_k = Δ_μ b_k + [a_μ, b_k]``
+and the frame curvature ``F_kl = [b_k, b_l] − C^m_kl b_m`` of ``b`` at each
+site, all built by :func:`ncgauge.basis.bracket_defect`, the kernel of
+``connections.curvature``.  The action is the weighted squared norm
 
-    S = Σ_x [ (1/4n) Σ_{μν} ‖F_μν‖² + (μ²/8n²) Σ_{μk} ‖D_μ b_k‖²
-              + (μ⁴/16n²) Σ_{kl} ‖[b_k, b_l] − C^m_kl b_m‖² ],
+    S = Σ_x Σ_AB W_AB ‖F_AB‖²,   W_AB = 1/4n, μ²/16n², μ⁴/16n²
 
-with ``F_μν = Δ_μ a_ν − Δ_ν a_μ + [a_μ, a_ν]`` and
-``D_μ b_k = Δ_μ b_k + [a_μ, b_k]`` built from forward periodic
-differences.  The Higgs term is the frame curvature of ``b`` at each
-site: ``[b_k, b_l] − C^m_kl b_m`` is :func:`ncgauge.basis.bracket_defect`,
-the kernel of ``connections.curvature``, so at every site it equals
-``curvature(MatrixConnection(basis, b(x)))``.  S vanishes exactly on two
+on geometric, mixed and frame pairs (A, B).  S vanishes exactly on two
 vacuum families: the symmetric one ``(a, b) = (0, 0)`` and the broken one
-``(a, b_k) = (0, iE_k)``, whose Higgs term dies on the bracket identity
-``[iE_k, iE_l] = C^m_kl (iE_m)``.  Around the broken vacuum the quadratic
-form over constant ``a``-fluctuations is a mass term ∝ μ² with an exact
-zero mode along the identity matrix — a small-scale Higgs mechanism.
-
-Relative prefactors of the three terms are a fixed convention of this
-module (each term is a genuine squared norm, so S ≥ 0 by construction);
-only their μ-weights matter for the reported spectra.
+``(a, b_k) = (0, iE_k)``, whose frame curvature dies on the bracket
+identity ``[iE_k, iE_l] = C^m_kl (iE_m)``.  Around the broken vacuum the
+quadratic form over constant ``a``-fluctuations is a mass term ∝ μ² with
+an exact zero mode along the identity matrix — a small-scale Higgs
+mechanism.  The weights are a fixed convention of this module (each term
+is a genuine squared norm, so S ≥ 0); only their μ-powers matter for the
+reported spectra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .basis import (
-    MatrixBasis, antihermitian_frame, bracket_defect, dagger, frob_norm, frozen, is_unitary
+    MatrixBasis, adjoint_table, antihermitian_frame, bracket_defect, dagger, frob_norm, frozen,
+    is_unitary,
 )
 from .errors import NotHermitianError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
@@ -94,8 +94,8 @@ class LatticeConfig:
             raise ShapeError(
                 f"algebraic field must have shape {dims + (self.basis.dim, n, n)}, got {b.shape}"
             )
-        if self.mu <= 0:
-            raise ShapeError("mu must be positive")
+        if not 0 < self.mu < np.inf:  # NaN fails the comparison too
+            raise ShapeError(f"mu must be finite and positive, got {self.mu}")
         if self.check:
             # each field at its own norm, so a small field next to a large one
             # is held to its own size
@@ -130,38 +130,29 @@ def _forward_diff(field: np.ndarray, axis: int) -> np.ndarray:
     return np.roll(field, -1, axis=axis) - field
 
 
-def _covariant_parts(cfg: LatticeConfig) -> tuple[dict, list[np.ndarray]]:
-    """``F_μν`` for each pair μ < ν, and ``D_μ b`` for each μ."""
-    a, b = cfg.a, cfg.b
-    f = {}
-    for mu_dir, nu_dir in combinations(range(cfg.m), 2):
-        a_mu, a_nu = a[..., mu_dir, :, :], a[..., nu_dir, :, :]
-        f[mu_dir, nu_dir] = (
-            _forward_diff(a_nu, mu_dir) - _forward_diff(a_mu, nu_dir) + a_mu @ a_nu - a_nu @ a_mu
-        )
-    d_b = [
-        _forward_diff(b, mu_dir) + a[..., mu_dir, None, :, :] @ b - b @ a[..., mu_dir, None, :, :]
-        for mu_dir in range(cfg.m)
-    ]
-    return f, d_b
+def _curvature(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked fields ``X = (a_μ, b_k)``, shape ``(*dims, m + D, n, n)``,
+    their curvature ``F_AB``, shape ``(*dims, m + D, m + D, n, n)``, and the
+    symmetric weights ``W_AB`` of the action ``Σ_x Σ_AB W_AB ‖F_AB‖²``."""
+    m, d, n, mu = cfg.m, cfg.basis.dim, cfg.basis.n, cfg.mu
+    x = np.concatenate([cfg.a, cfg.b], axis=-3)
+    c = np.pad(cfg.basis.c, ((m, 0),) * 3)  # C̃: zero wherever an index is geometric
+    f = bracket_defect(c, x)
+    for mu_dir in range(m):  # Δ_A X_B − Δ_B X_A, with Δ_k = 0
+        dx = _forward_diff(x, mu_dir)
+        f[..., mu_dir, :, :, :] += dx
+        f[..., :, mu_dir, :, :] -= dx
+    w = np.full((m + d, m + d), mu**4 / (16.0 * n**2))
+    w[:m] = w[:, :m] = mu**2 / (16.0 * n**2)
+    w[:m, :m] = 1.0 / (4.0 * n)
+    return x, f, w
 
 
 def lattice_action(cfg: LatticeConfig) -> float:
     """Total action (non-negative; exactly zero on both vacuum families)."""
-    n, mu = cfg.basis.n, cfg.mu
-    f, d_b = _covariant_parts(cfg)
-    total = 0.0
-    for f_mn in f.values():
-        # ordered double sum Σ_{μν} counts each unordered pair twice
-        total += 2.0 * float(np.sum(np.abs(f_mn) ** 2)) / (4.0 * n)
-    for d in d_b:
-        total += float(np.sum(np.abs(d) ** 2)) * mu**2 / (8.0 * n**2)
-
-    # the Higgs self-interaction: the frame curvature of b at every site
-    h = bracket_defect(cfg.basis.c, cfg.b)
-    total += float(np.sum(np.abs(h) ** 2)) * mu**4 / (16.0 * n**2)
-
-    return total
+    _, f, w = _curvature(cfg)
+    parts = f.reshape((-1,) + w.shape + (cfg.basis.n**2,)).view(float)  # real, imaginary parts
+    return float(np.sum(w * np.einsum("xabk,xabk->ab", parts, parts)))
 
 
 def lattice_gauge_transform(cfg: LatticeConfig, g: np.ndarray) -> LatticeConfig:
@@ -232,39 +223,34 @@ def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient and Hessian of the action over site-independent shifts
     of ``a``: each ``antihermitian_frame(n)`` direction in each slot, slot-major.
 
-    A constant shift δ has ``Δ_μ δ = 0``, so ``D_μ b`` gains ``[δ_μ, b]``
-    and ``F_μν`` gains ``[δ_μ, a_ν] + [a_μ, δ_ν] + [δ_μ, δ_ν]``.  A term
-    ``w‖R‖²`` with Jacobian J adds ``2w Re(JᴴR)`` to the gradient and
-    ``2w Re(JᴴJ)`` to the Hessian, and ``[δ_μ, δ_ν]`` adds
-    ``2w Re⟨Σ_x F_μν, [e_i, e_j]⟩`` between slots μ ≠ ν.
+    A constant shift ``e_i`` of ``a_μ`` meets no difference and no ``C̃``:
+    ``F_μB`` gains ``J^i_B = [e_i, X_B]`` and ``F_Bμ`` loses it, and a second
+    shift ``e_j`` of ``a_ν`` adds ``[e_i, e_j]`` to ``F_μν``.  With ``F``
+    antisymmetric and ``W`` symmetric the gradient is
+    ``4 Σ_B W_μB Re⟨F_μB, J^i_B⟩`` and the Hessian is ``4 Re(δ_μν Σ_B W_μB
+    ⟨J^i_B, J^j_B⟩ − W_μν ⟨J^i_ν, J^j_μ⟩ + W_μν ⟨Σ_x F_μν, [e_i, e_j]⟩)``.
     """
-    n, m, a = cfg.basis.n, cfg.m, cfg.a
+    n, m = cfg.basis.n, cfg.m
+    x, f, w = _curvature(cfg)
     e = antihermitian_frame(n)
-    k = len(e)
-    w_f, w_d = 1.0 / (2.0 * n), cfg.mu**2 / (8.0 * n**2)
-
-    def comm(x: np.ndarray) -> np.ndarray:  # [e_i, x], flattened per direction
-        x = x.reshape(-1, n, n)
-        return (e[:, None] @ x - x @ e[:, None]).reshape(k, -1)
-
-    f, d_b = _covariant_parts(cfg)
-    # D_μ b: the same Jacobian [e_i, b] in every slot
-    jac = comm(cfg.b)
-    grad = np.concatenate([2.0 * w_d * np.real(jac.conj() @ d.ravel()) for d in d_b])
-    hess = np.kron(np.eye(m), 2.0 * w_d * np.real(jac.conj() @ jac.T))
-    blocks = hess.reshape(m, k, m, k)  # a view: writes to it land in hess
-    e_comm = e[:, None] @ e - e @ e[:, None]
-    for (mu_dir, nu_dir), f_mn in f.items():
-        # slot μ sees [e_i, a_ν], slot ν sees −[e_i, a_μ]
-        jac = np.zeros((m, k, f_mn.size), dtype=complex)
-        jac[mu_dir], jac[nu_dir] = comm(a[..., nu_dir, :, :]), -comm(a[..., mu_dir, :, :])
-        jac = jac.reshape(m * k, -1)
-        grad += 2.0 * w_f * np.real(jac.conj() @ f_mn.ravel())
-        hess += 2.0 * w_f * np.real(jac.conj() @ jac.T)
-        curv = 2.0 * w_f * np.real(np.tensordot(e_comm, f_mn.reshape(-1, n, n).sum(0).conj(), 2))
-        blocks[mu_dir, :, nu_dir] += curv
-        blocks[nu_dir, :, mu_dir] += curv.T
-    return grad, hess
+    k, dd, nn = len(e), len(w), n * n
+    # [e_i, y] for every column y of an (n², ·) block from one GEMM: rows (i, ab)
+    table = adjoint_table(e).transpose(0, 2, 1).reshape(k * nn, nn)
+    # J^i_B and F_μB laid out (B, ·, n²·sites); a float view of each makes
+    # every Re⟨·, ·⟩ a real product of its real and imaginary parts
+    jac = (table @ x.reshape(-1, dd, nn).transpose(1, 2, 0)).reshape(dd, k, -1).view(float)
+    f = f.reshape(-1, dd, dd, nn)[:, :m]  # the rows F_μB of the geometric slots
+    f_mu = f.transpose(2, 1, 3, 0).reshape(dd, m, -1).view(float)
+    grad = 4.0 * np.einsum("mb,bmi->mi", w[:m], f_mu @ jac.swapaxes(1, 2))
+    gram = jac @ jac.swapaxes(1, 2)  # Re⟨J^i_B, J^j_B⟩ at [B, i, j]
+    geo = jac[:m].reshape(m * k, -1)
+    cross = (geo @ geo.T).reshape(m, k, m, k)  # Re⟨J^i_ν, J^j_μ⟩ at [ν, i, μ, j]
+    f_sum = f[:, :, :m].sum(axis=0)
+    e_comm = (table @ e.reshape(k, nn).T).reshape(k, nn, k)  # [e_i, e_j] at [i, ab, j]
+    curv = np.real(np.einsum("mna,iaj->minj", f_sum.conj(), e_comm))
+    hess = np.einsum("mn,mb,bij->minj", np.eye(m), w[:m], gram)
+    hess += w[:m, None, :m, None] * (curv - cross.transpose(2, 1, 0, 3))
+    return grad.ravel(), 4.0 * hess.reshape(m * k, m * k)
 
 
 def mass_spectrum(cfg: LatticeConfig) -> np.ndarray:

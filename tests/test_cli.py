@@ -67,6 +67,22 @@ def test_config_rejections(tmp_path):
         build_config(["two_point", "--N", "0"])
     with pytest.raises(ConfigError):
         build_config(["verify", "--mu", "-1"])
+    # NaN passes a `<= 0` test; mu and tol must be finite and positive
+    for flag in ("--mu", "--tol"):
+        for value in ("nan", "inf", "-inf", "0"):
+            with pytest.raises(ConfigError):
+                build_config(["minimize", flag, value])
+    # a config number where an integer is expected is never truncated
+    cfg_file = tmp_path / "numbers.json"
+    for entry in ({"n": 2.5}, {"n": True}, {"dims": [8.7]}, {"dims": [8, False]},
+                  {"seed": 0.5}, {"steps": float("inf")}, {"N": 1.5}, {"mu": True},
+                  {"mu": 10**400}):
+        cfg_file.write_text(json.dumps({"command": "minimize", **entry}))
+        with pytest.raises(ConfigError):
+            build_config(["--config", str(cfg_file)])
+    # an integral float is still the integer it spells
+    cfg_file.write_text(json.dumps({"command": "minimize", "n": 3.0, "dims": [8.0]}))
+    assert build_config(["--config", str(cfg_file)]).n == 3
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     with pytest.raises(ConfigError):

@@ -25,6 +25,7 @@ from ncgauge import (
     NotHermitianError,
     NotUnitaryError,
     ShapeError,
+    commutator,
     curvature,
     frob_norm,
     gellmann_basis,
@@ -57,8 +58,9 @@ def test_config_validation(basis2, rng):
         LatticeConfig((8,), basis2, a[:, 0], b, 1.0)  # missing direction axis
     with pytest.raises(ShapeError):
         LatticeConfig((8,), basis2, a, b[:, :2], 1.0)  # wrong frame count
-    with pytest.raises(ShapeError):
-        LatticeConfig((8,), basis2, a, b, -1.0)  # bad mu
+    for bad_mu in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ShapeError):
+            LatticeConfig((8,), basis2, a, b, bad_mu)  # bad mu: not finite and positive
     with pytest.raises(ShapeError):
         LatticeConfig((120,), basis2, a, b, 1.0)  # side too large
     with pytest.raises(ShapeError):
@@ -126,14 +128,31 @@ def test_action_extensivity_of_constant_fields(basis2, rng):
 
 
 def test_higgs_term_is_the_frame_curvature_at_every_site(basis3):
-    # S = F + μ²X + μ⁴H for fixed fields: the second difference over μ² = 1,
-    # 2, 3 isolates H, which must be Σ_x ‖curvature of the connection b(x)‖²/16n²
+    # S = G + μ²K + μ⁴H for fixed fields: the actions at μ² = 1, 2, 3 fix all
+    # three coefficients, and each must be its own per-site sum: the gauge term
+    # Σ_{μ<ν} 2‖F_μν‖²/4n, the kinetic term Σ_{μk} ‖Δ_μ b_k + [a_μ, b_k]‖²/8n²,
+    # and H = Σ_x ‖curvature of the connection b(x)‖²/16n²
     cfg = random_lattice_config((3, 4), basis3, 1.0, np.random.default_rng(7))
     s1, s2, s3 = (lattice_action(replace(cfg, mu=np.sqrt(t))) for t in (1.0, 2.0, 3.0))
-    n, d = basis3.n, basis3.dim
-    sites = [curvature(MatrixConnection(basis3, b_x)) for b_x in cfg.b.reshape(-1, d, n, n)]
-    expect = sum(frob_norm(f) ** 2 for f in sites) / (16.0 * n**2)
-    assert abs((s3 - 2.0 * s2 + s1) / 2.0 - expect) <= TAU_ALG * expect
+    higgs = (s3 - 2.0 * s2 + s1) / 2.0
+    kinetic = s2 - s1 - 3.0 * higgs
+    gauge = s1 - kinetic - higgs
+    n, d, a, b = basis3.n, basis3.dim, cfg.a, cfg.b
+    expect = {"gauge": 0.0, "kinetic": 0.0, "higgs": 0.0}
+    for x in np.ndindex(cfg.dims):
+        # the periodic neighbour x + μ̂ of x along each direction μ
+        up = [tuple((x[i] + (i == mu_dir)) % cfg.dims[i] for i in range(2)) for mu_dir in range(2)]
+        f_01 = a[up[0]][1] - a[x][1] - a[up[1]][0] + a[x][0] + commutator(a[x][0], a[x][1])
+        expect["gauge"] += 2.0 * frob_norm(f_01) ** 2 / (4.0 * n)
+        for mu_dir in range(2):
+            for k in range(d):
+                d_b = b[up[mu_dir]][k] - b[x][k] + commutator(a[x][mu_dir], b[x][k])
+                expect["kinetic"] += frob_norm(d_b) ** 2 / (8.0 * n**2)
+        f_b = curvature(MatrixConnection(basis3, b[x]))
+        expect["higgs"] += frob_norm(f_b) ** 2 / (16.0 * n**2)
+    got = {"gauge": gauge, "kinetic": kinetic, "higgs": higgs}
+    for term, value in expect.items():
+        assert abs(got[term] - value) <= TAU_ALG * value, (term, got[term], value)
 
 
 # ---------------------------------------------------------------------------
