@@ -75,6 +75,13 @@ def frozen(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def real_matmul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``t @ x``, complex ``(..., p, m)``, for a real ``(p, k)`` matrix ``t`` and a stack ``x``
+    ``(..., k, m)``: one real GEMM on the float view of ``x``, with no complex copy of ``t``."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (t @ x.view(float)).view(complex)
+
+
 def complex_record(a: np.ndarray) -> dict:
     """JSON-compatible record ``{"re": ..., "im": ...}`` of a complex array."""
     return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
@@ -232,13 +239,14 @@ def bracket_defect(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Frame curvature ``F[..., k, l] = [A_k, A_l] − C[k, l, m] A_m`` of a stack
     ``a`` of shape ``(..., D, r, r)``, shape ``(..., D, D, r, r)``: zero exactly
     when ``k ↦ A_k`` represents the frame bracket, as ``A_k = iE_k`` does."""
+    a = np.asarray(a, dtype=complex)
     lead, (d, r) = a.shape[:-3], a.shape[-3:-1]
     # every product A_k A_l of a stack from one (d·r × r)(r × d·r) GEMM
     prod = a.reshape(lead + (d * r, r)) @ a.swapaxes(-3, -2).reshape(lead + (r, d * r))
     prod = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
     f = prod - prod.swapaxes(-4, -3)
     del prod  # free the products before the second GEMM's output is allocated
-    f -= (c.reshape(d * d, d) @ a.reshape(lead + (d, r * r))).reshape(f.shape)
+    f -= real_matmul(c.reshape(d * d, d), a.reshape(lead + (d, r * r))).reshape(f.shape)
     return f
 
 

@@ -180,8 +180,9 @@ def build_config(argv: list[str]) -> RunConfig:
             raise ConfigError(f"{name} must be finite and positive, got {value}")
     if r is not None and r < 1:
         raise ConfigError(f"module row size must be positive, got {r}")
-    if steps is not None and steps < 0:
-        raise ConfigError(f"step budget must be non-negative, got {steps}")
+    for name, value in (("step budget", steps), ("seed", num["seed"])):
+        if value is not None and value < 0:  # a negative seed would reach default_rng
+            raise ConfigError(f"{name} must be non-negative, got {value}")
     dims = merged["dims"]
     if dims is not None:
         dims = _parse_dims(dims)

@@ -26,7 +26,8 @@ from itertools import combinations
 import numpy as np
 
 from .basis import (
-    MatrixBasis, bracket_defect, dagger, frob_norm, frozen, is_antihermitian, is_unitary
+    MatrixBasis, bracket_defect, dagger, frob_norm, frozen, is_antihermitian, is_unitary,
+    real_matmul,
 )
 from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import (
@@ -132,22 +133,25 @@ def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:
 
 
 def _raised(conn: MatrixConnection, f: np.ndarray) -> np.ndarray:
-    """``F^kl = g^ka g^lb F_ab`` as two GEMMs: ``g_inv`` on the first frame
-    index of all of ``F`` at once, then on the second within each ``k``."""
+    """``F^kl = g^ka g^lb F_ab`` as two real GEMMs (``real_matmul``): ``g_inv`` on
+    the first frame index of all of ``F`` at once, then on the second within each ``k``."""
     g_inv = conn.basis.g_inv
     d, r = f.shape[0], f.shape[2]
-    half = (g_inv @ f.reshape(d, d * r * r)).reshape(d, d, r * r)
-    return (g_inv @ half).reshape(f.shape)
+    half = real_matmul(g_inv, f.reshape(d, d * r * r)).reshape(d, d, r * r)
+    return real_matmul(g_inv, half).reshape(f.shape)
+
+
+def _action_raised(conn: MatrixConnection, f: np.ndarray) -> tuple[float, np.ndarray]:
+    """The action of the curvature ``f`` and ``F^kl``, raised once for both."""
+    f_up = _raised(conn, f)
+    val = -np.einsum("klij,klji->", f, f_up) / (8.0 * conn.basis.n)
+    return float(np.real(val)), f_up
 
 
 def action(conn: MatrixConnection, f: np.ndarray | None = None) -> float:
     """Yang-Mills action ``−(1/8n) Σ tr(F_kl F^kl)`` (non-negative for
     anti-Hermitian coefficients)."""
-    if f is None:
-        f = curvature(conn)
-    f_up = _raised(conn, f)
-    val = -np.einsum("klij,klji->", f, f_up) / (8.0 * conn.basis.n)
-    return float(np.real(val))
+    return _action_raised(conn, curvature(conn) if f is None else f)[0]
 
 
 def action_via_pairing(conn: MatrixConnection) -> float:
@@ -170,19 +174,21 @@ def action_gradient(conn: MatrixConnection, f: np.ndarray | None = None) -> np.n
     Stationarity ⟺ the anti-Hermitian part of
     ``M_k = 2 Σ_l [A_l, F^kl] − Σ_ab C[a, b, k] F^ab`` vanishes.
     """
+    return _gradient(conn, _raised(conn, curvature(conn) if f is None else f))
+
+
+def _gradient(conn: MatrixConnection, f_up: np.ndarray) -> np.ndarray:
+    """:func:`action_gradient` from the raised curvature ``F^kl``."""
     a = conn.coeffs
     d, r = a.shape[:2]
-    if f is None:
-        f = curvature(conn)
-    f_up = _raised(conn, f)
     # Σ_l A_l F^kl and Σ_l F^kl A_l as batched (r × d·r)(d·r × r) products
     a_row = a.transpose(1, 0, 2).reshape(r, d * r)
     f_row = f_up.transpose(0, 2, 1, 3).reshape(d, r, d * r)
     comm = a_row @ f_up.reshape(d, d * r, r) - f_row @ a.reshape(d * r, r)
     # Σ_ab C[a, b, k] F^ab: a view of C with rows k, as ``structure_constants``
     # stores C with its last index slowest
-    c_term = (conn.basis.c.reshape(d * d, d).T @ f_up.reshape(d * d, r * r)).reshape(d, r, r)
-    m = 2.0 * comm - c_term
+    c_term = real_matmul(conn.basis.c.reshape(d * d, d).T, f_up.reshape(d * d, r * r))
+    m = 2.0 * comm - c_term.reshape(d, r, r)
     return (m - dagger(m)) / (2.0 * 4.0 * conn.basis.n)
 
 
@@ -225,17 +231,16 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
     the action, so when no step above 1e-18 does, the line search stalls
     and ends the run.  Non-convergence is reported through
     ``converged=False`` and ``stop_reason``, never an exception.  The
-    curvature of each accepted point is computed once, for its action,
-    and reused for its gradient.
+    curvature of each trial point is computed and raised once, for its
+    action, and an accepted point's ``F^kl`` is reused for its gradient.
     """
     basis = conn.basis
     point = MatrixConnection(basis, conn.coeffs.copy())
-    f = curvature(point)
-    s = action(point, f)
+    s, f_up = _action_raised(point, curvature(point))
     step = 0.5
     it = 0
     stalled = False
-    g = action_gradient(point, f)
+    g = _gradient(point, f_up)
     gnorm = frob_norm(g)
     trace = [(0, s, gnorm, 0.0, 0)]
     while not (gnorm < gtol or it >= max_iter):
@@ -243,11 +248,10 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
         backtracks = 0
         while step > 1e-18:
             cand = MatrixConnection(basis, point.coeffs - step * g)
-            f_cand = curvature(cand)
-            s_cand = action(cand, f_cand)
+            s_cand, f_up_cand = _action_raised(cand, curvature(cand))
             # the strict test rejects a step whose decrease rounds away
             if s_cand < s and s_cand <= s - 1e-4 * step * gnorm**2:
-                point, f, s = cand, f_cand, s_cand
+                point, f_up, s = cand, f_up_cand, s_cand
                 break
             step /= 2.0
             backtracks += 1
@@ -255,7 +259,7 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
             stalled = True  # line search exhausted at machine precision
             break
         g_prev, gnorm_prev = g, gnorm
-        g = action_gradient(point, f)
+        g = _gradient(point, f_up)
         gnorm = frob_norm(g)
         it += 1
         trace.append((it, s, gnorm, step, backtracks))

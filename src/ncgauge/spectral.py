@@ -523,18 +523,16 @@ def sm_represent(lam: complex, q: np.ndarray, m3: np.ndarray) -> np.ndarray:
         raise ShapeError("second summand must be a 2x2 quaternionic matrix")
     if m3.shape != (3, 3):
         raise ShapeError("third summand must be a 3x3 complex matrix")
-    x1 = np.zeros((4, 4), dtype=complex)
-    x1[0, 0] = lam
-    x1[1, 1] = np.conjugate(lam)
-    x1[2:4, 2:4] = q
-    x2 = np.zeros((4, 4), dtype=complex)
-    x2[0, 0] = lam
-    x2[1:4, 1:4] = m3
-    eye4 = np.eye(4)
-    out = np.zeros((32, 32), dtype=complex)
-    out[:16, :16] = np.kron(x1, eye4)
-    out[16:, 16:] = np.kron(x2, eye4)
-    return out
+    x = np.zeros((2, 4, 4), dtype=complex)  # the two blocks X
+    x[:, 0, 0] = lam
+    x[0, 1, 1] = np.conjugate(lam)
+    x[0, 2:, 2:] = q
+    x[1, 1:, 1:] = m3
+    # (X ⊗ 1₄)[(i, k), (j, l)] = X[i, j] δ_kl, set on the diagonal k = l of each block
+    out = np.zeros((2, 4, 4, 2, 4, 4), dtype=complex)
+    block, k = np.arange(2)[:, None], np.arange(4)
+    out[block, :, k, block, :, k] = x[:, None]
+    return out.reshape(32, 32)
 
 
 def _transpose_permutation(k: int) -> np.ndarray:
@@ -619,16 +617,12 @@ def sm_algebra_fixture(d_f: np.ndarray | None = None) -> SMFixture:
     gens = tuple(sm_represent(*x) for x in gens_abstract)
 
     sample = _sm_sample_elements(np.random.default_rng(7), 6)
-    hom_res = 0.0
-    for x in sample:
-        for y in sample:
-            hom_res = max(
-                hom_res,
-                frob_norm(
-                    sm_represent(*x) @ sm_represent(*y) - sm_represent(*_sm_multiply(x, y))
-                ),
-            )
-    reps = [sm_represent(*x) for x in sample] + list(gens)
+    reps = [sm_represent(*x) for x in sample]
+    hom_res = max(
+        frob_norm(rx @ ry - sm_represent(*_sm_multiply(x, y)))
+        for x, rx in zip(sample, reps) for y, ry in zip(sample, reps)
+    )
+    reps += gens
     zeroth, first = _order_residuals([j.conjugate_operator(r) for r in reps], reps, d_f)
     if first > TAU_ALG * frob_norm(d_f):
         raise ConfigError(

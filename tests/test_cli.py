@@ -106,6 +106,20 @@ def test_config_rejects_an_out_that_is_not_a_path(capsys, tmp_path):
     assert err.startswith("configuration error: out must be a path string")
 
 
+@pytest.mark.parametrize("command", ["verify", "minimize", "two_point"])
+def test_negative_seed_is_a_config_error(capsys, tmp_path, command):
+    with pytest.raises(ConfigError, match="seed"):
+        build_config([command, "--seed", "-1"])
+    code, out, err = run_main(capsys, [command, "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("configuration error: seed must be non-negative, got -1")
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"command": command, "seed": -5}))
+    with pytest.raises(ConfigError, match="seed"):
+        build_config(["--config", str(cfg_file)])
+    assert build_config([command, "--seed", "0"]).seed == 0
+
+
 def test_mass_matrix_parsing(tmp_path):
     cfg_file = tmp_path / "m.json"
     cfg_file.write_text(

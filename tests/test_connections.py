@@ -37,6 +37,7 @@ from ncgauge import (
     random_connection,
     random_unitary,
 )
+from ncgauge import connections
 from ncgauge.verify import fd_action_gradient, line_derivative
 
 
@@ -341,6 +342,24 @@ def test_minimize_accepts_only_steps_that_lower_the_action(basis2):
     assert res.action == actions[-1] == action(res.connection)
     with pytest.raises(MaxIterationsError, match="line_search_stalled"):
         res.raise_for_convergence()
+
+
+def test_minimize_raises_each_trial_point_once(basis2, monkeypatch):
+    # F^kl is formed once for the start and once for every trial point (each
+    # accepted step and the halvings before it); an accepted point's
+    # gradient reuses the F^kl its action formed
+    calls = []
+    raised = connections._raised
+
+    def counted(conn, f):
+        calls.append(f.shape)
+        return raised(conn, f)
+
+    monkeypatch.setattr(connections, "_raised", counted)
+    res = minimize(random_connection(basis2, np.random.default_rng(1)), gtol=1e-8)
+    assert res.stop_reason == "gtol" and res.iterations > 5
+    assert sum(row[4] for row in res.trace) > 0  # some trial was rejected
+    assert len(calls) == 1 + sum(1 + backtracks for *_, backtracks in res.trace[1:])
 
 
 # ---------------------------------------------------------------------------
