@@ -50,26 +50,8 @@ from .spectral import two_point_action
 
 __all__ = ["RunConfig", "build_config", "cmd_verify", "cmd_minimize", "cmd_two_point", "main"]
 
-_COMMANDS = ("verify", "minimize", "two_point")
 #: one ``minimize`` CSV row per iteration: the accepted step and its halvings
 _MINIMIZE_HEADER = ["iter", "action", "grad_norm", "step", "backtracks"]
-
-# config key -> (type, default, help): each key with a help string is also a
-# flag of the same name, and the config file may set every key and "command"
-_OPTIONS = {
-    "n": (int, 2, "matrix size (default 2)"),
-    "N": (int, 1, "two-point block size"),
-    "r": (int, None, "module row size (default n)"),
-    "dims": (str, None, "lattice shape, e.g. 16 or 8,8"),
-    "mu": (float, 1.0, "algebraic-direction weight"),
-    "seed": (int, 0, "seed for all randomness"),
-    "steps": (int, None, "iteration/grid budget"),
-    "tol": (float, 1e-8, "convergence tolerance"),
-    "out": (str, None, "CSV output path"),
-    "init": (str, "broken", None),
-    "grid": (str, "real", None),
-    "M": (None, None, None),
-}
 
 
 @dataclass
@@ -91,42 +73,79 @@ class RunConfig:
     m_matrix: np.ndarray | None
 
 
-def _number(kind: type, value):
-    """``kind(value)``, refusing a boolean and a fraction that ``int`` would truncate."""
-    truncated = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or truncated:
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
-    return kind(value)
+def _option(test, wording: str, kind: type | None = None):
+    """Parser of one option: ``kind(value)``, refusing a boolean and a fraction that
+    ``int`` would truncate, then ``must be {wording}`` unless ``test`` holds."""
+    def parse(value):
+        if kind is not None:
+            truncated = kind is int and isinstance(value, float) and not value.is_integer()
+            try:
+                if isinstance(value, bool) or truncated:
+                    raise TypeError
+                value = kind(value)
+            except (OverflowError, TypeError, ValueError):
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"must be {noun}, got {value!r}") from None
+        if not test(value):
+            raise ValueError(f"must be {wording}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _parse_dims(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = [part for part in str(text).split(",") if part.strip()]
+def _one_of(*names: str):
+    return _option(lambda value: value in names, "/".join(names))
+
+
+_SIDE = _option(lambda side: 2 <= side <= MAX_SIDE, f"in 2..{MAX_SIDE}", int)
+_POSITIVE = _option(lambda x: 0 < x < np.inf, "finite and positive", float)  # NaN fails too
+_NON_NEGATIVE = _option(lambda k: k >= 0, "non-negative", int)  # default_rng refuses a seed < 0
+_PATH = _option(lambda path: isinstance(path, str), "a path string")
+
+
+def _dims(value) -> tuple[int, ...]:
+    """Lattice shape from ``"8,8"``, ``8`` or ``[8, 8]``."""
+    sides = value if isinstance(value, list) else [s for s in str(value).split(",") if s.strip()]
     try:
-        dims = tuple(_number(int, x) for x in items)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse lattice dims from {text!r}") from exc
-    if not dims:
-        raise ConfigError("empty lattice dims")
+        dims = tuple(_SIDE(side) for side in sides)
+    except ValueError:
+        dims = ()
+    if not 1 <= len(dims) <= MAX_LATTICE_DIM:
+        raise ValueError(f"must be 1..{MAX_LATTICE_DIM} sides in 2..{MAX_SIDE}, got {value!r}")
     return dims
 
 
-def _parse_mass_matrix(obj, big_n: int) -> np.ndarray:
+def _matrix(value) -> np.ndarray:
     try:
-        m = from_complex_record(obj) if isinstance(obj, dict) else np.array(obj, dtype=complex)
+        return from_complex_record(value) if isinstance(value, dict) else np.array(value, complex)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed mass matrix: {exc}") from exc
-    if m.shape != (big_n, big_n):
-        raise ConfigError(f"mass matrix must be {big_n}x{big_n}, got shape {m.shape}")
-    return m
+        raise ValueError(f"must be a complex matrix, got {value!r} ({exc})") from exc
+
+
+# config key -> (RunConfig field, parser, default, flag help): a key with a help string is
+# also a flag, and the config file may set every key and "command".  The parser takes a
+# flag's text or a config entry; a null entry keeps a None default and fails any other.
+_OPTIONS = {
+    "n": ("n", _option(lambda n: n >= 2, "at least 2", int), 2, "matrix size (default 2)"),
+    "N": ("big_n", _option(lambda n: n >= 1, "at least 1", int), 1, "two-point block size"),
+    "r": ("r", _option(lambda r: r >= 1, "positive", int), None, "module row size (default n)"),
+    "dims": ("dims", _dims, None, "lattice shape, e.g. 16 or 8,8"),
+    "mu": ("mu", _POSITIVE, 1.0, "algebraic-direction weight"),
+    "seed": ("seed", _NON_NEGATIVE, 0, "seed for all randomness"),
+    "steps": ("steps", _NON_NEGATIVE, None, "iteration/grid budget"),
+    "tol": ("tol", _POSITIVE, 1e-8, "convergence tolerance"),
+    "out": ("out", _PATH, None, "CSV output path"),
+    "init": ("init", _one_of("broken", "symmetric", "random"), "broken", None),
+    "grid": ("grid", _one_of("real", "circle"), "real", None),
+    "M": ("m_matrix", _matrix, None, None),
+}
 
 
 def build_config(argv: list[str]) -> RunConfig:
     """Parse flags, merge the optional JSON config on top, validate.
 
-    Raises ``ConfigError`` on any invalid input (exit code 2 territory).
+    Raises ``ConfigError`` on any invalid input (exit code 2 territory); a
+    ``--help`` request exits 0 through ``SystemExit``.
     """
     parser = argparse.ArgumentParser(
         prog="ncgauge",
@@ -135,16 +154,18 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("positional_command", nargs="?", choices=_COMMANDS, metavar="command")
     parser.add_argument("--command", choices=_COMMANDS, dest="command_flag")
     parser.add_argument("--config", help="JSON file whose entries override flags")
-    for key, (kind, default, text) in _OPTIONS.items():
+    for key, (_, _, default, text) in _OPTIONS.items():
         if text is not None:
             metavar = "BIG_N" if key == "N" else None  # "N" is already --n's metavar
-            parser.add_argument(f"--{key}", type=kind, default=default, help=text, metavar=metavar)
+            parser.add_argument(f"--{key}", default=default, help=text, metavar=metavar)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        if exc.code == 0:
+            raise
         raise ConfigError("unparseable command line") from exc
 
-    merged = {key: getattr(args, key, default) for key, (_, default, _) in _OPTIONS.items()}
+    merged = {key: getattr(args, key, default) for key, (_, _, default, _) in _OPTIONS.items()}
     merged["command"] = args.command_flag or args.positional_command
     if args.config:
         try:
@@ -159,63 +180,19 @@ def build_config(argv: list[str]) -> RunConfig:
         merged.update(loaded)
 
     command = merged["command"]
-    if command not in _COMMANDS:
-        raise ConfigError(f"command must be one of {_COMMANDS}, got {command!r}")
-    try:
-        # every number through its type in the table; r and steps may stay unset
-        num = {
-            key: None if default is None and merged[key] is None else _number(kind, merged[key])
-            for key, (kind, default, _) in _OPTIONS.items()
-            if kind in (int, float)
-        }
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scalar option: {exc}") from exc
-    n, big_n, mu, tol, r, steps = (num[key] for key in ("n", "N", "mu", "tol", "r", "steps"))
-    if n < 2:
-        raise ConfigError(f"matrix size must be at least 2, got {n}")
-    if big_n < 1:
-        raise ConfigError(f"two-point block size must be at least 1, got {big_n}")
-    for name, value in (("mu", mu), ("tolerance", tol)):
-        if not 0 < value < np.inf:  # NaN fails the comparison too
-            raise ConfigError(f"{name} must be finite and positive, got {value}")
-    if r is not None and r < 1:
-        raise ConfigError(f"module row size must be positive, got {r}")
-    for name, value in (("step budget", steps), ("seed", num["seed"])):
-        if value is not None and value < 0:  # a negative seed would reach default_rng
-            raise ConfigError(f"{name} must be non-negative, got {value}")
-    dims = merged["dims"]
-    if dims is not None:
-        dims = _parse_dims(dims)
-        if len(dims) > MAX_LATTICE_DIM or any(d < 2 or d > MAX_SIDE for d in dims):
-            raise ConfigError(
-                f"lattice dims must be 1..{MAX_LATTICE_DIM} sides in 2..{MAX_SIDE}, got {dims}"
-            )
-    init = str(merged["init"])
-    if init not in ("broken", "symmetric", "random"):
-        raise ConfigError(f"init must be broken/symmetric/random, got {init!r}")
-    grid = str(merged["grid"])
-    if grid not in ("real", "circle"):
-        raise ConfigError(f"grid must be real/circle, got {grid!r}")
-    if merged["out"] is not None and not isinstance(merged["out"], str):
-        raise ConfigError(f"out must be a path string, got {merged['out']!r}")
-    m_matrix = None
-    if merged["M"] is not None:
-        m_matrix = _parse_mass_matrix(merged["M"], big_n)
-    return RunConfig(
-        command=command,
-        n=n,
-        big_n=big_n,
-        r=r,
-        dims=dims,
-        mu=mu,
-        seed=num["seed"],
-        steps=steps,
-        tol=tol,
-        out=merged["out"],
-        init=init,
-        grid=grid,
-        m_matrix=m_matrix,
-    )
+    if command not in tuple(_COMMANDS):  # a tuple: a config entry may be unhashable
+        raise ConfigError(f"command must be one of {tuple(_COMMANDS)}, got {command!r}")
+    fields = {"command": command}
+    for key, (field, parse, default, _) in _OPTIONS.items():
+        value = merged[key]
+        try:
+            fields[field] = None if value is None and default is None else parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key} {exc}") from exc
+    m, big_n = fields["m_matrix"], fields["big_n"]
+    if m is not None and m.shape != (big_n, big_n):
+        raise ConfigError(f"M must be {big_n}x{big_n}, got shape {m.shape}")
+    return RunConfig(**fields)
 
 
 def _emit(cfg: RunConfig, csv_header: list[str], csv_rows: list[tuple], summary: dict) -> None:
@@ -310,9 +287,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
 
 
 def cmd_two_point(cfg: RunConfig) -> int:
-    m = cfg.m_matrix
-    if m is None:
-        m = np.eye(cfg.big_n, dtype=complex)
+    m = np.eye(cfg.big_n, dtype=complex) if cfg.m_matrix is None else cfg.m_matrix
     if cfg.grid == "circle":
         count = 64 if cfg.steps is None else max(1, cfg.steps)
         phis = np.exp(2j * np.pi * np.arange(count) / count)
@@ -338,15 +313,15 @@ def cmd_two_point(cfg: RunConfig) -> int:
     return 0
 
 
+#: command name -> handler: the argparse choices and ``main``'s dispatch
+_COMMANDS = {"verify": cmd_verify, "minimize": cmd_minimize, "two_point": cmd_two_point}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = build_config(argv)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "minimize":
-            return cmd_minimize(cfg)
-        return cmd_two_point(cfg)
+        return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

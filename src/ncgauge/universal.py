@@ -23,6 +23,7 @@ curvature of the Hermitian connection ``(r, conj(r))`` is the constant
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,28 @@ MAX_DEGREE = 3
 _HARD_DEGREE_CAP = MAX_DEGREE + 2
 
 
+def _require_storable(size: int, degree: int) -> None:
+    """Refuse a degree-``degree`` form on ``size`` points before its values exist."""
+    if size < 1:
+        raise ShapeError(f"point set must be nonempty, got size {size}")
+    if degree < 0 or degree > _HARD_DEGREE_CAP:
+        raise DegreeError(f"degree {degree} outside supported range 0..{_HARD_DEGREE_CAP}")
+    if int(size) ** (degree + 1) > _MAX_ENTRIES:  # a Python int cannot wrap around
+        raise ShapeError("form storage exceeds the dense-array budget")
+
+
+@lru_cache(maxsize=8)
+def _coincident(size: int, degree: int) -> np.ndarray:
+    """Flat positions of the entries of a degree-``degree`` form on ``size`` points
+    at which two consecutive arguments coincide: where every form must vanish."""
+    mask = np.zeros((size,) * (degree + 1), dtype=bool)
+    eye = np.eye(size, dtype=bool)
+    for axis in range(degree):
+        # broadcasting puts the (x_axis, x_axis+1) diagonal on the right axes
+        mask |= eye.reshape(eye.shape + (1,) * (degree - 1 - axis))
+    return frozen(np.flatnonzero(mask), dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class UniversalForm:
     """A degree-``p`` universal form: dense values on ``X^(p+1)``."""
@@ -62,33 +85,20 @@ class UniversalForm:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", frozen(self.values))
-        if self.size < 1:
-            raise ShapeError(f"point set must be nonempty, got size {self.size}")
-        if self.degree < 0 or self.degree > _HARD_DEGREE_CAP:
-            raise DegreeError(
-                f"degree {self.degree} outside supported range 0..{_HARD_DEGREE_CAP}"
-            )
+        _require_storable(self.size, self.degree)
         expected = (self.size,) * (self.degree + 1)
-        if self.values.shape != expected:
+        if np.shape(self.values) != expected:
             raise ShapeError(
                 f"degree-{self.degree} form on {self.size} points needs values of "
-                f"shape {expected}, got {self.values.shape}"
+                f"shape {expected}, got {np.shape(self.values)}"
             )
-        if self.values.size > _MAX_ENTRIES:
-            raise ShapeError("form storage exceeds the dense-array budget")
-        self._require_consecutive_vanishing()
-
-    def _require_consecutive_vanishing(self) -> None:
-        v = self.values
-        for axis in range(self.degree):
-            worst = float(np.abs(np.diagonal(v, axis1=axis, axis2=axis + 1)).max(initial=0.0))
-            # judged against the largest entry, so a form of any size is held to
-            # its own scale; an exact zero passes without that reduction
-            if worst > 0.0 and worst > TAU_ALG * float(np.abs(v).max()):
-                raise ShapeError(
-                    "form values must vanish when consecutive arguments coincide"
-                )
+        v = frozen(self.values)
+        object.__setattr__(self, "values", v)
+        worst = float(np.abs(np.take(v, _coincident(self.size, self.degree))).max(initial=0.0))
+        # judged against the largest entry, so a form of any size is held to its
+        # own scale; an exact zero passes without that reduction
+        if worst > 0.0 and worst > TAU_ALG * float(np.abs(v).max()):
+            raise ShapeError("form values must vanish when consecutive arguments coincide")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -141,14 +151,10 @@ def random_universal_form(size: int, degree: int, rng: np.random.Generator) -> U
     diagonals zeroed out."""
     if degree > MAX_DEGREE:
         raise DegreeError(f"random forms support degree up to {MAX_DEGREE}")
+    _require_storable(size, degree)
     shape = (size,) * (degree + 1)
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for axis in range(degree):
-        for i in range(size):
-            sel: list = [slice(None)] * (degree + 1)
-            sel[axis] = i
-            sel[axis + 1] = i
-            values[tuple(sel)] = 0.0
+    np.put(values, _coincident(size, degree), 0.0)
     return UniversalForm(size, degree, values)
 
 
@@ -156,8 +162,7 @@ def uproduct(f: UniversalForm, g: UniversalForm) -> UniversalForm:
     """Junction product of two universal forms (degree adds)."""
     f._compatible(g)
     p, q = f.degree, g.degree
-    if p + q > _HARD_DEGREE_CAP:
-        raise DegreeError(f"product degree {p + q} exceeds the cap {_HARD_DEGREE_CAP}")
+    _require_storable(f.size, p + q)
     letters = "abcdefgh"
     lhs = letters[: p + 1]
     rhs = letters[p : p + q + 1]
@@ -169,8 +174,7 @@ def uproduct(f: UniversalForm, g: UniversalForm) -> UniversalForm:
 def duniv(f: UniversalForm) -> UniversalForm:
     """Finite-difference differential, raising the degree by one."""
     p = f.degree
-    if p + 1 > _HARD_DEGREE_CAP:
-        raise DegreeError(f"differential would exceed the degree cap {_HARD_DEGREE_CAP}")
+    _require_storable(f.size, p + 1)
     shape = (f.size,) * (p + 2)
     out = np.zeros(shape, dtype=complex)
     for i in range(p + 2):

@@ -371,3 +371,21 @@ def test_console_script_installed_and_runs(tmp_path):
             cwd=tmp_path,
         )
         check_console_run(proc)
+
+
+def test_help_exits_zero_with_usage_on_stdout(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgauge.cli", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ncgauge")
+    assert proc.stderr == ""

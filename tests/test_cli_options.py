@@ -46,3 +46,49 @@ def test_config_only_keys_have_no_flag(key, tmp_path):
         build_config(["two_point", f"--{key}", "x"])
     value = {"init": "symmetric", "grid": "circle", "M": [[2.0]]}[key]
     build_config(["two_point", "--config", _config(tmp_path, {key: value})])
+
+
+# option -> (a bad flag text, the same bad value in JSON); a flag's text is
+# always a path string, so ``out`` has no bad flag value, and ``init``,
+# ``grid`` and ``M`` have no flag
+BAD = {
+    "n": ("2.5", 2.5),
+    "N": ("0", 0),
+    "r": ("0", 0),
+    "dims": ("8,8,8", "8,8,8"),
+    "mu": ("-1", -1),
+    "seed": ("-1", -1),
+    "steps": ("1.5", 1.5),
+    "tol": ("0", 0),
+    "out": (None, 5),
+    "init": (None, "sideways"),
+    "grid": (None, "square"),
+    "M": (None, [[1, 2]]),
+}
+
+
+def _refusal(argv) -> str:
+    with pytest.raises(ConfigError) as info:
+        build_config(argv)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("key", sorted(BAD))
+def test_flag_and_config_refuse_a_bad_value_under_its_key(key, tmp_path):
+    text, value = BAD[key]
+    if text is not None:
+        assert _refusal(["two_point", f"--{key}", text]).startswith(f"{key} ")
+    assert _refusal(["two_point", "--config", _config(tmp_path, {key: value})]).startswith(f"{key} ")
+
+
+# the options whose default is None -> their RunConfig field
+UNSET = {"r": "r", "dims": "dims", "steps": "steps", "out": "out", "M": "m_matrix"}
+
+
+@pytest.mark.parametrize("key", sorted(BAD))
+def test_null_keeps_only_a_none_default(key, tmp_path):
+    argv = ["two_point", "--config", _config(tmp_path, {key: None})]
+    if key in UNSET:
+        assert getattr(build_config(argv), UNSET[key]) is None
+    else:
+        assert _refusal(argv).startswith(f"{key} ")

@@ -2,6 +2,9 @@
 involution, and the two-point displays used by the operator model."""
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,34 @@ def test_degree_caps():
     assert df.degree == MAX_DEGREE + 1
     with pytest.raises(DegreeError):
         uproduct(df, df)
+
+
+@pytest.mark.parametrize("operation", [duniv, lambda f: uproduct(f, f)])
+def test_storage_budget_is_checked_before_allocating(operation):
+    # 101**3 entries exceed the 10**6 budget; the result must not be built
+    f = random_universal_form(101, 1, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError):
+            operation(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("size,degree", [(1, 0), (3, 1), (3, 2), (2, 3), (4, 3)])
+def test_random_form_vanishes_exactly_where_consecutive_arguments_coincide(size, degree):
+    f = random_universal_form(size, degree, np.random.default_rng(size + degree))
+    for point in itertools.product(range(size), repeat=degree + 1):
+        coincide = any(a == b for a, b in zip(point, point[1:]))
+        assert (f.values[point] == 0.0) == coincide
+    # a form that breaks the rule at a single such entry is refused
+    if degree > 0:
+        values = np.array(f.values)
+        values[(0,) * (degree + 1)] = 1.0
+        with pytest.raises(ShapeError):
+            UniversalForm(size, degree, values)
 
 
 def test_size_mismatch_rejected():
