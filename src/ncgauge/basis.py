@@ -41,7 +41,6 @@ __all__ = [
     "random_unitary",
     "gellmann_basis",
     "antihermitian_frame",
-    "basis_metric",
     "structure_constants",
     "bracket_defect",
     "MatrixBasis",
@@ -194,12 +193,6 @@ def antihermitian_frame(n: int) -> np.ndarray:
     return 1j * np.concatenate([np.eye(n)[None] / np.sqrt(n), lam / np.sqrt(2.0)])
 
 
-def basis_metric(mats: np.ndarray) -> np.ndarray:
-    """Metric ``g[k, l] = (1/n) tr(E_k E_l)`` of a Hermitian basis."""
-    n = mats.shape[-1]
-    return np.real(np.einsum("kab,lba->kl", mats, mats)) / n
-
-
 def structure_constants(mats: np.ndarray) -> np.ndarray:
     """Structure constants ``C[k, l, m]`` with ``i [E_k, E_l] = C[k, l, m] E_m``.
 
@@ -306,7 +299,7 @@ class MatrixBasis:
                 raise NotHermitianError(f"basis matrix {k} is not Hermitian")
             if not is_traceless(e):
                 raise SingularBasisError(f"basis matrix {k} is not traceless")
-        g = basis_metric(mats)
+        g = np.real(np.einsum("kab,lba->kl", mats, mats)) / n  # (1/n) tr(E_k E_l)
         # positive-definite relative to its own scale, whatever the scale
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= TAU_ALG * eigs[-1]:
@@ -336,6 +329,15 @@ class MatrixBasis:
         lmk = np.argwhere(self.c)
         lmk = lmk[lmk[:, 0] < lmk[:, 1]]
         return frozen(lmk, np.intp), frozen(self.c[tuple(lmk.T)], float)
+
+    @cached_property
+    def normal_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """``L`` with ``L Lᵀ = (2/n)·g_inv``, and the structure constants ``C̃`` of the
+        frame ``Ẽ_c = Σ_a L_ac E_a``, whose metric is ``(2/n)·1`` as Gell-Mann's is:
+        coefficients go there as ``Ã = Lᵀ A``, gradients come back as ``L G̃``."""
+        lower = np.linalg.cholesky((2.0 / self.n) * self.g_inv)
+        mats = real_matmul(lower.T, self.mats.reshape(self.dim, -1)).reshape(self.mats.shape)
+        return frozen(lower, float), frozen(structure_constants(mats), float)
 
     @cached_property
     def ad_table(self) -> np.ndarray:

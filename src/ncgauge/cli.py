@@ -158,6 +158,11 @@ def build_config(argv: list[str]) -> RunConfig:
         if text is not None:
             metavar = "BIG_N" if key == "N" else None  # "N" is already --n's metavar
             parser.add_argument(f"--{key}", default=default, help=text, metavar=metavar)
+    # argparse reads "-1e-3" or "-inf" after a flag as an option, but "--tol=-1e-3" as a value
+    flags = {"--command", "--config"} | {f"--{key}" for key, opt in _OPTIONS.items() if opt[3]}
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in flags and argv[i].startswith("-") and not argv[i].startswith("--"):
+            argv = [*argv[: i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1 :]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,14 +8,15 @@ transformations therefore act homogeneously, ``A_k ↦ g† A_k g``.
 The curvature components are ``F_kl = [A_k, A_l] − C[k, l, m] A_m``;
 they vanish exactly when ``k ↦ A_k`` is a Lie-algebra representation of
 the frame bracket, which is how flat connections are classified.  The
-action is the non-negative quartic
+action is the Hermitian norm of the curvature, ``F^kl = g^ka g^lb F_ab``,
 
-    S[A] = −(1/8n) Σ_{k,l} tr(F_kl F^kl),       F^kl = g^ka g^lb F_ab,
+    S[A] = (1/8n) Σ_{k,l} Re tr(F_kl† F^kl) = (n/32) Σ_{k,l} ‖F̃_kl‖²,
 
-whose two exact minima families at ``A = 0`` and ``A_k = iE_k`` are the
-symmetric and broken vacua.  ``action_via_pairing`` recomputes S through
-the Hodge-star route ``(1/4)∫ F* ⋆F`` as an independent cross-check of
-the whole calculus stack.
+read without a metric in the basis' normal frame, where ``Ã = Lᵀ A`` has
+the curvature ``F̃``.  Its two exact minima families at ``A = 0`` and
+``A_k = iE_k`` are the symmetric and broken vacua.  ``action_via_pairing``
+recomputes S through the Hodge-star route ``(1/4)∫ F* ⋆F`` as an
+independent cross-check of the whole calculus stack.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .basis import (
     real_matmul,
 )
 from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
-from .errors import (
-    MaxIterationsError,
-    NotProjectorError,
-    NotUnitaryError,
-    ShapeError,
-)
+from .errors import MaxIterationsError, NotProjectorError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
 
 __all__ = [
@@ -132,64 +128,57 @@ def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:
     return MatrixConnection(conn.basis, dagger(g) @ conn.coeffs @ g)
 
 
-def _raised(conn: MatrixConnection, f: np.ndarray) -> np.ndarray:
-    """``F^kl = g^ka g^lb F_ab`` as two real GEMMs (``real_matmul``): ``g_inv`` on
-    the first frame index of all of ``F`` at once, then on the second within each ``k``."""
-    g_inv = conn.basis.g_inv
-    d, r = f.shape[0], f.shape[2]
-    half = real_matmul(g_inv, f.reshape(d, d * r * r)).reshape(d, d, r * r)
-    return real_matmul(g_inv, half).reshape(f.shape)
+def _action_parts(conn: MatrixConnection) -> tuple[float, np.ndarray, np.ndarray]:
+    """The action and the normal-frame ``Ã = Lᵀ A`` and ``F̃`` it is read from."""
+    lower, c = conn.basis.normal_frame
+    d, r = conn.coeffs.shape[:2]
+    a = real_matmul(lower.T, conn.coeffs.reshape(d, r * r)).reshape(d, r, r)
+    f = bracket_defect(c, a)
+    return conn.basis.n / 32.0 * float(np.vdot(f, f).real), a, f
 
 
-def _action_raised(conn: MatrixConnection, f: np.ndarray) -> tuple[float, np.ndarray]:
-    """The action of the curvature ``f`` and ``F^kl``, raised once for both."""
-    f_up = _raised(conn, f)
-    val = -np.einsum("klij,klji->", f, f_up) / (8.0 * conn.basis.n)
-    return float(np.real(val)), f_up
-
-
-def action(conn: MatrixConnection, f: np.ndarray | None = None) -> float:
-    """Yang-Mills action ``−(1/8n) Σ tr(F_kl F^kl)`` (non-negative for
-    anti-Hermitian coefficients)."""
-    return _action_raised(conn, curvature(conn) if f is None else f)[0]
+def action(conn: MatrixConnection) -> float:
+    """Yang-Mills action ``(1/8n) Σ Re tr(F_kl† F^kl)``, read in the normal frame as
+    ``(n/32) Σ ‖F̃_kl‖²``: a squared norm, so non-negative for every connection."""
+    return _action_parts(conn)[0]
 
 
 def action_via_pairing(conn: MatrixConnection) -> float:
     """The action recomputed through the metric pairing of the curvature
     form with itself: ``(1/4) ∫ F* ⋆F``.
 
-    Independent code path through the exterior calculus (involution,
-    Hodge star, top-degree integral); agrees with :func:`action` exactly
-    for anti-Hermitian connections on the module with ``r = n``.
+    Independent code path through the exterior calculus (involution, Hodge
+    star with the metric, top-degree integral); agrees with :func:`action`
+    for every connection on the module with ``r = n``.
     """
     f_form = curvature_form(conn)
     pairing = nc_integrate(wedge(dinvolution(f_form), hodge(f_form)))
     return float(np.real(pairing)) / 4.0
 
 
-def action_gradient(conn: MatrixConnection, f: np.ndarray | None = None) -> np.ndarray:
+def action_gradient(conn: MatrixConnection) -> np.ndarray:
     """Gradient of the action over the real coordinates of anti-Hermitian
-    coefficients, shape ``(dim, r, r)``; each component anti-Hermitian.
-
-    Stationarity ⟺ the anti-Hermitian part of
-    ``M_k = 2 Σ_l [A_l, F^kl] − Σ_ab C[a, b, k] F^ab`` vanishes.
-    """
-    return _gradient(conn, _raised(conn, curvature(conn) if f is None else f))
+    coefficients, shape ``(dim, r, r)``, each component anti-Hermitian: ``L G̃``
+    for ``G̃ = (n/32)(K − K†)``, ``K_k = 2 Σ_l [F̃_kl, Ã_l†] − Σ_ab C̃[a, b, k] F̃_ab``,
+    so stationarity ⟺ ``K`` is Hermitian."""
+    return _gradient(conn.basis, *_action_parts(conn)[1:])
 
 
-def _gradient(conn: MatrixConnection, f_up: np.ndarray) -> np.ndarray:
-    """:func:`action_gradient` from the raised curvature ``F^kl``."""
-    a = conn.coeffs
+def _gradient(basis: MatrixBasis, a_n: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """:func:`action_gradient` from the normal-frame ``Ã`` and ``F̃``."""
+    lower, c = basis.normal_frame
+    a = dagger(a_n)
     d, r = a.shape[:2]
-    # Σ_l A_l F^kl and Σ_l F^kl A_l as batched (r × d·r)(d·r × r) products
+    # Σ_l F̃_kl Ã_l† and Σ_l Ã_l† F̃_kl as batched (r × d·r)(d·r × r) products
     a_row = a.transpose(1, 0, 2).reshape(r, d * r)
-    f_row = f_up.transpose(0, 2, 1, 3).reshape(d, r, d * r)
-    comm = a_row @ f_up.reshape(d, d * r, r) - f_row @ a.reshape(d * r, r)
-    # Σ_ab C[a, b, k] F^ab: a view of C with rows k, as ``structure_constants``
+    f_row = f.transpose(0, 2, 1, 3).reshape(d, r, d * r)
+    comm = f_row @ a.reshape(d * r, r) - a_row @ f.reshape(d, d * r, r)
+    # Σ_ab C̃[a, b, k] F̃_ab: a view of C̃ with rows k, as ``structure_constants``
     # stores C with its last index slowest
-    c_term = real_matmul(conn.basis.c.reshape(d * d, d).T, f_up.reshape(d * d, r * r))
+    c_term = real_matmul(c.reshape(d * d, d).T, f.reshape(d * d, r * r))
     m = 2.0 * comm - c_term.reshape(d, r, r)
-    return (m - dagger(m)) / (2.0 * 4.0 * conn.basis.n)
+    g = real_matmul(lower, (m - dagger(m)).reshape(d, r * r))
+    return g.reshape(d, r, r) * (basis.n / 32.0)
 
 
 @dataclass
@@ -230,17 +219,17 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
     ``max_iter`` accepted steps.  A step is accepted only if it lowers
     the action, so when no step above 1e-18 does, the line search stalls
     and ends the run.  Non-convergence is reported through
-    ``converged=False`` and ``stop_reason``, never an exception.  The
-    curvature of each trial point is computed and raised once, for its
-    action, and an accepted point's ``F^kl`` is reused for its gradient.
+    ``converged=False`` and ``stop_reason``, never an exception.  Each trial
+    point's normal-frame ``Ã`` and ``F̃`` are formed once, for its action; an
+    accepted point's give its gradient, stepped along in the original coordinates.
     """
     basis = conn.basis
     point = MatrixConnection(basis, conn.coeffs.copy())
-    s, f_up = _action_raised(point, curvature(point))
+    s, a, f = _action_parts(point)
     step = 0.5
     it = 0
     stalled = False
-    g = _gradient(point, f_up)
+    g = _gradient(basis, a, f)
     gnorm = frob_norm(g)
     trace = [(0, s, gnorm, 0.0, 0)]
     while not (gnorm < gtol or it >= max_iter):
@@ -248,10 +237,10 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
         backtracks = 0
         while step > 1e-18:
             cand = MatrixConnection(basis, point.coeffs - step * g)
-            s_cand, f_up_cand = _action_raised(cand, curvature(cand))
+            s_cand, a_cand, f_cand = _action_parts(cand)
             # the strict test rejects a step whose decrease rounds away
             if s_cand < s and s_cand <= s - 1e-4 * step * gnorm**2:
-                point, f_up, s = cand, f_up_cand, s_cand
+                point, s, a, f = cand, s_cand, a_cand, f_cand
                 break
             step /= 2.0
             backtracks += 1
@@ -259,7 +248,7 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
             stalled = True  # line search exhausted at machine precision
             break
         g_prev, gnorm_prev = g, gnorm
-        g = _gradient(point, f_up)
+        g = _gradient(basis, a, f)
         gnorm = frob_norm(g)
         it += 1
         trace.append((it, s, gnorm, step, backtracks))

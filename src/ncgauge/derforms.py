@@ -41,6 +41,7 @@ import numpy as np
 
 from .basis import MatrixBasis, complex_record, dagger, from_complex_record, frozen, is_traceless
 from .errors import BasisMismatchError, DegreeError, ShapeError
+from .tolerances import TAU_ALG
 
 __all__ = [
     "DerForm",
@@ -66,7 +67,8 @@ class Derivation:
     """The inner derivation ``ad(gamma): a ↦ [gamma, a]`` with ``gamma`` traceless.
 
     ``coeffs`` are the components in the ``∂_k = ad(iE_k)`` frame, i.e.
-    ``ad(gamma) = Σ_k coeffs[k] ∂_k`` with ``coeffs = expand(-i·gamma)``.
+    ``ad(gamma) = Σ_k coeffs[k] ∂_k`` with ``coeffs = expand(-i·gamma)``;
+    given ones must agree with it at ``TAU_ALG`` times their norm.
     """
 
     basis: MatrixBasis
@@ -80,15 +82,17 @@ class Derivation:
         if not is_traceless(gamma):
             raise ShapeError("gamma must be traceless to define a derivation frame component")
         object.__setattr__(self, "gamma", gamma)
-        coeffs = self.basis.expand(-1j * gamma) if self.coeffs is None else self.coeffs
+        own = self.basis.expand(-1j * gamma)
+        coeffs = own if self.coeffs is None else np.asarray(self.coeffs)
+        error = np.linalg.norm(coeffs - own) if coeffs.shape == own.shape else np.inf
+        if error > TAU_ALG * np.linalg.norm(coeffs):
+            raise ShapeError(f"coeffs must be expand(-i·gamma) = {own}, got {coeffs}")
         object.__setattr__(self, "coeffs", frozen(coeffs))
 
     @classmethod
     def frame(cls, basis: MatrixBasis, k: int) -> "Derivation":
         """The basis derivation ``∂_k = ad(iE_k)`` with exact unit coefficients."""
-        coeffs = np.zeros(basis.dim, dtype=complex)
-        coeffs[k] = 1.0
-        return cls(basis, 1j * basis.mats[k], coeffs)
+        return cls(basis, 1j * basis.mats[k], np.eye(basis.dim)[k])
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         return self.gamma @ a - a @ self.gamma

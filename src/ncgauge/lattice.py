@@ -3,27 +3,27 @@
 The fields live on a small periodic lattice of dimension m ∈ {1, 2}
 (spacing fixed to 1): an anti-Hermitian gauge potential ``a_mu(x)`` per
 geometric direction and an anti-Hermitian multiplet ``b_k(x)`` indexed
-by the n²−1 frame directions of a matrix basis.  Stacked as one
-connection ``X = (a_μ, b_k)`` over the m + n²−1 directions they have one
-curvature ``F_AB = Δ_A X_B − Δ_B X_A + [X_A, X_B] − C̃^M_AB X_M``, with
-``Δ_μ`` the forward periodic difference, ``Δ_k = 0``, and ``C̃`` the
-frame's structure constants on frame indices, zero wherever an index is
-geometric.  Its blocks are ``F_μν``, ``F_μk = D_μ b_k = Δ_μ b_k + [a_μ, b_k]``
-and the frame curvature ``F_kl = [b_k, b_l] − C^m_kl b_m`` of ``b`` at each
-site, all built by :func:`ncgauge.basis.bracket_defect`, the kernel of
-``connections.curvature``.  The action is the weighted squared norm
+by the n²−1 frame directions of a matrix basis, read in the basis' normal
+frame as ``b̃ = Lᵀ b`` (``MatrixBasis.normal_frame``, metric ``(2/n)·1``).
+Stacked as one connection ``X = (a_μ, b̃_k)`` they have one curvature
+``F_AB = Δ_A X_B − Δ_B X_A + [X_A, X_B] − C̃^M_AB X_M``, with ``Δ_μ`` the
+forward periodic difference, ``Δ_k = 0``, and ``C̃`` the normal frame's
+structure constants on frame indices, zero wherever an index is geometric.
+Its blocks ``F_μν``, ``F_μk = Δ_μ b̃_k + [a_μ, b̃_k]`` and the frame
+curvature ``F_kl`` of ``b̃`` at each site all come from
+:func:`ncgauge.basis.bracket_defect`.  The action is the weighted squared norm
 
     S = Σ_x Σ_AB W_AB ‖F_AB‖²,   W_AB = 1/4n, μ²/16n², μ⁴/16n²
 
-on geometric, mixed and frame pairs (A, B).  S vanishes exactly on two
-vacuum families: the symmetric one ``(a, b) = (0, 0)`` and the broken one
-``(a, b_k) = (0, iE_k)``, whose frame curvature dies on the bracket
-identity ``[iE_k, iE_l] = C^m_kl (iE_m)``.  Around the broken vacuum the
-quadratic form over constant ``a``-fluctuations is a mass term ∝ μ² with
-an exact zero mode along the identity matrix — a small-scale Higgs
-mechanism.  The weights are a fixed convention of this module (each term
-is a genuine squared norm, so S ≥ 0); only their μ-powers matter for the
-reported spectra.
+on geometric, mixed and frame pairs (A, B); read in the normal frame, S is
+unchanged when frame and fields change together, ``(E, b) → (T·E, T·b)``.
+S vanishes exactly on two vacuum families: the symmetric one ``(a, b) =
+(0, 0)`` and the broken one ``(a, b_k) = (0, iE_k)``, whose frame curvature
+dies on the bracket identity.  Around the broken vacuum the quadratic form
+over constant ``a``-fluctuations is a mass term ∝ μ² with an exact zero
+mode along the identity matrix — a small-scale Higgs mechanism.  The weights
+are a fixed convention of this module (each term is a genuine squared norm,
+so S ≥ 0); only their μ-powers matter for the reported spectra.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .basis import (
     MatrixBasis, adjoint_table, antihermitian_frame, bracket_defect, dagger, frob_norm, frozen,
-    is_unitary,
+    is_unitary, real_matmul,
 )
 from .errors import NotHermitianError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
@@ -119,10 +119,7 @@ class LatticeConfig:
 
     def hermiticity_defect(self) -> float:
         """Frobenius norm of the anti-Hermitian violation across all fields."""
-        return max(
-            frob_norm(self.a + dagger(self.a)),
-            frob_norm(self.b + dagger(self.b)),
-        )
+        return max(frob_norm(x + dagger(x)) for x in (self.a, self.b))
 
 
 def _forward_diff(field: np.ndarray, axis: int) -> np.ndarray:
@@ -131,12 +128,14 @@ def _forward_diff(field: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _curvature(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacked fields ``X = (a_μ, b_k)``, shape ``(*dims, m + D, n, n)``,
+    """The stacked fields ``X = (a_μ, Lᵀ b)``, shape ``(*dims, m + D, n, n)``,
     their curvature ``F_AB``, shape ``(*dims, m + D, m + D, n, n)``, and the
     symmetric weights ``W_AB`` of the action ``Σ_x Σ_AB W_AB ‖F_AB‖²``."""
     m, d, n, mu = cfg.m, cfg.basis.dim, cfg.basis.n, cfg.mu
-    x = np.concatenate([cfg.a, cfg.b], axis=-3)
-    c = np.pad(cfg.basis.c, ((m, 0),) * 3)  # C̃: zero wherever an index is geometric
+    lower, c = cfg.basis.normal_frame
+    b = real_matmul(lower.T, cfg.b.reshape(cfg.dims + (d, n * n))).reshape(cfg.b.shape)
+    x = np.concatenate([cfg.a, b], axis=-3)
+    c = np.pad(c, ((m, 0),) * 3)  # zero wherever an index is geometric
     f = bracket_defect(c, x)
     for mu_dir in range(m):  # Δ_A X_B − Δ_B X_A, with Δ_k = 0
         dx = _forward_diff(x, mu_dir)
@@ -262,7 +261,8 @@ def mass_spectrum(cfg: LatticeConfig) -> np.ndarray:
     every ``b_k = iE_k`` and is an exact zero mode, while the remaining
     eigenvalues are ``sites·μ²/n`` (the curvature term only enters at
     quartic order for constant fluctuations).  Directions are orthonormal
-    in the Frobenius metric, so eigenvalues are basis-independent.
+    in the Frobenius metric, and ``b`` is read in the normal frame, so the
+    eigenvalues depend on neither choice of frame.
     """
     return np.linalg.eigvalsh(_shift_derivatives(cfg)[1])
 

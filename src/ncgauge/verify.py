@@ -175,7 +175,7 @@ def suite_gauge(n: int = 2, seed: int = 0) -> dict[str, Any]:
     for _ in range(10):
         conn = random_connection(basis, rng)
         f = curvature(conn)
-        s = action(conn, f)
+        s = action(conn)
         g = random_unitary(n, rng)
         conn_g = gauge_transform(conn, g)
         f_moved = curvature(conn_g) - dagger(g) @ f @ g

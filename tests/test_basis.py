@@ -83,6 +83,25 @@ def test_metric_is_two_over_n(n):
     assert b.sqrt_g_det == pytest.approx((2.0 / n) ** (d / 2.0), rel=1e-12)
 
 
+NORMAL_FRAME_CASES = [(n, "gellmann") for n in (2, 3, 4, 5)] + [(n, "skewed") for n in (2, 3)]
+
+
+@pytest.mark.parametrize("n, frame", NORMAL_FRAME_CASES)
+def test_normal_frame_carries_the_gellmann_metric(n, frame, skewed_frame):
+    b = MatrixBasis.gellmann(n) if frame == "gellmann" else skewed_frame(n)[0]
+    lower, c = b.normal_frame
+    assert np.array_equal(lower, np.tril(lower))
+    assert np.abs(lower @ lower.T - (2.0 / n) * b.g_inv).max() <= 1e-13 * np.abs(b.g_inv).max()
+    mats = np.einsum("ac,aij->cij", lower, b.mats)
+    metric = np.einsum("kab,lba->kl", mats, mats).real / n
+    assert np.abs(metric - (2.0 / n) * np.eye(b.dim)).max() < 1e-13
+    bracket = 1j * (np.einsum("kab,lbc->klac", mats, mats) - np.einsum("lab,kbc->klac", mats, mats))
+    assert frob_norm(bracket - np.einsum("klm,mab->klab", c, mats)) < 1e-12 * frob_norm(bracket)
+    if frame == "gellmann" and n <= 4:
+        # the frame is already normal: every Gell-Mann output is unchanged
+        assert np.array_equal(lower, np.eye(b.dim)) and np.array_equal(c, b.c)
+
+
 def test_structure_constants_frozen_n2(basis2):
     c = basis2.c
     # hand value: i[sx, sy] = i(2i sz) = -2 sz

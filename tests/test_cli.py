@@ -389,3 +389,31 @@ def test_help_exits_zero_with_usage_on_stdout(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: ncgauge")
     assert proc.stderr == ""
+
+
+def top_level_modules(tmp_path, imports: str) -> set[str]:
+    """Top-level names in ``sys.modules`` of a fresh interpreter, with this
+    tree's ``src/`` first on ``PYTHONPATH``, after ``imports``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    code = f"import sys\n{imports}\nprint(*sorted({{m.partition('.')[0] for m in sys.modules}}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_third_party_module_beyond_numpy(tmp_path):
+    # a module such as scipy.sparse would add its import time and memory to
+    # every run of every command
+    loaded = top_level_modules(tmp_path, "import ncgauge, ncgauge.cli, ncgauge.verify")
+    extra = loaded - top_level_modules(tmp_path, "import numpy") - sys.stdlib_module_names
+    assert extra == {"ncgauge"}

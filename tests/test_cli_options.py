@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ncgauge.cli import build_config
+from ncgauge.cli import build_config, main
 from ncgauge.errors import ConfigError
 
 # option -> (RunConfig field, flag text, the same value in JSON, the field
@@ -92,3 +92,11 @@ def test_null_keeps_only_a_none_default(key, tmp_path):
         assert getattr(build_config(argv), UNSET[key]) is None
     else:
         assert _refusal(argv).startswith(f"{key} ")
+
+
+@pytest.mark.parametrize("key, value", [("tol", "-1e-3"), ("tol", "-inf"), ("mu", "-1e-3")])
+def test_a_negative_flag_value_is_refused_under_its_key(key, value, capsys):
+    # argparse alone reads "-1e-3" after a flag as an unknown option
+    for argv in (["minimize", f"--{key}", value], ["minimize", f"--{key}={value}"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} must be ")

@@ -344,18 +344,18 @@ def test_minimize_accepts_only_steps_that_lower_the_action(basis2):
         res.raise_for_convergence()
 
 
-def test_minimize_raises_each_trial_point_once(basis2, monkeypatch):
-    # F^kl is formed once for the start and once for every trial point (each
+def test_minimize_forms_each_trial_curvature_once(basis2, monkeypatch):
+    # F̃ is formed once for the start and once for every trial point (each
     # accepted step and the halvings before it); an accepted point's
-    # gradient reuses the F^kl its action formed
+    # gradient reuses the Ã and F̃ its action formed
     calls = []
-    raised = connections._raised
+    bracket_defect = connections.bracket_defect
 
-    def counted(conn, f):
-        calls.append(f.shape)
-        return raised(conn, f)
+    def counted(c, a):
+        calls.append(a.shape)
+        return bracket_defect(c, a)
 
-    monkeypatch.setattr(connections, "_raised", counted)
+    monkeypatch.setattr(connections, "bracket_defect", counted)
     res = minimize(random_connection(basis2, np.random.default_rng(1)), gtol=1e-8)
     assert res.stop_reason == "gtol" and res.iterations > 5
     assert sum(row[4] for row in res.trace) > 0  # some trial was rejected

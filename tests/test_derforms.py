@@ -128,6 +128,18 @@ def test_evaluate_antisymmetry(basis2, rng):
     assert np.abs(evaluate(w, [x, x])).max() < 1e-13
 
 
+def test_derivation_refuses_coefficients_that_name_another_derivation(basis2, skewed_frame):
+    # zero coefficients beside γ = iE_0 would make evaluate read 0 while the
+    # derivation itself acts through γ
+    gamma = 1j * basis2.mats[0]
+    for coeffs in (np.zeros(3), np.array([1.0, 1e-6, 0.0]), np.ones(2)):
+        with pytest.raises(ShapeError):
+            Derivation(basis2, gamma, coeffs)
+    for b in (basis2, skewed_frame(3)[0]):
+        for k in range(b.dim):
+            assert Derivation.frame(b, k).coeffs[k] == 1.0
+
+
 def test_frame_bracket_reproduces_structure_constants(basis3):
     # [ad_{iE_k}, ad_{iE_l}] = ad_{sum_m C[k,l,m] iE_m}
     for k in range(3):

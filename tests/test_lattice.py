@@ -262,14 +262,41 @@ def test_symmetric_vacuum_gauge_directions_are_flat(basis2):
 
 
 def test_spectrum_of_the_same_fields_does_not_depend_on_the_frame(basis2, skewed_frame):
-    # the broken-vacuum fields of the Gell-Mann frame, read over a skewed
-    # frame of the same algebra: the a-directions must stay orthonormal
+    # the Gell-Mann broken vacuum carried to a skewed frame E' = T·E with its
+    # fields, b' = T·b: the spectrum must not move
     gm = vacuum_config("broken", (8,), basis2)
-    skewed = LatticeConfig(gm.dims, skewed_frame(2)[0], gm.a, gm.b, gm.mu)
+    skewed, t = skewed_frame(2)
+    moved = LatticeConfig(gm.dims, skewed, gm.a, np.einsum("kl,...lab->...kab", t, gm.b), gm.mu)
     expected = mass_spectrum(gm)
     np.testing.assert_allclose(expected, [0.0, 4.0, 4.0, 4.0], rtol=0.0, atol=1e-12)
-    spectrum = mass_spectrum(skewed)
+    spectrum = mass_spectrum(moved)
     np.testing.assert_allclose(spectrum, expected, rtol=0.0, atol=1e-12 * expected.max())
+
+
+def frame_change(kind: str, d: int) -> np.ndarray:
+    """``T`` of a frame change ``(E, b) → (T·E, T·b)``."""
+    if kind == "orthogonal":
+        return np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0]
+    if kind == "skewed":
+        return np.eye(d) + 0.5 * np.triu(np.ones((d, d)), 1)
+    return float(kind) * np.eye(d)
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "skewed", "0.05", "1e3"])
+@pytest.mark.parametrize("dims", [(8,), (4, 4)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_action_and_spectrum_are_frame_covariant(n, dims, kind):
+    # the frame metric enters through the normal frame only, so the action and
+    # the spectrum of the same fields read the same in any frame
+    basis = MatrixBasis.gellmann(n)
+    t = frame_change(kind, basis.dim)
+    moved_basis = MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, basis.mats))
+    cfg = random_lattice_config(dims, basis, 1.3, np.random.default_rng(n), scale=0.5)
+    b = np.einsum("kl,...lab->...kab", t, cfg.b)
+    moved = LatticeConfig(dims, moved_basis, cfg.a, b, cfg.mu)
+    assert abs(lattice_action(moved) - lattice_action(cfg)) <= 1e-12 * lattice_action(cfg)
+    spectrum = mass_spectrum(cfg)
+    assert np.abs(mass_spectrum(moved) - spectrum).max() <= 1e-12 * np.abs(spectrum).max()
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +353,25 @@ def fd_gradient(cfg: LatticeConfig) -> np.ndarray:
     return np.array([line_derivative(along, zero, v)[0] for v in oracle_directions(cfg)])
 
 
-@pytest.mark.parametrize("frame", ["gellmann", "skewed"])
+@pytest.mark.parametrize("frame", ["gellmann", "skewed", "orthogonal", "0.05", "1e3"])
 @pytest.mark.parametrize("mu", [1.0, 2.0])
 @pytest.mark.parametrize("dims", [(8,), (16,), (4, 4), (3, 5)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_broken_vacuum_spectrum_matches_closed_form(n, dims, mu, frame, skewed_frame):
-    # the Gell-Mann broken-vacuum fields, read over the Gell-Mann frame or a
-    # skewed one: m exact zero modes (the identity in each slot), every other
-    # mass sites·μ²/n
-    gm = vacuum_config("broken", dims, MatrixBasis.gellmann(n), mu=mu)
-    basis = gm.basis if frame == "gellmann" else skewed_frame(n)[0]
-    spectrum = mass_spectrum(LatticeConfig(dims, basis, gm.a, gm.b, mu))
+    # each frame's own broken vacuum b_k = iE_k: m exact zero modes (the
+    # identity in each slot), every other mass sites·μ²/n
+    gm = MatrixBasis.gellmann(n)
+    if frame == "gellmann":
+        basis = gm
+    elif frame == "skewed":
+        basis = skewed_frame(n)[0]
+    else:
+        t = frame_change(frame, gm.dim)
+        basis = MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, gm.mats))
+    cfg = vacuum_config("broken", dims, basis, mu=mu)
+    spectrum = mass_spectrum(cfg)
     m = len(dims)
-    mass = gm.n_sites * mu**2 / n
+    mass = cfg.n_sites * mu**2 / n
     assert spectrum.shape == (m * n * n,)
     assert np.abs(spectrum[:m]).max() <= 1e-12 * mass
     assert np.abs(spectrum[m:] / mass - 1.0).max() <= 1e-12
@@ -351,11 +384,14 @@ def test_symmetric_vacuum_spectrum_and_gradient_are_exactly_zero(basis3, dims):
     assert zero_momentum_gradient_norm(cfg) == 0.0
 
 
+@pytest.mark.parametrize("frame", ["gellmann", "skewed"])
 @pytest.mark.parametrize("dims", [(8,), (4, 4)])
 @pytest.mark.parametrize("n", [2, 3])
-def test_exact_derivatives_agree_with_the_stencil(n, dims):
+def test_exact_derivatives_agree_with_the_stencil(n, dims, frame, skewed_frame):
+    # the skewed frame's dense metric exercises the Lᵀ b of the stacked fields
     rng = np.random.default_rng(n)
-    cfg = random_lattice_config(dims, MatrixBasis.gellmann(n), 1.3, rng, scale=0.5)
+    basis = MatrixBasis.gellmann(n) if frame == "gellmann" else skewed_frame(n)[0]
+    cfg = random_lattice_config(dims, basis, 1.3, rng, scale=0.5)
     grad, hess = lattice_mod._shift_derivatives(cfg)
     eigs = mass_spectrum(cfg)
     # both stencils are exact, so they agree to roundoff in any dimension

@@ -39,8 +39,9 @@ def test_every_layer_name_resolves_on_the_package():
 # Every gate holds its residual to TAU_ALG times the norms of its operands, so
 # no caller needs a tolerance, mode, step or sample size of its own; the point
 # projections are the triple's generators, the zero connection lives on r = n,
-# and a caller rescales a random connection's coefficients itself: these
-# parameters are constants.
+# a caller rescales a random connection's coefficients itself, and the action
+# and its gradient form their own normal-frame curvature: these parameters
+# are constants.
 FIXED_PARAMETERS = [
     (basis.is_hermitian, "tol"),
     (basis.is_antihermitian, "tol"),
@@ -53,6 +54,8 @@ FIXED_PARAMETERS = [
     (basis.MatrixBasis.same_as, "tol"),
     (connections.MatrixConnection.zero, "r"),
     (connections.random_connection, "scale"),
+    (connections.action, "f"),
+    (connections.action_gradient, "f"),
     (connections.hermitian_compatibility_check, "tol"),
     (connections.grassmann_connection, "tol"),
     (connections.minimize, "step0"),
@@ -78,7 +81,7 @@ FIXED_PARAMETERS = [
 
 
 def test_no_gate_takes_a_fixed_parameter():
-    assert len(FIXED_PARAMETERS) == 32
+    assert len(FIXED_PARAMETERS) == 34
     present = [
         f"{fn.__qualname__}({name})"
         for fn, name in FIXED_PARAMETERS
