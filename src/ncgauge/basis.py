@@ -74,11 +74,12 @@ def frozen(a, dtype=complex) -> np.ndarray:
     return out
 
 
-def real_matmul(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``t @ x``, complex ``(..., p, m)``, for a real ``(p, k)`` matrix ``t`` and a stack ``x``
-    ``(..., k, m)``: one real GEMM on the float view of ``x``, with no complex copy of ``t``."""
+def frame_map(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``Σ_l t[k, l] x[..., l, :, :]`` for a real ``(P, K)`` ``t`` and a ``(..., K, r, r)`` stack
+    ``x``: one real GEMM on the float view of ``x``, with no complex copy of ``t``."""
     x = np.ascontiguousarray(x, dtype=complex)
-    return (t @ x.view(float)).view(complex)
+    y = (t @ x.reshape(x.shape[:-2] + (-1,)).view(float)).view(complex)
+    return y.reshape(y.shape[:-1] + x.shape[-2:])
 
 
 def complex_record(a: np.ndarray) -> dict:
@@ -239,7 +240,7 @@ def bracket_defect(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     prod = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
     f = prod - prod.swapaxes(-4, -3)
     del prod  # free the products before the second GEMM's output is allocated
-    f -= real_matmul(c.reshape(d * d, d), a.reshape(lead + (d, r * r))).reshape(f.shape)
+    f -= frame_map(c.reshape(d * d, d), a).reshape(f.shape)
     return f
 
 
@@ -334,10 +335,9 @@ class MatrixBasis:
     def normal_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """``L`` with ``L Lᵀ = (2/n)·g_inv``, and the structure constants ``C̃`` of the
         frame ``Ẽ_c = Σ_a L_ac E_a``, whose metric is ``(2/n)·1`` as Gell-Mann's is:
-        coefficients go there as ``Ã = Lᵀ A``, gradients come back as ``L G̃``."""
+        coefficients go there as ``Ã = Lᵀ A`` and back as ``L⁻ᵀ Ã``, gradients as ``L G̃``."""
         lower = np.linalg.cholesky((2.0 / self.n) * self.g_inv)
-        mats = real_matmul(lower.T, self.mats.reshape(self.dim, -1)).reshape(self.mats.shape)
-        return frozen(lower, float), frozen(structure_constants(mats), float)
+        return frozen(lower, float), frozen(structure_constants(frame_map(lower.T, self.mats)), float)
 
     @cached_property
     def ad_table(self) -> np.ndarray:

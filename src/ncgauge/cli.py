@@ -226,13 +226,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-def _classify_orbit(action_value: float, casimir: float, n: int, tol: float) -> str:
+def _classify_orbit(action_value: float, casimir: float, n: int, r: int, tol: float) -> str:
     if action_value >= tol:
         return "unconverged"
     canonical = n * (n**2 - 1)
     if abs(casimir) < 0.5:
         return "symmetric"
-    if abs(casimir - canonical) < 0.5:
+    if r == n and abs(casimir - canonical) < 0.5:  # A_k = iE_k needs r = n
         return "canonical-flat"
     return "flat-other"
 
@@ -285,7 +285,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
         "flat": report.is_flat,
         "curvature_residual": report.max_residual,
         "casimir": report.casimir,
-        "classification": _classify_orbit(res.action, report.casimir, cfg.n, cfg.tol),
+        "classification": _classify_orbit(res.action, report.casimir, cfg.n, report.r, cfg.tol),
     }
     _emit(cfg, _MINIMIZE_HEADER, res.trace, summary)
     return 0 if res.converged else 1
@@ -299,20 +299,15 @@ def cmd_two_point(cfg: RunConfig) -> int:
     else:
         count = 81 if cfg.steps is None else max(2, cfg.steps)
         phis = np.linspace(-2.0, 2.0, count).astype(complex)
-    rows = []
-    best = None
-    for phi in phis:
-        s = two_point_action(phi, m)
-        rows.append((float(np.real(phi)), float(np.imag(phi)), s))
-        if best is None or s < best[1]:
-            best = (phi, s)
+    rows = [(float(np.real(phi)), float(np.imag(phi)), two_point_action(phi, m)) for phi in phis]
+    best = min(rows, key=lambda row: row[2])  # the first of equal minima
     summary = {
         "mode": "two_point",
         "N": cfg.big_n,
         "grid": cfg.grid,
         "points": len(rows),
-        "min_action": best[1],
-        "argmin_phi": [float(np.real(best[0])), float(np.imag(best[0]))],
+        "min_action": best[2],
+        "argmin_phi": [best[0], best[1]],
     }
     _emit(cfg, ["re_phi", "im_phi", "action"], rows, summary)
     return 0

@@ -13,10 +13,10 @@ action is the Hermitian norm of the curvature, ``F^kl = g^ka g^lb F_ab``,
     S[A] = (1/8n) Σ_{k,l} Re tr(F_kl† F^kl) = (n/32) Σ_{k,l} ‖F̃_kl‖²,
 
 read without a metric in the basis' normal frame, where ``Ã = Lᵀ A`` has
-the curvature ``F̃``.  Its two exact minima families at ``A = 0`` and
-``A_k = iE_k`` are the symmetric and broken vacua.  ``action_via_pairing``
-recomputes S through the Hodge-star route ``(1/4)∫ F* ⋆F`` as an
-independent cross-check of the whole calculus stack.
+the curvature ``F̃`` and ``minimize`` takes its steps.  Its two exact minima
+families at ``A = 0`` and ``A_k = iE_k`` are the symmetric and broken vacua.
+``action_via_pairing`` recomputes S through the Hodge-star route ``(1/4)∫ F* ⋆F``
+as an independent cross-check of the whole calculus stack.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from .basis import (
-    MatrixBasis, bracket_defect, dagger, frob_norm, frozen, is_antihermitian, is_unitary,
-    real_matmul,
+    MatrixBasis, bracket_defect, dagger, frame_map, frob_norm, frozen, is_antihermitian,
+    is_unitary,
 )
 from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import MaxIterationsError, NotProjectorError, NotUnitaryError, ShapeError
@@ -128,19 +128,16 @@ def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:
     return MatrixConnection(conn.basis, dagger(g) @ conn.coeffs @ g)
 
 
-def _action_parts(conn: MatrixConnection) -> tuple[float, np.ndarray, np.ndarray]:
-    """The action and the normal-frame ``Ã = Lᵀ A`` and ``F̃`` it is read from."""
-    lower, c = conn.basis.normal_frame
-    d, r = conn.coeffs.shape[:2]
-    a = real_matmul(lower.T, conn.coeffs.reshape(d, r * r)).reshape(d, r, r)
-    f = bracket_defect(c, a)
-    return conn.basis.n / 32.0 * float(np.vdot(f, f).real), a, f
+def _action_parts(basis: MatrixBasis, a: np.ndarray) -> tuple[float, np.ndarray]:
+    """The action of the normal-frame coefficients ``Ã`` and their curvature ``F̃``."""
+    f = bracket_defect(basis.normal_frame[1], a)
+    return basis.n / 32.0 * float(np.vdot(f, f).real), f
 
 
 def action(conn: MatrixConnection) -> float:
     """Yang-Mills action ``(1/8n) Σ Re tr(F_kl† F^kl)``, read in the normal frame as
     ``(n/32) Σ ‖F̃_kl‖²``: a squared norm, so non-negative for every connection."""
-    return _action_parts(conn)[0]
+    return _action_parts(conn.basis, frame_map(conn.basis.normal_frame[0].T, conn.coeffs))[0]
 
 
 def action_via_pairing(conn: MatrixConnection) -> float:
@@ -161,12 +158,14 @@ def action_gradient(conn: MatrixConnection) -> np.ndarray:
     coefficients, shape ``(dim, r, r)``, each component anti-Hermitian: ``L G̃``
     for ``G̃ = (n/32)(K − K†)``, ``K_k = 2 Σ_l [F̃_kl, Ã_l†] − Σ_ab C̃[a, b, k] F̃_ab``,
     so stationarity ⟺ ``K`` is Hermitian."""
-    return _gradient(conn.basis, *_action_parts(conn)[1:])
+    lower = conn.basis.normal_frame[0]
+    a = frame_map(lower.T, conn.coeffs)
+    return frame_map(lower, _gradient(conn.basis, a, _action_parts(conn.basis, a)[1]))
 
 
 def _gradient(basis: MatrixBasis, a_n: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """:func:`action_gradient` from the normal-frame ``Ã`` and ``F̃``."""
-    lower, c = basis.normal_frame
+    """The normal-frame gradient ``G̃`` of the action at ``Ã``, whose curvature is ``F̃``."""
+    c = basis.normal_frame[1]
     a = dagger(a_n)
     d, r = a.shape[:2]
     # Σ_l F̃_kl Ã_l† and Σ_l Ã_l† F̃_kl as batched (r × d·r)(d·r × r) products
@@ -175,15 +174,13 @@ def _gradient(basis: MatrixBasis, a_n: np.ndarray, f: np.ndarray) -> np.ndarray:
     comm = f_row @ a.reshape(d * r, r) - a_row @ f.reshape(d, d * r, r)
     # Σ_ab C̃[a, b, k] F̃_ab: a view of C̃ with rows k, as ``structure_constants``
     # stores C with its last index slowest
-    c_term = real_matmul(c.reshape(d * d, d).T, f.reshape(d * d, r * r))
-    m = 2.0 * comm - c_term.reshape(d, r, r)
-    g = real_matmul(lower, (m - dagger(m)).reshape(d, r * r))
-    return g.reshape(d, r, r) * (basis.n / 32.0)
+    m = 2.0 * comm - frame_map(c.reshape(d * d, d).T, f.reshape(d * d, r, r))
+    return (m - dagger(m)) * (basis.n / 32.0)
 
 
 @dataclass
 class MinimizeResult:
-    """Outcome of gradient descent on the action."""
+    """Outcome of gradient descent on the action; ``grad_norm`` is the normal-frame ``‖G̃‖``."""
 
     connection: MatrixConnection
     action: float
@@ -219,13 +216,14 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
     ``max_iter`` accepted steps.  A step is accepted only if it lowers
     the action, so when no step above 1e-18 does, the line search stalls
     and ends the run.  Non-convergence is reported through
-    ``converged=False`` and ``stop_reason``, never an exception.  Each trial
-    point's normal-frame ``Ã`` and ``F̃`` are formed once, for its action; an
-    accepted point's give its gradient, stepped along in the original coordinates.
+    ``converged=False`` and ``stop_reason``, never an exception.  The iterate is
+    ``Ã = Lᵀ A``, stepped along the normal-frame gradient ``G̃`` (whose norm ``gtol``
+    reads) and mapped back once, so the path is the same in every frame.  Each
+    trial point's ``F̃`` is formed once, and an accepted point's gives its ``G̃``.
     """
     basis = conn.basis
-    point = MatrixConnection(basis, conn.coeffs.copy())
-    s, a, f = _action_parts(point)
+    a = frame_map(basis.normal_frame[0].T, conn.coeffs)
+    s, f = _action_parts(basis, a)
     step = 0.5
     it = 0
     stalled = False
@@ -236,11 +234,11 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
         # backtracking on S(a - t g) against the sufficient-decrease bound
         backtracks = 0
         while step > 1e-18:
-            cand = MatrixConnection(basis, point.coeffs - step * g)
-            s_cand, a_cand, f_cand = _action_parts(cand)
+            cand = a - step * g
+            s_cand, f_cand = _action_parts(basis, cand)
             # the strict test rejects a step whose decrease rounds away
             if s_cand < s and s_cand <= s - 1e-4 * step * gnorm**2:
-                point, s, a, f = cand, s_cand, a_cand, f_cand
+                a, s, f = cand, s_cand, f_cand
                 break
             step /= 2.0
             backtracks += 1
@@ -257,7 +255,7 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
         step = min(step**2 * gnorm_prev**2 / sy if sy > 0 else 2.0 * step, 1e6)
     converged = bool(gnorm < gtol)
     return MinimizeResult(
-        connection=point,
+        connection=MatrixConnection(basis, frame_map(np.linalg.inv(basis.normal_frame[0].T), a)),
         action=s,
         grad_norm=gnorm,
         iterations=it,

@@ -29,12 +29,13 @@ so S ≥ 0); only their μ-powers matter for the reported spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import (
-    MatrixBasis, adjoint_table, antihermitian_frame, bracket_defect, dagger, frob_norm, frozen,
-    is_unitary, real_matmul,
+    MatrixBasis, adjoint_table, antihermitian_frame, bracket_defect, dagger, frame_map,
+    frob_norm, frozen, is_unitary,
 )
 from .errors import NotHermitianError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
@@ -133,8 +134,7 @@ def _curvature(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     symmetric weights ``W_AB`` of the action ``Σ_x Σ_AB W_AB ‖F_AB‖²``."""
     m, d, n, mu = cfg.m, cfg.basis.dim, cfg.basis.n, cfg.mu
     lower, c = cfg.basis.normal_frame
-    b = real_matmul(lower.T, cfg.b.reshape(cfg.dims + (d, n * n))).reshape(cfg.b.shape)
-    x = np.concatenate([cfg.a, b], axis=-3)
+    x = np.concatenate([cfg.a, frame_map(lower.T, cfg.b)], axis=-3)
     c = np.pad(c, ((m, 0),) * 3)  # zero wherever an index is geometric
     f = bracket_defect(c, x)
     for mu_dir in range(m):  # Δ_A X_B − Δ_B X_A, with Δ_k = 0
@@ -218,6 +218,13 @@ def random_lattice_config(
     )
 
 
+@lru_cache(maxsize=None)
+def _shift_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``antihermitian_frame(n)`` and, in rows ``(i, ab)``, its ``[e_i, ·]`` table, read-only."""
+    e = antihermitian_frame(n)
+    return frozen(e), frozen(adjoint_table(e).transpose(0, 2, 1).reshape(n**4, n * n))
+
+
 def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient and Hessian of the action over site-independent shifts
     of ``a``: each ``antihermitian_frame(n)`` direction in each slot, slot-major.
@@ -231,10 +238,8 @@ def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     n, m = cfg.basis.n, cfg.m
     x, f, w = _curvature(cfg)
-    e = antihermitian_frame(n)
+    e, table = _shift_frame(n)
     k, dd, nn = len(e), len(w), n * n
-    # [e_i, y] for every column y of an (n², ·) block from one GEMM: rows (i, ab)
-    table = adjoint_table(e).transpose(0, 2, 1).reshape(k * nn, nn)
     # J^i_B and F_μB laid out (B, ·, n²·sites); a float view of each makes
     # every Re⟨·, ·⟩ a real product of its real and imaginary parts
     jac = (table @ x.reshape(-1, dd, nn).transpose(1, 2, 0)).reshape(dd, k, -1).view(float)

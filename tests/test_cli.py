@@ -183,6 +183,17 @@ def test_minimize_converges_and_reports(capsys):
     assert summary["classification"] in ("symmetric", "canonical-flat")
 
 
+@pytest.mark.parametrize("seed", [4, 6, 7])
+def test_minimize_labels_the_canonical_casimir_off_r_equal_n_flat_other(capsys, seed):
+    # at r = 4 a Casimir of n(n² − 1) = 6 is a spin-1/2 block beside two
+    # trivial ones: the orbit of A_k = iE_k exists only on r = n
+    code, _, err = run_main(capsys, ["minimize", "--n", "2", "--r", "4", "--seed", str(seed)])
+    summary = json.loads(err)
+    assert code == 0 and summary["flat"] is True and summary["r"] == 4
+    assert summary["casimir"] == pytest.approx(6.0, abs=1e-6)
+    assert summary["classification"] == "flat-other"
+
+
 def test_minimize_is_bit_for_bit_deterministic(capsys):
     argv = ["minimize", "--n", "2", "--seed", "7", "--steps", "200"]
     code1, out1, err1 = run_main(capsys, argv)

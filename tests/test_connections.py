@@ -362,6 +362,58 @@ def test_minimize_forms_each_trial_curvature_once(basis2, monkeypatch):
     assert len(calls) == 1 + sum(1 + backtracks for *_, backtracks in res.trace[1:])
 
 
+def test_minimize_maps_the_frame_once_each_way_and_builds_one_connection(monkeypatch):
+    # the iterate stays the normal-frame Ã: Lᵀ maps the start in, L⁻ᵀ maps the
+    # result out, and no trial point or gradient builds a connection
+    b = MatrixBasis.gellmann(3)
+    conn = random_connection(b, np.random.default_rng(1))
+    maps, made = [], []
+    frame_map = connections.frame_map
+
+    def counted_map(t, x):
+        maps.append(t.shape)
+        return frame_map(t, x)
+
+    class Counted(MatrixConnection):
+        def __post_init__(self):
+            made.append(self.coeffs.shape)
+            super().__post_init__()
+
+    monkeypatch.setattr(connections, "frame_map", counted_map)
+    monkeypatch.setattr(connections, "MatrixConnection", Counted)
+    res = minimize(conn, gtol=1e-8)
+    assert res.iterations > 5 and sum(row[4] for row in res.trace) > 0
+    assert len(made) == 1
+    assert maps.count((b.dim, b.dim)) == 2  # the square maps are Lᵀ and L⁻ᵀ
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_minimize_takes_the_same_path_in_every_frame(n, skewed_frame):
+    # A on Gell-Mann and A' = T·A on the skewed frame are one connection, with
+    # normal-frame coefficients that differ by a rotation: the descent must take
+    # the same steps and reach the same flat connection
+    b = MatrixBasis.gellmann(n)
+    skewed, t = skewed_frame(n)
+    for seed in range(6):
+        conn = random_connection(b, np.random.default_rng(seed))
+        res = minimize(conn, gtol=1e-8)
+        same = MatrixConnection(skewed, np.einsum("kl,lab->kab", t, conn.coeffs))
+        moved = minimize(same, gtol=1e-8)
+        assert (moved.iterations, moved.stop_reason) == (res.iterations, res.stop_reason), seed
+        assert [row[4] for row in moved.trace] == [row[4] for row in res.trace], seed
+        s0, g0 = res.trace[0][1:3]
+        for row, moved_row in zip(res.trace, moved.trace):
+            assert abs(moved_row[1] - row[1]) <= 1e-12 * s0, (seed, row[0])
+            assert abs(moved_row[2] - row[2]) <= 1e-12 * g0, (seed, row[0])
+        cas = casimir_invariant(res.connection)
+        assert abs(casimir_invariant(moved.connection) - cas) <= 1e-12, seed
+        a_f = res.connection.coeffs
+        back = np.einsum("kl,lab->kab", t, a_f)
+        assert np.max(np.abs(moved.connection.coeffs - back)) <= 1e-8 * np.max(np.abs(a_f)), seed
+        assert res.action == action(res.connection)
+        assert abs(moved.action - action(moved.connection)) <= 1e-12 * s0, seed
+
+
 # ---------------------------------------------------------------------------
 # representation invariants
 # ---------------------------------------------------------------------------

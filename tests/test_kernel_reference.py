@@ -19,6 +19,7 @@ from ncgauge import (
     curvature,
     frob_norm,
 )
+from ncgauge.basis import frame_map
 
 REL = 1e-13
 
@@ -111,3 +112,27 @@ def test_action_agrees_with_the_pairing_route_on_general_coefficients(frame, ske
         conn = MatrixConnection(basis, ginibre(rng, (basis.dim, basis.n, basis.n)))
         s = action(conn)
         assert abs(action_via_pairing(conn) - s) <= 1e-12 * s
+
+
+@pytest.mark.parametrize("frame", ["gellmann-3", "skewed-2", "skewed-3"])
+def test_frame_map_matches_einsum(frame, skewed_frame):
+    # the rectangular C views of bracket_defect (D², D) and of the gradient's
+    # C̃ term (D, D²), and the square normal-frame map Lᵀ, on every stack layout
+    basis = build(frame, skewed_frame)
+    rng = np.random.default_rng(11)
+    n, d = basis.n, basis.dim
+    c = basis.c.reshape(d * d, d)
+    stack = ginibre(rng, (5, d, n, n))
+    pairs = {
+        "C (D², D)": (c, stack[0]),
+        "C̃ term (D, D²)": (c.T, ginibre(rng, (d * d, n, n))),
+        "transposed": (basis.normal_frame[0].T, np.swapaxes(stack[1], -1, -2)),
+        "real": (c, stack[2].real.copy()),
+        "real view": (c, stack[3].real),
+        "site stack": (basis.normal_frame[0].T, stack),
+        "sliced site stack": (c, ginibre(rng, (4, d, n + 1, n + 1))[::2]),
+    }
+    for name, (t, x) in pairs.items():
+        got = frame_map(t, x)
+        assert got.shape == x.shape[:-3] + (len(t), x.shape[-1], x.shape[-1]), name
+        assert rel_err(got, np.einsum("kl,...lab->...kab", t, x)) <= 1e-15, name

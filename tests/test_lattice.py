@@ -416,3 +416,25 @@ def test_spectrum_and_gradient_evaluate_no_action(monkeypatch, basis2, rng):
     mass_spectrum(cfg)
     zero_momentum_gradient_norm(cfg)
     assert calls == []
+
+
+def test_shift_frame_is_built_once_per_n_and_read_only(monkeypatch, basis2, basis3, rng):
+    # the shift directions and their adjoint table depend only on n
+    calls = []
+    antihermitian_frame = lattice_mod.antihermitian_frame
+
+    def counted(n):
+        calls.append(n)
+        return antihermitian_frame(n)
+
+    monkeypatch.setattr(lattice_mod, "antihermitian_frame", counted)
+    lattice_mod._shift_frame.cache_clear()
+    for basis in (basis2, basis3, basis2, basis3):
+        cfg = random_lattice_config((4,), basis, 1.0, rng, scale=0.5)
+        mass_spectrum(cfg)
+        zero_momentum_gradient_norm(cfg)
+    assert calls == [2, 3]
+    for n in (2, 3):
+        e, table = lattice_mod._shift_frame(n)
+        assert e.shape == (n * n, n, n) and table.shape == (n**4, n * n)
+        assert not e.flags.writeable and not table.flags.writeable
