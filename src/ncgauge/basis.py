@@ -63,7 +63,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def frob_norm(a: np.ndarray) -> float:
     """Frobenius norm of the last two axes, summed over any batch axes."""
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    return float(np.sqrt(np.vdot(a, a).real))
 
 
 def frozen(a, dtype=complex) -> np.ndarray:

@@ -150,6 +150,8 @@ class FiniteSpectralTriple:
         if self.j is not None and self.j.dim != dim:
             raise ShapeError("real structure must match the Hilbert dimension")
         if self.ko_dim is not None:
+            if isinstance(self.ko_dim, (bool, np.bool_)) or self.ko_dim % 1:
+                raise ConfigError(f"KO-dimension must be an integer, got {self.ko_dim!r}")
             object.__setattr__(self, "ko_dim", int(self.ko_dim) % 8)
 
     @property
@@ -186,7 +188,9 @@ def _order_residuals(conj_gens, gens, d: np.ndarray) -> tuple[float, float]:
         db = d @ b - b @ d
         for a in conj_gens:
             res0 = max(res0, frob_norm(a @ b - b @ a))
-            res1 = max(res1, frob_norm(db @ a - a @ db))
+        if db.any():  # when [D, b] = 0 each product below is 0 and cannot raise res1
+            for a in conj_gens:
+                res1 = max(res1, frob_norm(db @ a - a @ db))
     return res0, res1
 
 
@@ -198,7 +202,8 @@ def check_axioms(t: FiniteSpectralTriple) -> CheckReport:
     commutation with the algebra, anticommutation with the Dirac
     operator; antiunitarity of the reality encoding and the three
     KO signs; the zeroth-order (commutant) and first-order conditions
-    over all generator pairs.
+    over all generator pairs: Na·Nb matrix products per order line, the
+    first-order rows of each ``b`` with ``[D, b] = 0`` skipped exactly.
 
     A line passes when its residual is at most ``TAU_ALG`` times the product
     of the Frobenius norms of the operators it is built from, so the
@@ -453,12 +458,12 @@ def two_point_triple(n_points_dim: int, m: np.ndarray) -> FiniteSpectralTriple:
     m = np.asarray(m, dtype=complex)
     if m.shape != (big_n, big_n):
         raise ShapeError(f"mass block must be {big_n}x{big_n}, got {m.shape}")
-    eye = np.eye(big_n, dtype=complex)
-    zero = np.zeros((big_n, big_n), dtype=complex)
-    p0 = np.block([[eye, zero], [zero, zero]])
-    p1 = np.block([[zero, zero], [zero, eye]])
-    d = np.block([[zero, dagger(m)], [m, zero]])
-    gamma = np.block([[eye, zero], [zero, -eye]])
+    p0 = np.diag(np.repeat([1.0 + 0j, 0j], big_n))
+    p1 = np.diag(np.repeat([0j, 1.0 + 0j], big_n))
+    gamma = np.eye(2 * big_n, dtype=complex)
+    gamma[big_n:, big_n:] = -gamma[big_n:, big_n:]
+    d = np.zeros_like(gamma)
+    d[:big_n, big_n:], d[big_n:, :big_n] = dagger(m), m
     return FiniteSpectralTriple(
         generators=(p0, p1),
         d=d,
@@ -677,5 +682,5 @@ def triple_from_json(text: str) -> FiniteSpectralTriple:
             ko_dim=payload["ko_dim"],
             algebra=payload.get("algebra", ""),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise ConfigError(f"malformed triple serialization: {exc}") from exc

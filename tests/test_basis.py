@@ -3,6 +3,8 @@ constants, expansion.  Frozen values are hand-derived from the Pauli algebra
 and small commutator computations."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,32 @@ def test_predicates_judge_at_the_operands_scale(size):
     # and the verdicts on genuine members do not change with the size either
     assert is_hermitian(size * PAULI[0]) and is_traceless(size * PAULI[0])
     assert is_antihermitian(1j * size * PAULI[1])
+
+
+def _frob_reference(a) -> float:
+    return math.sqrt(math.fsum(abs(x) ** 2 for x in np.ravel(np.asarray(a))))
+
+
+def test_frob_norm_matches_the_entrywise_sum(rng):
+    c = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    cases = [
+        rng.standard_normal((5, 7)),  # real
+        c,  # complex
+        c.T,  # transposed: not C-contiguous
+        c[::3, 1::2],  # strided view
+        rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)),  # batched
+        [[1.0 + 2.0j, -3.0], [0.5j, 4.0]],  # list input
+    ]
+    for a in cases:
+        ref = _frob_reference(a)
+        assert abs(frob_norm(a) - ref) <= 1e-15 * ref
+        assert type(frob_norm(a)) is float
+
+
+def test_frob_norm_of_zeros_is_exact_and_nan_propagates():
+    assert frob_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+    assert frob_norm(np.zeros((2, 3, 3))) == 0.0
+    bad = np.eye(3, dtype=complex)
+    bad[1, 2] = np.nan
+    assert math.isnan(frob_norm(bad))
+    assert math.isnan(frob_norm(np.full((2, 2), np.nan)))

@@ -20,6 +20,7 @@ facts shape the battery:
 """
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,7 @@ from ncgauge import (
     two_point_one_form,
     two_point_triple,
 )
+from ncgauge import spectral
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -128,6 +130,18 @@ def test_ko_dim_normalized_mod_8():
     )
     assert t.ko_dim == 1
     assert (t.eps, t.eps_p) == (1, -1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 6.7, -0.5, True, np.True_, np.nan, np.inf])
+def test_non_integral_ko_dim_is_rejected(bad):
+    with pytest.raises(ConfigError, match="KO-dimension must be an integer"):
+        FiniteSpectralTriple(generators=(I2,), d=np.zeros((2, 2)), ko_dim=bad)
+
+
+@pytest.mark.parametrize("k", [6, 6.0, np.int64(14), np.float64(-2.0)])
+def test_integral_ko_dim_of_any_numeric_type_is_kept(k):
+    t = FiniteSpectralTriple(generators=(I2,), d=np.zeros((2, 2)), ko_dim=k)
+    assert t.ko_dim == 6 and type(t.ko_dim) is int
 
 
 def test_missing_structure_errors():
@@ -205,6 +219,24 @@ def test_shifting_ko_by_four_flips_exactly_the_square_sign(k):
 # ---------------------------------------------------------------------------
 # the two-point triple and its mutation battery
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_two_point_triple_is_the_block_build_bit_for_bit(n, rng):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    eye = np.eye(n, dtype=complex)
+    zero = np.zeros((n, n), dtype=complex)
+    expected = {
+        "p0": np.block([[eye, zero], [zero, zero]]),
+        "p1": np.block([[zero, zero], [zero, eye]]),
+        "d": np.block([[zero, dagger(m)], [m, zero]]),
+        "gamma": np.block([[eye, zero], [zero, -eye]]),
+    }
+    t = two_point_triple(n, m)
+    got = {"p0": t.generators[0], "p1": t.generators[1], "d": t.d, "gamma": t.gamma}
+    for name, want in expected.items():
+        assert got[name].dtype == want.dtype and got[name].shape == want.shape, name
+        assert got[name].tobytes() == want.tobytes(), name  # signed zeros included
+
 
 def test_zero_mass_triple_satisfies_every_axiom():
     t = two_point_triple(4, Z4)
@@ -575,6 +607,115 @@ def test_triple_json_rejects_malformed():
         triple_from_json("{}")
 
 
+def test_triple_json_rejects_non_integral_ko_dim():
+    payload = json.loads(triple_to_json(two_point_triple(2, np.eye(2))))
+    for bad in (6.7, True):
+        payload["ko_dim"] = bad
+        with pytest.raises(ConfigError, match="KO-dimension must be an integer"):
+            triple_from_json(json.dumps(payload))
+    payload["ko_dim"] = 6.0  # integral, if written as a float
+    assert triple_from_json(json.dumps(payload)).ko_dim == 6
+
+
+@pytest.mark.parametrize("field", ["d", "gamma", "generator", "j", "ragged"])
+def test_triple_json_shape_mismatch_is_a_config_error(field):
+    payload = json.loads(triple_to_json(two_point_triple(2, np.eye(2))))
+    wrong = {"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}
+    if field == "generator":
+        payload["generators"][1] = wrong
+    elif field == "j":
+        payload["j"]["u"] = wrong
+    elif field == "ragged":
+        payload["d"]["re"][0] = [0.0]
+    else:
+        payload[field] = wrong
+    with pytest.raises(ConfigError, match="malformed triple serialization"):
+        triple_from_json(json.dumps(payload))
+
+
+# ---------------------------------------------------------------------------
+# the order conditions: exact skips and their work count
+# ---------------------------------------------------------------------------
+
+def _naive_order_residuals(t: FiniteSpectralTriple) -> tuple[float, float]:
+    """Every pair at once, by einsum: an oracle for ``check_axioms``'s loop."""
+    b = np.stack(t.generators)
+    u = t.j.u
+    a = np.einsum("ij,bjk,kl->bil", u, b.conj(), np.linalg.inv(u))
+    db = np.einsum("ij,bjk->bik", t.d, b) - np.einsum("bij,jk->bik", b, t.d)
+
+    def worst(x, y):  # max over pairs of ||x_a y_b - y_b x_a||
+        comm = np.einsum("aij,bjk->abik", x, y) - np.einsum("bij,ajk->abik", y, x)
+        return float(np.sqrt((np.abs(comm) ** 2).sum(axis=(-2, -1))).max())
+
+    return worst(a, b), worst(a, db)
+
+
+def _audit_triple(case: str, rng) -> FiniteSpectralTriple:
+    """Random generators under D = 0 or D != 0 and a unitary or non-unitary
+    U in J, or one of the two model triples."""
+    def cgauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if case == "two_point":
+        return two_point_triple(3, cgauss(3, 3))
+    if case == "fixture":
+        return sm_algebra_fixture().triple
+    h = cgauss(6, 6)
+    u = random_unitary(6, rng) if case.endswith("-unitary") else cgauss(6, 6) + 3.0 * np.eye(6)
+    return FiniteSpectralTriple(
+        generators=tuple(cgauss(6, 6) for _ in range(4)),
+        d=np.zeros((6, 6)) if case.startswith("d0") else h + dagger(h),
+        j=RealStructure(u),
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["d0-unitary", "d-unitary", "d0-nonunitary", "d-nonunitary", "two_point", "fixture"],
+)
+def test_order_residuals_match_a_naive_all_pairs_reference(case, rng):
+    t = _audit_triple(case, rng)
+    rep = check_axioms(t)
+    for name, ref in zip(("zeroth_order", "first_order"), _naive_order_residuals(t)):
+        got = rep.line(name).residual
+        # exact zeros (the first order under D = 0, the commutant of the
+        # models) stay exact; everything else agrees at roundoff
+        assert got == ref == 0.0 or abs(got - ref) <= 1e-13 * ref, (name, got, ref)
+    if case.startswith("d0") or case == "fixture":
+        assert rep.line("first_order").residual == 0.0
+
+
+def test_one_noncommuting_generator_still_fails_first_order():
+    # of the generators (1, p0) only p0 fails to commute with D, so only its
+    # rows of first-order products are formed, and they carry the residual
+    t0 = two_point_triple(2, np.array([[1.0, 2.0], [0.0, 1.0]]))
+    p0 = t0.generators[0]
+    t = replace(t0, generators=(np.eye(4, dtype=complex), p0))
+    assert frob_norm(t.d @ t.generators[0] - t.generators[0] @ t.d) == 0.0
+    db = t.d @ p0 - p0 @ t.d
+    line = check_axioms(t).line("first_order")
+    assert not line.passed
+    assert line.residual == frob_norm(db @ p0 - p0 @ db) > 0.0
+    assert failing(t) == {"first_order"}
+
+
+def _count_order_norms(monkeypatch, t: FiniteSpectralTriple) -> int:
+    calls = []
+    monkeypatch.setattr(spectral, "frob_norm", lambda a: calls.append(1) or frob_norm(a))
+    conj = [t.j.conjugate_operator(g) for g in t.generators]
+    spectral._order_residuals(conj, t.generators, t.d)
+    return len(calls)
+
+
+def test_order_residual_work_count(monkeypatch):
+    # one norm per zeroth-order pair; the first-order row of a generator b is
+    # formed only when [D, b] != 0
+    assert _count_order_norms(monkeypatch, sm_algebra_fixture().triple) == 14 * 14
+    assert _count_order_norms(monkeypatch, two_point_triple(3, np.eye(3))) == 2 * 2 + 2 * 2
+    assert _count_order_norms(monkeypatch, two_point_triple(3, np.zeros((3, 3)))) == 2 * 2
+
+
 # ---------------------------------------------------------------------------
 # the C (+) H (+) M3(C) fixture
 # ---------------------------------------------------------------------------
@@ -611,7 +752,8 @@ def test_sm_fixture_homomorphism_and_commutant():
     fx = sm_algebra_fixture()
     assert fx.homomorphism_residual < 1e-10
     assert fx.zeroth_order_residual < 1e-12
-    assert fx.first_order_residual == 0.0  # zero Dirac block
+    assert fx.first_order_residual == 0.0  # zero Dirac block, exactly
+    assert check_axioms(fx.triple).line("first_order").residual == 0.0
     assert fx.triple.hilbert_dim == 32
     assert len(fx.triple.generators) == 14
     assert fx.triple.gamma is None and fx.triple.ko_dim is None
