@@ -39,7 +39,7 @@ for seed in range(6):
     orbit = "frame" if round(rep.casimir) == 6 else "zero"
     print(
         f"{seed:>4} {res.iterations:>6} {res.action:>14.3e} "
-        f"{rep.max_residual:>14.3e} {rep.casimir:>8.3f}  {orbit}"
+        f"{rep.flatness.residual:>14.3e} {rep.casimir:>8.3f}  {orbit}"
     )
 
 # the action decreases monotonically along the trace

@@ -88,8 +88,12 @@ def complex_record(a: np.ndarray) -> dict:
 
 
 def from_complex_record(obj: dict) -> np.ndarray:
-    """Inverse of :func:`complex_record`."""
-    return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+    """Inverse of :func:`complex_record`; ``ValueError`` unless ``"re"`` and ``"im"``
+    have one shape, so neither is broadcast over the other."""
+    re, im = np.array(obj["re"], dtype=float), np.array(obj["im"], dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"re and im shapes differ: {re.shape} and {im.shape}")
+    return re + 1j * im
 
 
 # The predicates judge at the operand's own norm, as a ``Check`` does: a

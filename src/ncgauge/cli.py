@@ -282,10 +282,14 @@ def cmd_minimize(cfg: RunConfig) -> int:
         "iterations": res.iterations,
         "converged": res.converged,
         "stop_reason": res.stop_reason,
-        "flat": report.is_flat,
-        "curvature_residual": report.max_residual,
+        "flat": report.flatness.passed,
+        "curvature_residual": report.flatness.residual,
+        "curvature_tolerance": report.flatness.tolerance,
+        "curvature_scale": report.flatness.scale,
         "casimir": report.casimir,
-        "classification": _classify_orbit(res.action, report.casimir, cfg.n, report.r, cfg.tol),
+        "classification": _classify_orbit(
+            res.action, report.casimir, cfg.n, res.connection.r, cfg.tol
+        ),
     }
     _emit(cfg, _MINIMIZE_HEADER, res.trace, summary)
     return 0 if res.converged else 1

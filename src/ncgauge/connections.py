@@ -32,7 +32,7 @@ from .basis import (
 )
 from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import MaxIterationsError, NotProjectorError, NotUnitaryError, ShapeError
-from .tolerances import TAU_ALG
+from .tolerances import TAU_ALG, Check
 
 __all__ = [
     "MatrixConnection",
@@ -274,10 +274,8 @@ class FlatnessReport:
     """Flatness verdict plus the representation invariant that separates
     gauge orbits of flat connections (quadratic Casimir trace)."""
 
-    is_flat: bool
-    max_residual: float
+    flatness: Check
     casimir: float
-    r: int
 
 
 def casimir_invariant(conn: MatrixConnection) -> float:
@@ -294,8 +292,8 @@ def flat_connection_check(conn: MatrixConnection, tol: float = TAU_ALG) -> Flatn
     """Check ``F = 0``, i.e. that ``k ↦ A_k`` represents the frame bracket;
     report the Casimir invariant alongside.
 
-    ``F_kl = [A_k, A_l] − C[k, l, m] A_m``, so the largest ``‖F_kl‖`` is
-    held to ``tol·(a² + ‖C‖·a)`` with whole-array Frobenius norms, where
+    ``F_kl = [A_k, A_l] − C[k, l, m] A_m``, so the ``"flatness"`` check holds
+    the largest ``‖F_kl‖`` to ``tol·(a² + ‖C‖·a)`` with whole-array norms, where
     ``a = max(‖A‖, ‖E‖)``: the connection's size, or the frame's where the
     connection is smaller, so a descent that ends near ``A = 0`` is judged
     at the frame's scale.  Rescaling the frame and the connection together
@@ -303,12 +301,8 @@ def flat_connection_check(conn: MatrixConnection, tol: float = TAU_ALG) -> Flatn
     f = curvature(conn)
     residual = float(np.sqrt(np.max(np.sum(np.abs(f) ** 2, axis=(2, 3)))))
     a = max(frob_norm(conn.coeffs), frob_norm(conn.basis.mats))
-    return FlatnessReport(
-        is_flat=residual <= tol * (a**2 + frob_norm(conn.basis.c) * a),
-        max_residual=residual,
-        casimir=casimir_invariant(conn),
-        r=conn.r,
-    )
+    scale = a**2 + frob_norm(conn.basis.c) * a
+    return FlatnessReport(Check("flatness", residual, tol, scale), casimir_invariant(conn))
 
 
 def hermitian_compatibility_check(conn: MatrixConnection) -> bool:

@@ -102,7 +102,7 @@ class LatticeConfig:
             # is held to its own size
             for name, x in (("gauge", a), ("algebraic", b)):
                 defect = frob_norm(x + dagger(x))
-                if defect > TAU_ALG * frob_norm(x):
+                if not defect <= TAU_ALG * frob_norm(x):  # NaN fails too
                     raise NotHermitianError(
                         f"{name} field matrices must be anti-Hermitian (defect {defect:.3e})"
                     )
@@ -117,10 +117,6 @@ class LatticeConfig:
     @property
     def n_sites(self) -> int:
         return int(np.prod(self.dims))
-
-    def hermiticity_defect(self) -> float:
-        """Frobenius norm of the anti-Hermitian violation across all fields."""
-        return max(frob_norm(x + dagger(x)) for x in (self.a, self.b))
 
 
 def _forward_diff(field: np.ndarray, axis: int) -> np.ndarray:

@@ -203,7 +203,8 @@ def suite_gauge(n: int = 2, seed: int = 0) -> dict[str, Any]:
     checks += [
         Check("symmetric_vacuum_action", abs(action(MatrixConnection.zero(basis))), TAU_ALG, unit),
         Check("canonical_flat_action", abs(action(flat)), TAU_ALG, unit),
-        Check("canonical_flat_residual", flat_connection_check(flat).max_residual, TAU_ALG, a_sq),
+        # stricter than the flatness line's own tol·(a² + ‖C‖·a), 3x so at n = 2
+        Check("canonical_flat_residual", flat_connection_check(flat).flatness.residual, TAU_ALG, a_sq),
     ]
     return CheckReport(f"gauge_engine_n{n}", checks).to_record()
 
@@ -267,7 +268,7 @@ def suite_spectral(seed: int = 0) -> dict[str, Any]:
         curv = represent_form(t, two_point_curvature_form(r_c))
         closed = two_point_action(1.0 + r_c, m)
         checks += [
-            Check("gauge_route_coincidence", res.max_diff, TAU_ALG, frob_norm(res.d_transformed)),
+            *(replace(ln, name=f"gauge_{ln.name}") for ln in res.report.lines),
             Check(
                 "action_operator_vs_closed_form",
                 abs(float(np.real(np.trace(curv @ curv))) - closed),

@@ -186,7 +186,7 @@ def test_c3_descent_to_flatness():
         assert res.converged, f"seed {seed} did not converge"
         rep = flat_connection_check(res.connection, tol=TAU_NUM)
         worst_s = max(worst_s, res.action)
-        worst_f = max(worst_f, rep.max_residual)
+        worst_f = max(worst_f, rep.flatness.residual)
         orbits.add(round(rep.casimir))
     assert worst_s < TAU_NUM
     assert worst_f < TAU_NUM
@@ -232,7 +232,7 @@ def test_c5_module_embeddings():
     # half-spin frame inside M_2: the canonical flat point
     half = MatrixConnection.canonical_flat(basis)
     rep_half = flat_connection_check(half)
-    assert rep_half.is_flat and rep_half.casimir == round(rep_half.casimir) == 6
+    assert rep_half.flatness.passed and rep_half.casimir == round(rep_half.casimir) == 6
     # integer-spin generators inside M_3
     sq2 = np.sqrt(2.0)
     spin1 = (
@@ -248,12 +248,12 @@ def test_c5_module_embeddings():
     )
     whole = MatrixConnection(basis, 2j * spin1)
     rep_whole = flat_connection_check(whole)
-    assert rep_whole.is_flat and round(rep_whole.casimir) == 24
+    assert rep_whole.flatness.passed and round(rep_whole.casimir) == 24
     # reducible half (+) scalar inside M_3: flat but Casimir stays 6
     coeffs = np.zeros((3, 3, 3), dtype=complex)
     coeffs[:, :2, :2] = 1j * basis.mats
     mixed = flat_connection_check(MatrixConnection(basis, coeffs))
-    assert mixed.is_flat and round(mixed.casimir) == 6
+    assert mixed.flatness.passed and round(mixed.casimir) == 6
     assert round(rep_whole.casimir) != round(rep_half.casimir)
     return "flat embeddings in M2 and M3 verified; Casimir separates 6 vs 24 at equal size"
 

@@ -134,6 +134,17 @@ def test_mass_matrix_parsing(tmp_path):
         build_config(["--config", str(cfg_file)])
 
 
+@pytest.mark.parametrize("im", [0.5, [[0.0, 0.0]]], ids=["scalar", "one-row"])
+def test_mass_matrix_with_an_imaginary_part_of_another_shape_exits_two(capsys, tmp_path, im):
+    # broadcast, 0.5 would read as 0.5j in every entry
+    cfg_file = tmp_path / "m.json"
+    m = {"re": [[1.0, 0.0], [0.0, 2.0]], "im": im}
+    cfg_file.write_text(json.dumps({"command": "two_point", "N": 2, "M": m}))
+    code, out, err = run_main(capsys, ["--config", str(cfg_file)])
+    assert code == 2 and out == ""
+    assert "M must be a complex matrix" in err and "shapes differ" in err
+
+
 def test_exit_code_two_on_bad_config(capsys):
     code, _out, err = run_main(capsys, ["verify", "--n", "0"])
     assert code == 2
@@ -181,6 +192,19 @@ def test_minimize_converges_and_reports(capsys):
     summary = json.loads(err)
     assert summary["converged"] is True and summary["flat"] is True
     assert summary["classification"] in ("symmetric", "canonical-flat")
+
+
+@pytest.mark.parametrize(
+    "argv, flat",
+    [(["--seed", "1"], True), (["--r", "4", "--seed", "4"], True), (["--steps", "0"], False)],
+)
+def test_minimize_reports_the_flatness_bound_beside_its_verdict(capsys, argv, flat):
+    _, _, err = run_main(capsys, ["minimize", "--n", "2", *argv])
+    summary = json.loads(err)
+    assert summary["flat"] is flat
+    assert summary["flat"] == (summary["curvature_residual"] <= summary["curvature_tolerance"])
+    # the default tolerance is 1e-8, the bound's tol
+    assert summary["curvature_tolerance"] == 1e-8 * summary["curvature_scale"] > 0.0
 
 
 @pytest.mark.parametrize("seed", [4, 6, 7])

@@ -102,7 +102,7 @@ def test_both_vacua_are_flat(n):
         assert frob_norm(curvature(conn)) < 1e-12
         assert action(conn) < 1e-13
         rep = flat_connection_check(conn)
-        assert rep.is_flat
+        assert rep.flatness.passed
 
 
 def test_curvature_form_collects_upper_pairs(basis2):
@@ -240,7 +240,7 @@ def test_minimize_reaches_flat_vacua(basis2):
         assert res.converged
         assert res.action < 1e-10
         rep = flat_connection_check(res.connection, tol=1e-8)
-        assert rep.is_flat
+        assert rep.flatness.passed
         # trace rows never increase the action
         actions = [row[1] for row in res.trace]
         assert all(a2 <= a1 + 1e-15 for a1, a2 in zip(actions, actions[1:]))
@@ -440,7 +440,7 @@ def test_spin_one_embedding_is_flat_with_casimir_24(basis2):
     # relations of the n=2 basis inside M_3
     conn = MatrixConnection(basis2, 2j * SPIN1)
     rep = flat_connection_check(conn)
-    assert rep.is_flat and rep.r == 3
+    assert rep.flatness.passed and conn.r == 3
     assert rep.casimir == pytest.approx(24.0)
 
 
@@ -451,8 +451,28 @@ def test_spin_half_plus_trivial_summand(basis2):
     coeffs[:, :2, :2] = 1j * basis2.mats
     conn = MatrixConnection(basis2, coeffs)
     rep = flat_connection_check(conn)
-    assert rep.is_flat
+    assert rep.flatness.passed
     assert rep.casimir == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_flatness_check_is_one_check_line_at_tol_times_its_scale(basis2, rng, tol):
+    # a = max(‖A‖, ‖E‖), and the bound is tol·(a² + ‖C‖·a)
+    for conn in (
+        random_connection(basis2, rng),
+        MatrixConnection.zero(basis2),
+        MatrixConnection.canonical_flat(basis2),
+        MatrixConnection(basis2, 2j * SPIN1),
+        MatrixConnection(basis2, 1e-6 * random_connection(basis2, rng).coeffs),
+    ):
+        line = flat_connection_check(conn, tol=tol).flatness
+        a = max(frob_norm(conn.coeffs), frob_norm(basis2.mats))
+        assert (line.name, line.tol) == ("flatness", tol)
+        assert line.scale == a**2 + frob_norm(basis2.c) * a
+        assert line.tolerance == tol * (a**2 + frob_norm(basis2.c) * a)
+        worst = max(frob_norm(f) for f in curvature(conn).reshape(-1, conn.r, conn.r))
+        assert line.residual == pytest.approx(worst, rel=1e-14, abs=0.0)
+        assert line.passed is (line.residual <= line.tolerance)
 
 
 def test_hermitian_compatibility_check(basis2, rng):

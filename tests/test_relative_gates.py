@@ -113,7 +113,7 @@ class NotFlatError(Exception):
 
 def _require_flat(conn):
     # flat_connection_check reports a verdict; the tables expect a gate
-    if not flat_connection_check(conn).is_flat:
+    if not flat_connection_check(conn).flatness.passed:
         raise NotFlatError
 
 
@@ -207,17 +207,18 @@ def test_flat_verdict_does_not_depend_on_the_frame_scale(n):
     rng = np.random.default_rng(n)
     for scale in (1e-4, 1e-2, 1.0, 1e2, 1e3, 1e4):
         basis = MatrixBasis.from_matrices(scale * mats)
-        assert flat_connection_check(MatrixConnection.canonical_flat(basis)).is_flat, scale
-        assert flat_connection_check(MatrixConnection.zero(basis)).is_flat, scale
+        assert flat_connection_check(MatrixConnection.canonical_flat(basis)).flatness.passed, scale
+        assert flat_connection_check(MatrixConnection.zero(basis)).flatness.passed, scale
     basis = MatrixBasis.gellmann(n)
     for scale in (1e-6, 1.0, 1e3):
         curved = MatrixConnection(basis, scale * random_connection(basis, rng).coeffs)
-        assert not flat_connection_check(curved).is_flat, scale
+        assert not flat_connection_check(curved).flatness.passed, scale
     # the frame and the connection rescaled together keep their verdict
     curved = random_connection(basis, rng)
     for scale in (1e-11, 1e-6, 1e4):
         frame = MatrixBasis.from_matrices(scale * mats)
-        assert not flat_connection_check(MatrixConnection(frame, scale * curved.coeffs)).is_flat
+        rescaled = MatrixConnection(frame, scale * curved.coeffs)
+        assert not flat_connection_check(rescaled).flatness.passed
 
 
 def _inner_gauge(d_scale: float, leak: float):

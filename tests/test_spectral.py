@@ -633,6 +633,15 @@ def test_triple_json_shape_mismatch_is_a_config_error(field):
         triple_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("im", [0.5, [[0.0] * 4]], ids=["scalar", "one-row"])
+def test_triple_json_refuses_an_imaginary_part_of_another_shape(im):
+    # broadcast, a scalar im would read as that multiple of i in every entry of D
+    payload = json.loads(triple_to_json(two_point_triple(2, np.eye(2))))
+    payload["d"]["im"] = im
+    with pytest.raises(ConfigError, match="malformed triple serialization.*shapes differ"):
+        triple_from_json(json.dumps(payload))
+
+
 # ---------------------------------------------------------------------------
 # the order conditions: exact skips and their work count
 # ---------------------------------------------------------------------------

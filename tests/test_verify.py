@@ -11,12 +11,14 @@ import pytest
 
 from ncgauge import (
     TAU_ALG,
+    CheckReport,
     LatticeConfig,
     MatrixBasis,
     MatrixConnection,
     action_gradient,
     frob_norm,
     gellmann_basis,
+    inner_gauge,
     random_connection,
     verify,
 )
@@ -200,3 +202,21 @@ def test_fd_gradient_helper_matches_analytic():
     g_an = action_gradient(conn)
     g_fd = verify.fd_action_gradient(conn)
     assert frob_norm(g_an - g_fd) <= TAU_ALG * frob_norm(g_an)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_spectral_suite_reports_inner_gauges_own_lines(monkeypatch, seed):
+    # each gauge_* line is the inner_gauge report's line, renamed: the worst
+    # of the suite's samples, field for field
+    results = []
+
+    def spy(*args):
+        results.append(inner_gauge(*args))
+        return results[-1]
+
+    monkeypatch.setattr(verify, "inner_gauge", spy)
+    checks = {c["name"]: c for c in verify.suite_spectral(seed=seed)["checks"]}
+    assert len(results) == 6
+    for name in ("route_coincidence", "gamma_invariant", "j_invariant"):
+        worst = CheckReport("samples", [res.report.line(name) for res in results]).line(name)
+        assert checks[f"gauge_{name}"] == replace(worst, name=f"gauge_{name}").to_record()
