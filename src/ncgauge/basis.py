@@ -82,6 +82,17 @@ def frame_map(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y.reshape(y.shape[:-1] + x.shape[-2:])
 
 
+def conjugate_by(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``g† x[..., B, :, :] g`` for a ``(..., r, r)`` stack ``g`` and a ``(..., B, r, r)``
+    stack ``x``: two GEMMs per lead index over all ``B`` at once, ``(B·r × r)(r × r)``
+    and then ``(r × r)(r × B·r)``."""
+    x = np.asarray(x, dtype=complex)
+    lead, (b, r) = x.shape[:-3], x.shape[-3:-1]
+    xg = (np.reshape(x, lead + (b * r, r)) @ g).reshape(lead + (b, r, r))
+    y = dagger(g) @ xg.swapaxes(-3, -2).reshape(lead + (r, b * r))
+    return y.reshape(lead + (r, b, r)).swapaxes(-3, -2)
+
+
 def complex_record(a: np.ndarray) -> dict:
     """JSON-compatible record ``{"re": ..., "im": ...}`` of a complex array."""
     return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
@@ -220,13 +231,13 @@ def structure_constants(mats: np.ndarray) -> np.ndarray:
         c = np.linalg.solve(gram, rhs.reshape(-1, d).T).T.reshape(d, d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularBasisError("basis matrices are linearly dependent") from exc
-    if frob_norm(c.imag) > TAU_ALG * frob_norm(c.real):
+    if not frob_norm(c.imag) <= TAU_ALG * frob_norm(c.real):  # NaN fails too
         raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     c = c.real
     c = (c - c.transpose(1, 0, 2)) / 2.0  # exact antisymmetry
     # closure check: the frame curvature of A_k = iE_k is i(comm − C·E), zero
     # exactly when the projected commutators reproduce the originals
-    if frob_norm(bracket_defect(c, 1j * mats)) > TAU_ALG * frob_norm(comm):
+    if not frob_norm(bracket_defect(c, 1j * mats)) <= TAU_ALG * frob_norm(comm):
         raise SingularBasisError(
             "commutators leave the span of the family; not a closed basis"
         )
@@ -369,7 +380,7 @@ class MatrixBasis:
         rhs = np.einsum("kba,ba->k", np.conjugate(self.mats), a) / self.n
         coeff = self.g_inv @ rhs
         resid = a - np.einsum("k,kab->ab", coeff, self.mats)
-        if frob_norm(resid) > TAU_ALG * frob_norm(a):
+        if not frob_norm(resid) <= TAU_ALG * frob_norm(a):  # NaN fails too
             raise ShapeError("matrix is not in the span of the basis")
         return coeff
 

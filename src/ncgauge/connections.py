@@ -27,8 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from .basis import (
-    MatrixBasis, bracket_defect, dagger, frame_map, frob_norm, frozen, is_antihermitian,
-    is_unitary,
+    MatrixBasis, bracket_defect, conjugate_by, dagger, frame_map, frob_norm, frozen,
+    is_antihermitian, is_unitary,
 )
 from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import MaxIterationsError, NotProjectorError, NotUnitaryError, ShapeError
@@ -125,7 +125,7 @@ def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:
         raise ShapeError(f"gauge matrix must be {conn.r}x{conn.r}")
     if not is_unitary(g):
         raise NotUnitaryError("gauge transformations must be unitary")
-    return MatrixConnection(conn.basis, dagger(g) @ conn.coeffs @ g)
+    return MatrixConnection(conn.basis, conjugate_by(g, conn.coeffs))
 
 
 def _action_parts(basis: MatrixBasis, a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -323,7 +323,7 @@ def grassmann_connection(p: np.ndarray, basis: MatrixBasis) -> np.ndarray:
         raise ShapeError(f"projector entries must form (N, N, {basis.n}, {basis.n})")
     nrows = p.shape[0]
     psq = np.einsum("ikab,kjbc->ijac", p, p)
-    if frob_norm(psq - p) > TAU_ALG * frob_norm(p):
+    if not frob_norm(psq - p) <= TAU_ALG * frob_norm(p):  # NaN fails too
         raise NotProjectorError("block matrix is not idempotent")
     dp = [[dprime(DerForm.matrix(basis, p[i, j])) for j in range(nrows)] for i in range(nrows)]
     p_forms = [[DerForm.matrix(basis, p[i, j]) for j in range(nrows)] for i in range(nrows)]

@@ -68,7 +68,7 @@ class Derivation:
 
     ``coeffs`` are the components in the ``∂_k = ad(iE_k)`` frame, i.e.
     ``ad(gamma) = Σ_k coeffs[k] ∂_k`` with ``coeffs = expand(-i·gamma)``;
-    given ones must agree with it at ``TAU_ALG`` times their norm.
+    given ones must agree with it at ``TAU_ALG`` times its norm.
     """
 
     basis: MatrixBasis
@@ -85,7 +85,7 @@ class Derivation:
         own = self.basis.expand(-1j * gamma)
         coeffs = own if self.coeffs is None else np.asarray(self.coeffs)
         error = np.linalg.norm(coeffs - own) if coeffs.shape == own.shape else np.inf
-        if error > TAU_ALG * np.linalg.norm(coeffs):
+        if not error <= TAU_ALG * np.linalg.norm(own):  # NaN and inf fail too
             raise ShapeError(f"coeffs must be expand(-i·gamma) = {own}, got {coeffs}")
         object.__setattr__(self, "coeffs", frozen(coeffs))
 

@@ -34,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    MatrixBasis, adjoint_table, antihermitian_frame, bracket_defect, dagger, frame_map,
-    frob_norm, frozen, is_unitary,
+    MatrixBasis, adjoint_table, antihermitian_frame, bracket_defect, conjugate_by, dagger,
+    frame_map, frob_norm, frozen, is_unitary,
 )
 from .errors import NotHermitianError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG
@@ -120,8 +120,22 @@ class LatticeConfig:
 
 
 def _forward_diff(field: np.ndarray, axis: int) -> np.ndarray:
-    """Forward periodic difference Δ_μ f(x) = f(x + μ̂) − f(x)."""
-    return np.roll(field, -1, axis=axis) - field
+    """Forward periodic difference Δ_μ f(x) = f(x + μ̂) − f(x): the interior and
+    the wrapped last slice, each one subtraction into the output."""
+    out = np.empty_like(field)
+    head = (slice(None),) * axis
+    lo, hi = head + (slice(-1),), head + (slice(1, None),)  # sites 0..L−2 and 1..L−1
+    first, last = head + (slice(1),), head + (slice(-1, None),)  # sites 0 and L−1
+    np.subtract(field[hi], field[lo], out=out[lo])
+    np.subtract(field[first], field[last], out=out[last])
+    return out
+
+
+def _padded(c: np.ndarray, m: int) -> np.ndarray:
+    """``c`` behind ``m`` zero slices on each axis: zero wherever an index is geometric."""
+    out = np.zeros((m + len(c),) * 3)
+    out[m:, m:, m:] = c
+    return out
 
 
 def _curvature(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,8 +145,7 @@ def _curvature(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m, d, n, mu = cfg.m, cfg.basis.dim, cfg.basis.n, cfg.mu
     lower, c = cfg.basis.normal_frame
     x = np.concatenate([cfg.a, frame_map(lower.T, cfg.b)], axis=-3)
-    c = np.pad(c, ((m, 0),) * 3)  # zero wherever an index is geometric
-    f = bracket_defect(c, x)
+    f = bracket_defect(_padded(c, m), x)
     for mu_dir in range(m):  # Δ_A X_B − Δ_B X_A, with Δ_k = 0
         dx = _forward_diff(x, mu_dir)
         f[..., mu_dir, :, :, :] += dx
@@ -158,6 +171,10 @@ def lattice_gauge_transform(cfg: LatticeConfig, g: np.ndarray) -> LatticeConfig:
     site-dependent ``g`` the inhomogeneous term ``g†(x) g(x+μ̂) − 1`` is
     anti-Hermitian only to first order in the spacing, so the action
     picks up an O(h) drift that shrinks under lattice refinement.
+
+    The homogeneous part ``g† X_B g`` of every direction ``B``, geometric and
+    algebraic, comes from one :func:`ncgauge.basis.conjugate_by` call: two
+    GEMMs per site.
     """
     n = cfg.basis.n
     g = np.asarray(g, dtype=complex)
@@ -165,12 +182,11 @@ def lattice_gauge_transform(cfg: LatticeConfig, g: np.ndarray) -> LatticeConfig:
         raise ShapeError(f"gauge field must have shape {cfg.dims + (n, n)}, got {g.shape}")
     if not is_unitary(g):
         raise NotUnitaryError("gauge transformation must be unitary at every site")
-    g = g[..., None, :, :]  # one g per site, broadcast over the direction axis
-    gh = dagger(g)
-    dg = np.concatenate([_forward_diff(g, mu_dir) for mu_dir in range(cfg.m)], axis=-3)
-    a_new = gh @ cfg.a @ g + gh @ dg
-    b_new = gh @ cfg.b @ g
-    return LatticeConfig(cfg.dims, cfg.basis, a_new, b_new, cfg.mu, check=False)
+    m = cfg.m
+    dg = np.stack([_forward_diff(g, mu_dir) for mu_dir in range(m)], axis=-3)
+    x = conjugate_by(g, np.concatenate([cfg.a, cfg.b], axis=-3))  # every direction at once
+    a_new = x[..., :m, :, :] + dagger(g)[..., None, :, :] @ dg
+    return LatticeConfig(cfg.dims, cfg.basis, a_new, x[..., m:, :, :], cfg.mu, check=False)
 
 
 def vacuum_config(

@@ -281,7 +281,7 @@ def _point_projections(t: FiniteSpectralTriple, size: int) -> tuple[np.ndarray, 
     if len(projs) != size:
         raise ShapeError(f"need {size} point projections, got {len(projs)}")
     total = sum(projs)
-    if frob_norm(total - np.eye(t.hilbert_dim)) > TAU_ALG * t.hilbert_dim:
+    if not frob_norm(total - np.eye(t.hilbert_dim)) <= TAU_ALG * t.hilbert_dim:  # NaN fails too
         raise ShapeError(
             "point projections must sum to the identity (indicator functions of the points)"
         )
@@ -634,7 +634,7 @@ def sm_algebra_fixture(d_f: np.ndarray | None = None) -> SMFixture:
     ])
     reps += gens
     zeroth, first = _order_residuals([j.conjugate_operator(r) for r in reps], reps, d_f)
-    if first > TAU_ALG * frob_norm(d_f):
+    if not first <= TAU_ALG * frob_norm(d_f):
         raise ConfigError(
             f"Dirac block violates the first-order condition (residual {first:.3e})"
         )

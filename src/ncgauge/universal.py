@@ -96,8 +96,9 @@ class UniversalForm:
         object.__setattr__(self, "values", v)
         worst = float(np.abs(np.take(v, _coincident(self.size, self.degree))).max(initial=0.0))
         # judged against the largest entry, so a form of any size is held to its
-        # own scale; an exact zero passes without that reduction
-        if worst > 0.0 and worst > TAU_ALG * float(np.abs(v).max()):
+        # own scale; an exact zero passes without that reduction.  NaN fails the
+        # comparison, and an infinite entry leaves no finite scale to judge by
+        if worst != 0.0 and not worst <= TAU_ALG * float(np.abs(v).max()) < np.inf:
             raise ShapeError("form values must vanish when consecutive arguments coincide")
 
     # -- arithmetic ---------------------------------------------------------
@@ -223,6 +224,6 @@ def two_point_curvature(r: complex) -> complex:
     curv = two_point_curvature_form(r)
     v010 = complex(curv.values[0, 1, 0])
     v101 = complex(curv.values[1, 0, 1])
-    if abs(v010 - v101) > TAU_ALG:
+    if not abs(v010 - v101) <= TAU_ALG:  # NaN fails too
         raise ShapeError("curvature components unexpectedly differ")
     return v010

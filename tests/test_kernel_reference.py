@@ -18,8 +18,10 @@ from ncgauge import (
     bracket_defect,
     curvature,
     frob_norm,
+    random_unitary,
 )
-from ncgauge.basis import frame_map
+from ncgauge.basis import conjugate_by, frame_map
+from ncgauge.lattice import _forward_diff, _padded
 
 REL = 1e-13
 
@@ -136,3 +138,38 @@ def test_frame_map_matches_einsum(frame, skewed_frame):
         got = frame_map(t, x)
         assert got.shape == x.shape[:-3] + (len(t), x.shape[-1], x.shape[-1]), name
         assert rel_err(got, np.einsum("kl,...lab->...kab", t, x)) <= 1e-15, name
+
+
+@pytest.mark.parametrize("lead", [(), (16,), (6, 6)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_conjugate_by_matches_einsum(lead, r):
+    # the gauge transforms' g† X_B g: one g per lead index, shared by every B
+    rng = np.random.default_rng(13 + r)
+    g = np.stack([random_unitary(r, rng) for _ in range(int(np.prod(lead)))]).reshape(lead + (r, r))
+    cases = {
+        "contiguous": ginibre(rng, lead + (5, r, r)),
+        "sliced": ginibre(rng, lead + (10, r, r))[..., ::2, :, :],
+        "transposed": np.swapaxes(ginibre(rng, lead + (5, r, r)), -1, -2),
+    }
+    for name, x in cases.items():
+        want = np.einsum("...ji,...bjk,...kl->...bil", g.conj(), x, g)
+        got = conjugate_by(g, x)
+        assert got.shape == x.shape, name
+        assert rel_err(got, want) <= 1e-14, name
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 3), (3, 2), (3, 3)])
+def test_forward_diff_is_roll_minus_field_bit_for_bit(dims):
+    rng = np.random.default_rng(17)
+    field = ginibre(rng, dims + (4, 2, 2))
+    for axis in range(len(dims)):
+        assert np.array_equal(_forward_diff(field, axis), np.roll(field, -1, axis) - field), axis
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_padded_constants_are_np_pad_bit_for_bit(m, n):
+    c = MatrixBasis.gellmann(n).normal_frame[1]
+    padded = _padded(c, m)
+    assert padded.dtype == c.dtype
+    assert np.array_equal(padded, np.pad(c, ((m, 0),) * 3))

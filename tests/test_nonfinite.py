@@ -16,16 +16,28 @@ import pytest
 from ncgauge import (
     TAU_ALG,
     Check,
+    Derivation,
     LatticeConfig,
     MatrixBasis,
     MatrixConnection,
     NCGaugeError,
     NotUnitaryError,
     RealStructure,
+    ShapeError,
     UniversalForm,
     check_axioms,
     flat_connection_check,
+    gauge_transform,
+    gellmann_basis,
+    grassmann_connection,
     inner_gauge,
+    lattice_gauge_transform,
+    random_connection,
+    random_lattice_config,
+    random_unitary,
+    represent_form,
+    structure_constants,
+    two_point_curvature,
     two_point_triple,
     vacuum_config,
 )
@@ -36,13 +48,19 @@ B2 = MatrixBasis.gellmann(2)
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
+def _each_poisoned(x: np.ndarray, value: float):
+    """``(idx, x with value put into entry idx)`` for each entry of ``x`` in turn."""
+    for idx in np.ndindex(np.shape(x)):
+        poisoned = np.array(x, dtype=complex)
+        poisoned[idx] = value
+        yield idx, poisoned
+
+
 def _leaks(x: np.ndarray, value: float, verdict) -> list[tuple[int, ...]]:
     """The entries of ``x`` where ``value``, put in alone, gives a passing
     ``verdict``; an ``NCGaugeError`` counts as a refusal."""
     leaks = []
-    for idx in np.ndindex(np.shape(x)):
-        poisoned = np.array(x, dtype=complex)
-        poisoned[idx] = value
+    for idx, poisoned in _each_poisoned(x, value):
         try:
             if verdict(poisoned):
                 leaks.append(idx)
@@ -151,3 +169,107 @@ def test_check_axioms_reports_a_singular_reality_operator(mass, u):
         assert not report.line(name).passed, name
     assert np.isnan(report.line("zeroth_order").residual)
     assert np.isnan(report.line("reality_dirac_sign").residual)
+
+
+# -- gates outside the verdicts: each refuses a poisoned operand -------------
+
+def _accepts(call):
+    """A verdict for :func:`_leaks` that passes whenever ``call`` returns."""
+    return lambda x: call(x) is not None
+
+
+@pytest.mark.parametrize("value", POISONS)
+def test_expand_refuses_a_poisoned_matrix(value):
+    a = B2.reconstruct(np.array([0.3, -1.2, 0.7]))
+    assert not _leaks(a, value, _accepts(B2.expand))
+
+
+@pytest.mark.parametrize("value", POISONS)
+def test_structure_constants_refuse_a_poisoned_family(value):
+    assert not _leaks(gellmann_basis(2), value, _accepts(structure_constants))
+
+
+@pytest.mark.parametrize("value", POISONS)
+def test_universal_form_refuses_a_poisoned_coincident_entry(value):
+    # the entries where consecutive arguments coincide must vanish
+    clean = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for idx in [(0, 0), (1, 1)]:
+        poisoned = clean.astype(complex)
+        poisoned[idx] = value
+        with pytest.raises(ShapeError):
+            UniversalForm(2, 1, poisoned)
+
+
+@pytest.mark.parametrize("value", POISONS)
+def test_derivation_refuses_poisoned_coefficients(value):
+    gamma = 1j * B2.mats[0] - 0.5j * B2.mats[2]
+    coeffs = Derivation(B2, gamma).coeffs
+    assert not _leaks(coeffs, value, _accepts(lambda x: Derivation(B2, gamma, x)))
+
+
+@pytest.mark.parametrize("value", POISONS)
+def test_grassmann_connection_refuses_a_poisoned_projector(value):
+    # a rank-one projector of C² ⊗ C² with every entry nonzero
+    v = np.array([1.0, 2.0 - 1.0j, 0.5j, -1.5])
+    p = (np.outer(v, v.conj()) / np.vdot(v, v)).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    assert grassmann_connection(p, B2).shape == (2, 2)
+    assert not _leaks(p, value, _accepts(lambda x: grassmann_connection(x, B2)))
+
+
+@pytest.mark.parametrize("value", POISONS)
+def test_two_point_curvature_refuses_a_poisoned_value(value):
+    assert two_point_curvature(1.0 + 1.0j) == 4.0  # |r + 1|² − 1
+    with pytest.raises(ShapeError):
+        two_point_curvature(value)
+
+
+@pytest.mark.parametrize("value", POISONS)
+@pytest.mark.parametrize("which", [0, 1])
+def test_represent_form_refuses_a_poisoned_point_projection(which, value):
+    t = two_point_triple(2, np.eye(2))
+    assert np.all(np.isfinite(represent_form(t, OMEGA)))
+
+    def call(x):
+        gens = list(t.generators)
+        gens[which] = x
+        return represent_form(replace(t, generators=tuple(gens)), OMEGA)
+
+    assert not _leaks(t.generators[which], value, _accepts(call))
+
+
+# -- the gauge transforms refuse a poisoned or misshapen g --------------------
+
+@pytest.mark.parametrize("value", POISONS)
+@pytest.mark.parametrize("dims", [(3,), (2, 2)])
+def test_lattice_gauge_transform_refuses_a_poisoned_site(dims, value):
+    rng = np.random.default_rng(5)
+    cfg = random_lattice_config(dims, B2, 1.0, rng)
+    g = np.stack([random_unitary(2, rng) for _ in range(int(np.prod(dims)))]).reshape(dims + (2, 2))
+    assert lattice_gauge_transform(cfg, g) is not None
+    for _, poisoned in _each_poisoned(g, value):  # one site at a time
+        with pytest.raises(NotUnitaryError):
+            lattice_gauge_transform(cfg, poisoned)
+
+
+@pytest.mark.parametrize("value", POISONS)
+@pytest.mark.parametrize("r", [2, 3])
+def test_gauge_transform_refuses_a_poisoned_matrix(r, value):
+    rng = np.random.default_rng(6)
+    conn = random_connection(B2, rng, r)
+    g = random_unitary(r, rng)
+    assert gauge_transform(conn, g) is not None
+    for _, poisoned in _each_poisoned(g, value):
+        with pytest.raises(NotUnitaryError):
+            gauge_transform(conn, poisoned)
+
+
+def test_gauge_transforms_refuse_a_misshapen_matrix():
+    rng = np.random.default_rng(7)
+    cfg = random_lattice_config((3,), B2, 1.0, rng)
+    for g in (np.broadcast_to(np.eye(2), (2, 2, 2)), np.broadcast_to(np.eye(3), (3, 3, 3))):
+        with pytest.raises(ShapeError):
+            lattice_gauge_transform(cfg, g)
+    conn = random_connection(B2, rng)
+    for g in (np.eye(3), np.broadcast_to(np.eye(2), (1, 2, 2))):
+        with pytest.raises(ShapeError):
+            gauge_transform(conn, g)
