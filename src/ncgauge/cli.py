@@ -227,7 +227,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _classify_orbit(action_value: float, casimir: float, n: int, r: int, tol: float) -> str:
-    if action_value >= tol:
+    if not action_value < tol:  # NaN too
         return "unconverged"
     canonical = n * (n**2 - 1)
     if abs(casimir) < 0.5:

@@ -22,7 +22,6 @@ as an independent cross-check of the whole calculus stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .basis import (
     MatrixBasis, bracket_defect, conjugate_by, dagger, frame_map, frob_norm, frozen,
     is_antihermitian, is_unitary,
 )
-from .derforms import DerForm, dinvolution, dprime, hodge, nc_integrate, wedge
+from .derforms import DerForm, _nonzero, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import MaxIterationsError, NotProjectorError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG, Check
 
@@ -114,8 +113,9 @@ def curvature_form(conn: MatrixConnection) -> DerForm:
     basis = conn.basis
     if conn.r != basis.n:
         raise ShapeError("the form picture needs module row size r equal to n")
-    f = curvature(conn)
-    return DerForm(basis, {kl: f[kl] for kl in combinations(range(basis.dim), 2)})
+    iu = np.triu_indices(basis.dim, 1)  # the pairs k < l, in lexicographic order
+    part = _nonzero(np.stack(iu, axis=1), curvature(conn)[iu])
+    return DerForm._of(basis, {} if part is None else {2: part})
 
 
 def gauge_transform(conn: MatrixConnection, g: np.ndarray) -> MatrixConnection:

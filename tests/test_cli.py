@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ncgauge.cli import build_config, main
+from ncgauge.cli import _classify_orbit, build_config, main
 from ncgauge.errors import ConfigError
 
 
@@ -216,6 +216,13 @@ def test_minimize_labels_the_canonical_casimir_off_r_equal_n_flat_other(capsys, 
     assert code == 0 and summary["flat"] is True and summary["r"] == 4
     assert summary["casimir"] == pytest.approx(6.0, abs=1e-6)
     assert summary["classification"] == "flat-other"
+
+
+@pytest.mark.parametrize("action_value", [float("nan"), float("inf"), 1e-8])
+def test_an_action_not_below_tol_is_unconverged(action_value):
+    # written as a `>=` gate, a NaN action would pass as converged
+    assert _classify_orbit(0.0, 24.0, 3, 3, 1e-8) == "canonical-flat"
+    assert _classify_orbit(action_value, 24.0, 3, 3, 1e-8) == "unconverged"
 
 
 def test_minimize_is_bit_for_bit_deterministic(capsys):

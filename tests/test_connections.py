@@ -14,6 +14,7 @@ import pytest
 
 from ncgauge import (
     TAU_ALG,
+    DerForm,
     MatrixBasis,
     MatrixConnection,
     MaxIterationsError,
@@ -113,6 +114,19 @@ def test_curvature_form_collects_upper_pairs(basis2):
     for k in range(3):
         for l in range(k + 1, 3):
             assert np.abs(form.component((k, l)) - f[k, l]).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_curvature_form_equals_the_form_built_from_its_mapping(n, rng):
+    # bit for bit: the zero connection has no component, the canonical flat
+    # one keeps its roundoff, a random one has every pair k < l
+    b = MatrixBasis.gellmann(n)
+    for conn in (MatrixConnection.zero(b), MatrixConnection.canonical_flat(b), random_connection(b, rng)):
+        f = curvature(conn)
+        ref = DerForm(b, {(k, l): f[k, l] for k in range(b.dim) for l in range(k + 1, b.dim)})
+        got = curvature_form(conn).components
+        assert list(got) == list(ref.components)
+        assert all(np.array_equal(got[kl], ref.components[kl]) for kl in got)
 
 
 def test_curvature_form_needs_square_module(basis2, rng):

@@ -36,11 +36,13 @@ from ncgauge import (
     random_lattice_config,
     random_unitary,
     represent_form,
+    sm_algebra_fixture,
     structure_constants,
     two_point_curvature,
     two_point_triple,
     vacuum_config,
 )
+from ncgauge import spectral
 
 POISONS = [np.nan, np.inf, -np.inf]
 B2 = MatrixBasis.gellmann(2)
@@ -97,6 +99,60 @@ def test_no_poisoned_triple_passes_its_axiom_audit(mass, operand, value):
         return all(c.passed for c in check_axioms(put(t, x)).lines if c.name in judged)
 
     assert not _leaks(get(t), value, verdict)
+
+
+#: the C (+) H (+) M3(C) fixture, and the indices that are blocks of their own
+#: in the joint support of its generators and their J-conjugates: generator 0
+#: (the unit of C) is nonzero on each diagonal entry there
+SM = sm_algebra_fixture().triple
+SM_SINGLETONS = (0, 4, 16, 17)
+
+
+def _singletons(t) -> set[int]:
+    gens = np.array(t.generators)
+    support = np.concatenate([gens, t.j.conjugate_operator(gens)]).any(axis=0)
+    support = support | support.T
+    return {i for i in range(t.hilbert_dim) if support[i].sum() == 1 and support[i, i]}
+
+
+def _assert_zeroth_order_fails_non_finite(t):
+    line = check_axioms(t).line("zeroth_order")
+    assert not line.passed and not np.isfinite(line.residual), line
+
+
+@pytest.mark.parametrize("value", POISONS)
+@pytest.mark.parametrize("i", SM_SINGLETONS)
+def test_a_poisoned_singleton_block_of_the_fixture_fails_zeroth_order(i, value):
+    # the audit multiplies block by block: a block of one index must still carry
+    # the poison into the residual, and a poisoned entry between two singletons
+    # must join them; the poisoned generator goes last, so no fold meets it first
+    assert _singletons(SM) == set(SM_SINGLETONS) and SM.generators[0][i, i] != 0
+    assert check_axioms(SM).passed
+    j = SM_SINGLETONS[(SM_SINGLETONS.index(i) + 1) % len(SM_SINGLETONS)]
+    for entry in ((i, i), (i, j)):
+        g = np.array(SM.generators[0])
+        g[entry] = value
+        _assert_zeroth_order_fails_non_finite(replace(SM, generators=SM.generators[1:] + (g,)))
+
+
+@pytest.mark.parametrize("value", POISONS)
+@pytest.mark.parametrize("i", SM_SINGLETONS)
+def test_a_poisoned_reality_operator_fails_the_fixtures_zeroth_order(i, value):
+    # on the diagonal entry of a singleton and on the nonzero entry of its row
+    for j in (i, int(np.flatnonzero(SM.j.u[i])[0])):
+        u = np.array(SM.j.u)
+        u[i, j] = value
+        _assert_zeroth_order_fails_non_finite(replace(SM, j=RealStructure(u)))
+
+
+@pytest.mark.parametrize("value", POISONS)
+def test_a_non_finite_entry_joins_the_blocks_it_couples(value):
+    # the order audit's blocks come from the operators' joint support, where a
+    # non-finite entry counts: off the blocks of the finite entries it would be lost
+    x = np.diag([1.0, 2.0]).astype(complex)[None]
+    x[0, 0, 1] = value
+    zeroth, _ = spectral._order_residuals(x, np.diag([3.0, 4.0]).astype(complex)[None], np.zeros((2, 2)))
+    assert not np.isfinite(zeroth)
 
 
 OMEGA = UniversalForm(2, 1, np.array([[0.0, 0.3 + 0.2j], [-0.7j, 0.0]]))

@@ -709,20 +709,117 @@ def test_one_noncommuting_generator_still_fails_first_order():
     assert failing(t) == {"first_order"}
 
 
-def _count_order_norms(monkeypatch, t: FiniteSpectralTriple) -> int:
+def _assert_matches_naive(t: FiniteSpectralTriple):
+    """``check_axioms(t)``, after its order lines are checked against the
+    naive reference: exact zeros exact, every other residual to 1e-13."""
+    rep = check_axioms(t)
+    for name, ref in zip(("zeroth_order", "first_order"), _naive_order_residuals(t)):
+        got = rep.line(name).residual
+        assert got == ref == 0.0 or abs(got - ref) <= 1e-13 * ref, (name, got, ref)
+    return rep
+
+
+def _direct_sum(t1: FiniteSpectralTriple, t2: FiniteSpectralTriple) -> FiniteSpectralTriple:
+    """The triple of A1 (+) A2 on H1 (+) H2: each algebra acts on its own summand."""
+    n1, n2 = t1.hilbert_dim, t2.hilbert_dim
+
+    def blocks(x, y):
+        out = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        out[:n1, :n1], out[n1:, n1:] = x, y
+        return out
+
+    return FiniteSpectralTriple(
+        generators=tuple(blocks(g, np.zeros((n2, n2))) for g in t1.generators)
+        + tuple(blocks(np.zeros((n1, n1)), g) for g in t2.generators),
+        d=blocks(t1.d, t2.d),
+        j=RealStructure(blocks(t1.j.u, t2.j.u)),
+    )
+
+
+def _carried(t: FiniteSpectralTriple, w: np.ndarray) -> FiniteSpectralTriple:
+    """``t`` carried by the unitary ``w``: ``X ↦ w X w†`` and ``J ↦ w J w†``,
+    whose matrix is ``w U wᵀ``."""
+    return FiniteSpectralTriple(
+        generators=tuple(w @ g @ dagger(w) for g in t.generators),
+        d=w @ t.d @ dagger(w),
+        j=RealStructure(w @ t.j.u @ w.T),
+    )
+
+
+def _random_dirac(rng, dim: int) -> np.ndarray:
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return h + dagger(h)
+
+
+def test_order_residuals_of_a_direct_sum_are_the_larger_of_its_summands(rng):
+    # no generator of one summand meets the other, so every cross pair commutes
+    t1, t2 = _audit_triple("d-nonunitary", rng), _audit_triple("two_point", rng)
+    rep = _assert_matches_naive(_direct_sum(t1, t2))
+    for name in ("zeroth_order", "first_order"):
+        larger = max(check_axioms(t).line(name).residual for t in (t1, t2))
+        assert abs(rep.line(name).residual - larger) <= 1e-13 * larger, name
+
+
+@pytest.mark.parametrize("dirac", ["zero", "random"])
+def test_order_residuals_do_not_depend_on_the_order_of_the_basis(dirac, rng):
+    t = sm_algebra_fixture().triple
+    if dirac == "random":
+        t = replace(t, d=_random_dirac(rng, 32))
+    w = np.eye(32)[rng.permutation(32)]
+    rep, permuted = check_axioms(t), _assert_matches_naive(_carried(t, w))
+    for name in ("zeroth_order", "first_order"):
+        got, ref = permuted.line(name).residual, rep.line(name).residual
+        if dirac == "zero":  # the commutant is exact, in every order of the basis
+            assert got == ref == 0.0, name
+        assert abs(got - ref) <= 1e-13 * ref, name
+
+
+def test_order_residuals_of_the_fixture_in_a_random_basis(rng):
+    # a random unitary couples every index: the audit is one dense block
+    t = replace(sm_algebra_fixture().triple, d=_random_dirac(rng, 32))
+    moved = _carried(t, random_unitary(32, rng))
+    rep = check_axioms(moved)
+    zeroth, first = _naive_order_residuals(moved)
+    # the first order fails at O(1) and matches to 1e-13; the commutant holds
+    # up to roundoff in both, which agree to 1e-13 of the operators' scale
+    assert abs(rep.line("first_order").residual - first) <= 1e-13 * first
+    line = rep.line("zeroth_order")
+    assert line.passed and abs(line.residual - zeroth) <= 1e-13 * line.scale
+    assert not rep.line("first_order").passed
+
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_order_residuals_of_a_triple_without_generators_are_zero(dim):
+    t = FiniteSpectralTriple(generators=(), d=np.ones((dim, dim)), j=RealStructure(np.eye(dim)))
+    rep = check_axioms(t)
+    assert rep.line("zeroth_order").residual == rep.line("first_order").residual == 0.0
+
+
+def _order_work(monkeypatch, t: FiniteSpectralTriple) -> tuple[list[int], tuple[int, int]]:
+    """The sizes of the blocks the audit of ``t`` multiplies within, and the
+    lengths of its two stacks: the ``JaJ⁻¹`` and the ``b`` with the nonzero ``[D, b]``."""
     calls = []
-    monkeypatch.setattr(spectral, "frob_norm", lambda a: calls.append(1) or frob_norm(a))
-    conj = [t.j.conjugate_operator(g) for g in t.generators]
-    spectral._order_residuals(conj, t.generators, t.d)
-    return len(calls)
+    add = spectral._add_squared_commutators
+    monkeypatch.setattr(spectral, "_add_squared_commutators",
+                        lambda sq, x, y, idx, tiles: calls.append((sq.shape, idx.shape))
+                        or add(sq, x, y, idx, tiles))
+    gens = np.array(t.generators)
+    spectral._order_residuals(t.j.conjugate_operator(gens), gens, t.d)
+    (stacks,) = {shape for shape, _ in calls}
+    return sorted(s for _, (count, s) in calls for _ in range(count)), stacks
 
 
 def test_order_residual_work_count(monkeypatch):
-    # one norm per zeroth-order pair; the first-order row of a generator b is
-    # formed only when [D, b] != 0
-    assert _count_order_norms(monkeypatch, sm_algebra_fixture().triple) == 14 * 14
-    assert _count_order_norms(monkeypatch, two_point_triple(3, np.eye(3))) == 2 * 2 + 2 * 2
-    assert _count_order_norms(monkeypatch, two_point_triple(3, np.zeros((3, 3)))) == 2 * 2
+    # the products are formed within the connected components of the operators'
+    # joint support, Na·Ny·s³ multiply-adds per component of size s; the
+    # first-order rows of a generator b are stacked only when [D, b] != 0
+    sizes, stacks = _order_work(monkeypatch, sm_algebra_fixture().triple)
+    assert sizes == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 6, 6] and stacks == (14, 14)
+    # a mass block with no zero entry couples every index: one block of size 2N
+    assert _order_work(monkeypatch, two_point_triple(3, np.ones((3, 3)))) == ([6], (2, 2 + 2))
+    # M = 1 couples index i with N + i only, M = 0 couples nothing
+    assert _order_work(monkeypatch, two_point_triple(3, np.eye(3))) == ([2, 2, 2], (2, 2 + 2))
+    assert _order_work(monkeypatch, two_point_triple(3, np.zeros((3, 3)))) == ([1] * 6, (2, 2))
 
 
 # ---------------------------------------------------------------------------
