@@ -9,9 +9,14 @@ Stacked as one connection ``X = (a_μ, b̃_k)`` they have one curvature
 ``F_AB = Δ_A X_B − Δ_B X_A + [X_A, X_B] − C̃^M_AB X_M``, with ``Δ_μ`` the
 forward periodic difference, ``Δ_k = 0``, and ``C̃`` the normal frame's
 structure constants on frame indices, zero wherever an index is geometric.
-Its blocks ``F_μν``, ``F_μk = Δ_μ b̃_k + [a_μ, b̃_k]`` and the frame
-curvature ``F_kl`` of ``b̃`` at each site all come from
-:func:`ncgauge.basis.bracket_defect`.  The action is the weighted squared norm
+It is formed block by block, and each caller forms only the blocks it
+reads.  The geometric rows ``F_μB``, that is ``F_μν`` and ``F_μk = Δ_μ b̃_k +
+[a_μ, b̃_k]``, have no ``C̃`` term and come from two GEMMs per site
+(``_geometric_rows``); the Higgs block ``F_kl``, the frame curvature of
+``b̃`` at each site, comes from :func:`ncgauge.basis.bracket_defect` over the
+frame directions alone.  The action reads both; the mass spectrum and the
+gradient over constant ``a`` read only the rows ``F_μB``.  The action is the
+weighted squared norm
 
     S = Σ_x Σ_AB W_AB ‖F_AB‖²,   W_AB = 1/4n, μ²/16n², μ⁴/16n²
 
@@ -131,36 +136,50 @@ def _forward_diff(field: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _padded(c: np.ndarray, m: int) -> np.ndarray:
-    """``c`` behind ``m`` zero slices on each axis: zero wherever an index is geometric."""
-    out = np.zeros((m + len(c),) * 3)
-    out[m:, m:, m:] = c
-    return out
+def _geometric_rows(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked fields ``X = (a_μ, Lᵀ b)``, shape ``(*dims, m + D, n, n)``, and the
+    geometric rows ``F_μB = [X_μ, X_B] + Δ_μ X_B − Δ_B X_μ`` of their curvature, entry
+    ``(F_μB)_ij`` at ``[..., μ, i, B, j]``.  The products come from two GEMMs per site,
+    ``(m·n × n)(n × (m+D)·n)`` for ``X_μ X_B`` and ``((m+D)·n × n)(n × m·n)`` for
+    ``X_B X_μ``; no row has a ``C̃`` term, since ``C̃`` vanishes on geometric indices."""
+    m, n = cfg.m, cfg.basis.n
+    x = np.concatenate([cfg.a, frame_map(cfg.basis.normal_frame[0].T, cfg.b)], axis=-3)
+    lead, dd = x.shape[:-3], x.shape[-3]
+    xt = x.swapaxes(-3, -2).reshape(lead + (n, dd * n))  # [X_0 | X_1 | …] at every site
+    f = (x[..., :m, :, :].reshape(lead + (m * n, n)) @ xt).reshape(lead + (m, n, dd, n))
+    right = x.reshape(lead + (dd * n, n)) @ xt[..., : m * n]  # X_B X_μ at [B, i, μ, j]
+    f -= right.reshape(lead + (dd, n, m, n)).swapaxes(-4, -2)
+    xt = xt.reshape(lead + (n, dd, n))
+    for nu in range(m):  # Δ_ν X_B at [i, B, j], the layout of a row
+        dx = _forward_diff(xt, nu)
+        f[..., nu, :, :, :] += dx
+        f[..., :, :, nu, :] -= dx[..., :, :m, :].swapaxes(-3, -2)  # F_μν loses Δ_ν X_μ
+    return x, f
 
 
-def _curvature(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacked fields ``X = (a_μ, Lᵀ b)``, shape ``(*dims, m + D, n, n)``,
-    their curvature ``F_AB``, shape ``(*dims, m + D, m + D, n, n)``, and the
-    symmetric weights ``W_AB`` of the action ``Σ_x Σ_AB W_AB ‖F_AB‖²``."""
-    m, d, n, mu = cfg.m, cfg.basis.dim, cfg.basis.n, cfg.mu
-    lower, c = cfg.basis.normal_frame
-    x = np.concatenate([cfg.a, frame_map(lower.T, cfg.b)], axis=-3)
-    f = bracket_defect(_padded(c, m), x)
-    for mu_dir in range(m):  # Δ_A X_B − Δ_B X_A, with Δ_k = 0
-        dx = _forward_diff(x, mu_dir)
-        f[..., mu_dir, :, :, :] += dx
-        f[..., :, mu_dir, :, :] -= dx
-    w = np.full((m + d, m + d), mu**4 / (16.0 * n**2))
-    w[:m] = w[:, :m] = mu**2 / (16.0 * n**2)
-    w[:m, :m] = 1.0 / (4.0 * n)
-    return x, f, w
+def _weights(cfg: LatticeConfig) -> tuple[float, float, float]:
+    """The weights ``W_AB`` of the action on geometric, mixed and frame pairs:
+    ``1/4n``, ``μ²/16n²`` and ``μ⁴/16n²``."""
+    n, mu = cfg.basis.n, cfg.mu
+    return 1.0 / (4.0 * n), mu**2 / (16.0 * n**2), mu**4 / (16.0 * n**2)
 
 
 def lattice_action(cfg: LatticeConfig) -> float:
-    """Total action (non-negative; exactly zero on both vacuum families)."""
-    _, f, w = _curvature(cfg)
-    parts = f.reshape((-1,) + w.shape + (cfg.basis.n**2,)).view(float)  # real, imaginary parts
-    return float(np.sum(w * np.einsum("xabk,xabk->ab", parts, parts)))
+    """Total action (non-negative; exactly zero on both vacuum families).
+
+    The geometric rows ``F_μB`` of :func:`_geometric_rows` hold every pair with a
+    geometric index, the mixed ones twice over since ``F_kμ = −F_μk``; the frame
+    pairs are the Higgs block ``bracket_defect(C̃, b̃)`` over the ``D`` frame
+    directions alone."""
+    m, n = cfg.m, cfg.basis.n
+    w_geo, w_mixed, w_frame = _weights(cfg)
+    x, f = _geometric_rows(cfg)
+    higgs = bracket_defect(cfg.basis.normal_frame[1], x[..., m:, :, :]).ravel()
+    parts = f.reshape((-1, m, n, m + cfg.basis.dim, n)).view(float)  # real, imaginary parts
+    rows = np.einsum("xmibj,xmibj->b", parts, parts).tolist()  # Σ_x Σ_μ ‖F_μB‖² per B
+    return float(
+        w_geo * sum(rows[:m]) + 2.0 * w_mixed * sum(rows[m:]) + w_frame * np.vdot(higgs, higgs).real
+    )
 
 
 def lattice_gauge_transform(cfg: LatticeConfig, g: np.ndarray) -> LatticeConfig:
@@ -231,10 +250,15 @@ def random_lattice_config(
 
 
 @lru_cache(maxsize=None)
-def _shift_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``antihermitian_frame(n)`` and, in rows ``(i, ab)``, its ``[e_i, ·]`` table, read-only."""
+def _shift_frame(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``antihermitian_frame(n)``, in rows ``(i, ab)`` its ``[e_i, ·]`` table, and
+    ``[e_i, e_j]`` as a real matrix, rows ``(ab, re/im)`` and columns ``(i, j)``: all
+    read-only."""
     e = antihermitian_frame(n)
-    return frozen(e), frozen(adjoint_table(e).transpose(0, 2, 1).reshape(n**4, n * n))
+    k, nn = len(e), n * n
+    table = adjoint_table(e).transpose(0, 2, 1).reshape(k * nn, nn)
+    comm = np.ascontiguousarray((table @ e.reshape(k, nn).T).reshape(k, nn, k).transpose(0, 2, 1))
+    return frozen(e), frozen(table), frozen(comm.view(float).reshape(k * k, 2 * nn).T, float)
 
 
 def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -246,26 +270,29 @@ def _shift_derivatives(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     shift ``e_j`` of ``a_ν`` adds ``[e_i, e_j]`` to ``F_μν``.  With ``F``
     antisymmetric and ``W`` symmetric the gradient is
     ``4 Σ_B W_μB Re⟨F_μB, J^i_B⟩`` and the Hessian is ``4 Re(δ_μν Σ_B W_μB
-    ⟨J^i_B, J^j_B⟩ − W_μν ⟨J^i_ν, J^j_μ⟩ + W_μν ⟨Σ_x F_μν, [e_i, e_j]⟩)``.
+    ⟨J^i_B, J^j_B⟩ − W_μν ⟨J^i_ν, J^j_μ⟩ + W_μν ⟨Σ_x F_μν, [e_i, e_j]⟩)``.  Both
+    read only the geometric rows ``F_μB`` of :func:`_geometric_rows`; the
+    Higgs block ``F_kl`` never enters.
     """
     n, m = cfg.basis.n, cfg.m
-    x, f, w = _curvature(cfg)
-    e, table = _shift_frame(n)
+    x, f = _geometric_rows(cfg)
+    w_geo, w_mixed, _ = _weights(cfg)
+    w = np.array([w_geo] * m + [w_mixed] * cfg.basis.dim)  # W_μB over B
+    e, table, comm = _shift_frame(n)
     k, dd, nn = len(e), len(w), n * n
     # J^i_B and F_μB laid out (B, ·, n²·sites); a float view of each makes
     # every Re⟨·, ·⟩ a real product of its real and imaginary parts
     jac = (table @ x.reshape(-1, dd, nn).transpose(1, 2, 0)).reshape(dd, k, -1).view(float)
-    f = f.reshape(-1, dd, dd, nn)[:, :m]  # the rows F_μB of the geometric slots
-    f_mu = f.transpose(2, 1, 3, 0).reshape(dd, m, -1).view(float)
-    grad = 4.0 * np.einsum("mb,bmi->mi", w[:m], f_mu @ jac.swapaxes(1, 2))
+    f = f.reshape(-1, m, n, dd, n)
+    f_mu = f.transpose(3, 1, 2, 4, 0).reshape(dd, m, -1).view(float)
+    grad = 4.0 * np.einsum("b,bmi->mi", w, f_mu @ jac.swapaxes(1, 2))
     gram = jac @ jac.swapaxes(1, 2)  # Re⟨J^i_B, J^j_B⟩ at [B, i, j]
     geo = jac[:m].reshape(m * k, -1)
     cross = (geo @ geo.T).reshape(m, k, m, k)  # Re⟨J^i_ν, J^j_μ⟩ at [ν, i, μ, j]
-    f_sum = f[:, :, :m].sum(axis=0)
-    e_comm = (table @ e.reshape(k, nn).T).reshape(k, nn, k)  # [e_i, e_j] at [i, ab, j]
-    curv = np.real(np.einsum("mna,iaj->minj", f_sum.conj(), e_comm))
-    hess = np.einsum("mn,mb,bij->minj", np.eye(m), w[:m], gram)
-    hess += w[:m, None, :m, None] * (curv - cross.transpose(2, 1, 0, 3))
+    f_sum = f[:, :, :, :m].sum(axis=0).transpose(0, 2, 1, 3).reshape(m * m, nn)  # Σ_x F_μν
+    curv = (f_sum.view(float) @ comm).reshape(m, m, k, k).transpose(0, 2, 1, 3)
+    hess = np.einsum("mn,b,bij->minj", np.eye(m), w, gram)
+    hess += w_geo * (curv - cross.transpose(2, 1, 0, 3))
     return grad.ravel(), 4.0 * hess.reshape(m * k, m * k)
 
 
@@ -279,7 +306,9 @@ def mass_spectrum(cfg: LatticeConfig) -> np.ndarray:
     eigenvalues are ``sites·μ²/n`` (the curvature term only enters at
     quartic order for constant fluctuations).  Directions are orthonormal
     in the Frobenius metric, and ``b`` is read in the normal frame, so the
-    eigenvalues depend on neither choice of frame.
+    eigenvalues depend on neither choice of frame.  Only the geometric rows
+    ``F_μB`` of the curvature are formed: a constant shift of ``a`` leaves the
+    Higgs block ``F_kl`` unchanged.
     """
     return np.linalg.eigvalsh(_shift_derivatives(cfg)[1])
 

@@ -6,6 +6,8 @@ raise with ``g_inv`` in the original frame, so they are independent of the
 normal frame the kernels work in."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from ncgauge import (
     random_unitary,
 )
 from ncgauge.basis import conjugate_by, frame_map
-from ncgauge.lattice import _forward_diff, _padded
+from ncgauge.lattice import (
+    _forward_diff, _geometric_rows, lattice_action, lattice_gauge_transform, random_lattice_config,
+)
 
 REL = 1e-13
 
@@ -166,10 +170,35 @@ def test_forward_diff_is_roll_minus_field_bit_for_bit(dims):
         assert np.array_equal(_forward_diff(field, axis), np.roll(field, -1, axis) - field), axis
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("n", [2, 3])
-def test_padded_constants_are_np_pad_bit_for_bit(m, n):
-    c = MatrixBasis.gellmann(n).normal_frame[1]
-    padded = _padded(c, m)
-    assert padded.dtype == c.dtype
-    assert np.array_equal(padded, np.pad(c, ((m, 0),) * 3))
+def ref_lattice_curvature(cfg):
+    """The whole ``(m+D)²`` curvature of the stacked fields and the weights ``W_AB`` of
+    its action, built as one block: the frame curvature of every direction under
+    ``C̃`` padded with zeros on the geometric indices, plus the differences."""
+    m, n, mu = cfg.m, cfg.basis.n, cfg.mu
+    lower, c = cfg.basis.normal_frame
+    x = np.concatenate([cfg.a, np.einsum("lk,...lij->...kij", lower, cfg.b)], axis=-3)
+    f = bracket_defect(np.pad(c, ((m, 0),) * 3), x)
+    for mu_dir in range(m):
+        dx = np.roll(x, -1, axis=mu_dir) - x
+        f[..., mu_dir, :, :, :] += dx
+        f[..., :, mu_dir, :, :] -= dx
+    w = np.full(f.shape[-4:-2], mu**4 / (16.0 * n**2))
+    w[:m] = w[:, :m] = mu**2 / (16.0 * n**2)
+    w[:m, :m] = 1.0 / (4.0 * n)
+    return f, w
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (4, 4)])
+@pytest.mark.parametrize("frame", ["gellmann-2", "gellmann-3", "skewed-2", "skewed-3"])
+def test_lattice_blocks_match_the_padded_curvature(dims, frame, skewed_frame):
+    basis = build(frame, skewed_frame)
+    rng = np.random.default_rng(len(dims) + 10 * basis.n)
+    cfg = random_lattice_config(dims, basis, 1.5, rng, scale=0.5)
+    g = np.array([random_unitary(basis.n, rng) for _ in range(cfg.n_sites)])
+    site_gauged = lattice_gauge_transform(cfg, g.reshape(dims + (basis.n, basis.n)))
+    for name, c in (("random", cfg), ("site-gauged", site_gauged)):
+        f, w = ref_lattice_curvature(c)
+        rows = _geometric_rows(c)[1]  # F_μB at [..., μ, i, B, j]
+        assert rel_err(rows.swapaxes(-3, -2), f[..., : c.m, :, :, :]) <= 1e-14, name
+        want = math.fsum((w[:, :, None, None] * (f.real**2 + f.imag**2)).ravel())
+        assert abs(lattice_action(c) - want) <= 1e-14 * want, name

@@ -422,7 +422,7 @@ def test_spectrum_and_gradient_evaluate_no_action(monkeypatch, basis2, rng):
 
 
 def test_shift_frame_is_built_once_per_n_and_read_only(monkeypatch, basis2, basis3, rng):
-    # the shift directions and their adjoint table depend only on n
+    # the shift directions, their adjoint table and their commutators depend only on n
     calls = []
     antihermitian_frame = lattice_mod.antihermitian_frame
 
@@ -438,6 +438,11 @@ def test_shift_frame_is_built_once_per_n_and_read_only(monkeypatch, basis2, basi
         zero_momentum_gradient_norm(cfg)
     assert calls == [2, 3]
     for n in (2, 3):
-        e, table = lattice_mod._shift_frame(n)
+        e, table, comm = lattice_mod._shift_frame(n)
         assert e.shape == (n * n, n, n) and table.shape == (n**4, n * n)
-        assert not e.flags.writeable and not table.flags.writeable
+        assert comm.shape == (2 * n * n, n**4) and comm.dtype == float
+        assert not e.flags.writeable and not table.flags.writeable and not comm.flags.writeable
+        # column (i, j) holds the real and imaginary parts of [e_i, e_j], entry by entry
+        want = np.einsum("iab,jbc->ijac", e, e) - np.einsum("jab,ibc->ijac", e, e)
+        got = comm.T.reshape(n * n, n * n, n, n, 2)
+        assert np.abs(got[..., 0] + 1j * got[..., 1] - want).max() <= 1e-15
