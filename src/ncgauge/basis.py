@@ -7,7 +7,8 @@ sub-basis).  Everything downstream — derivations, forms, connections,
 curvature — is expressed through three tensors computed here:
 
 * the structure constants ``C[k, l, m]`` defined by
-  ``i [E_k, E_l] = sum_m C[k, l, m] E_m``,
+  ``i [E_k, E_l] = sum_m C[k, l, m] E_m`` (the commutator table is formed
+  once, closure is checked on it, and a normal frame's ``C̃`` is ``C`` transformed),
 * the metric ``g[k, l] = (1/n) tr(E_k E_l)`` and its inverse,
 * the Gram data needed to expand arbitrary matrices in the basis.
 
@@ -132,20 +133,25 @@ def is_unitary(a: np.ndarray) -> bool:
 # random matrices (for tests and demos)
 # ---------------------------------------------------------------------------
 
-def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _antihermitian_draw(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A ``(..., r, r)`` stack of random anti-Hermitian matrices with O(1) entries."""
+    a = _ginibre(shape, rng)
+    return (a - dagger(a)) / 2.0
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with O(1) entries."""
-    a = _ginibre(n, rng)
+    a = _ginibre((n, n), rng)
     return (a + dagger(a)) / 2.0
 
 
 def random_antihermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random anti-Hermitian matrix with O(1) entries."""
-    a = _ginibre(n, rng)
-    return (a - dagger(a)) / 2.0
+    return _antihermitian_draw((n, n), rng)
 
 
 def random_traceless_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,7 +162,7 @@ def random_traceless_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed random unitary (QR of a Ginibre matrix)."""
-    q, r = np.linalg.qr(_ginibre(n, rng))
+    q, r = np.linalg.qr(_ginibre((n, n), rng))
     # fix the phase ambiguity of QR so the distribution is Haar
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -212,36 +218,42 @@ def antihermitian_frame(n: int) -> np.ndarray:
 def structure_constants(mats: np.ndarray) -> np.ndarray:
     """Structure constants ``C[k, l, m]`` with ``i [E_k, E_l] = C[k, l, m] E_m``.
 
-    Computed by solving the Gram system of the basis, so the result is
-    exact (up to roundoff) for any linearly independent Hermitian family,
-    orthogonal or not.  Raises :class:`SingularBasisError` if some
-    commutator leaves the span of the family (the family does not close
-    under the bracket).
+    The commutator table ``i[E_k, E_l]`` is formed once (:func:`_brackets`) and
+    projected on the family by one GEMM and a Gram solve, exact (up to roundoff)
+    for any linearly independent Hermitian family, orthogonal or not.  Closure
+    is checked on the same table: :class:`SingularBasisError` is raised if some
+    commutator leaves the span of the family.
 
     For Hermitian ``E_k`` the tensor is real and antisymmetric in its
     first two indices; antisymmetry is enforced exactly.
     """
     d, n, _ = mats.shape
-    prod = np.einsum("kab,lbc->klac", mats, mats)
-    comm = 1j * (prod - prod.transpose(1, 0, 2, 3))
-    # rhs[k, l, p] = (1/n) tr(E_p^dag [i E_k, E_l])
-    rhs = np.einsum("pba,klba->klp", np.conjugate(mats), comm) / n
+    comm = 1j * _brackets(mats)
+    # rhs[(k, l), p] = (1/n) tr(E_p^dag i[E_k, E_l])
+    rhs = comm.reshape(d * d, n * n) @ np.conjugate(mats).reshape(d, n * n).T / n
     gram = np.einsum("pba,mba->pm", np.conjugate(mats), mats) / n
     try:
-        c = np.linalg.solve(gram, rhs.reshape(-1, d).T).T.reshape(d, d, d)
+        c = np.linalg.solve(gram, rhs.T).T.reshape(d, d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularBasisError("basis matrices are linearly dependent") from exc
     if not frob_norm(c.imag) <= TAU_ALG * frob_norm(c.real):  # NaN fails too
         raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     c = c.real
     c = (c - c.transpose(1, 0, 2)) / 2.0  # exact antisymmetry
-    # closure check: the frame curvature of A_k = iE_k is i(comm − C·E), zero
-    # exactly when the projected commutators reproduce the originals
-    if not frob_norm(bracket_defect(c, 1j * mats)) <= TAU_ALG * frob_norm(comm):
-        raise SingularBasisError(
-            "commutators leave the span of the family; not a closed basis"
-        )
+    # closure check: C·E must reproduce the table it was projected from
+    scale = frob_norm(comm)
+    comm -= frame_map(c.reshape(d * d, d), mats).reshape(comm.shape)
+    if not frob_norm(comm) <= TAU_ALG * scale:
+        raise SingularBasisError("commutators leave the span of the family; not a closed basis")
     return c
+
+
+def _brackets(a: np.ndarray) -> np.ndarray:
+    """Every ``[A_k, A_l]`` of a ``(..., D, r, r)`` stack: one ``(D·r × r)(r × D·r)`` GEMM."""
+    lead, (d, r) = a.shape[:-3], a.shape[-3:-1]
+    prod = a.reshape(lead + (d * r, r)) @ a.swapaxes(-3, -2).reshape(lead + (r, d * r))
+    prod = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
+    return prod - prod.swapaxes(-4, -3)
 
 
 def bracket_defect(c: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -249,13 +261,8 @@ def bracket_defect(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     ``a`` of shape ``(..., D, r, r)``, shape ``(..., D, D, r, r)``: zero exactly
     when ``k ↦ A_k`` represents the frame bracket, as ``A_k = iE_k`` does."""
     a = np.asarray(a, dtype=complex)
-    lead, (d, r) = a.shape[:-3], a.shape[-3:-1]
-    # every product A_k A_l of a stack from one (d·r × r)(r × d·r) GEMM
-    prod = a.reshape(lead + (d * r, r)) @ a.swapaxes(-3, -2).reshape(lead + (r, d * r))
-    prod = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
-    f = prod - prod.swapaxes(-4, -3)
-    del prod  # free the products before the second GEMM's output is allocated
-    f -= frame_map(c.reshape(d * d, d), a).reshape(f.shape)
+    f = _brackets(a)
+    f -= frame_map(c.reshape(-1, c.shape[-1]), a).reshape(f.shape)
     return f
 
 
@@ -350,9 +357,14 @@ class MatrixBasis:
     def normal_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """``L`` with ``L Lᵀ = (2/n)·g_inv``, and the structure constants ``C̃`` of the
         frame ``Ẽ_c = Σ_a L_ac E_a``, whose metric is ``(2/n)·1`` as Gell-Mann's is:
-        coefficients go there as ``Ã = Lᵀ A`` and back as ``L⁻ᵀ Ã``, gradients as ``L G̃``."""
+        coefficients go there as ``Ã = Lᵀ A`` and back as ``L⁻ᵀ Ã``, gradients as ``L G̃``.
+        ``C̃_abc = Σ L_ka L_lb C_klm (L⁻ᵀ)_mc`` is ``C`` transformed as a tensor: a real
+        change of frame keeps it real and closed, so no commutator is formed again."""
         lower = np.linalg.cholesky((2.0 / self.n) * self.g_inv)
-        return frozen(lower, float), frozen(structure_constants(frame_map(lower.T, self.mats)), float)
+        c = self.c.reshape(-1, self.dim).T  # rows m, as C is stored: its last index slowest
+        for t in (np.linalg.inv(lower).T, lower, lower):  # contract m, k, l: a GEMM each,
+            c = c.reshape(len(t), -1).T @ t  # the contracted axis leading, the new one last
+        return frozen(lower, float), frozen(c.reshape(self.c.shape).transpose(1, 2, 0), float)
 
     @cached_property
     def ad_table(self) -> np.ndarray:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import (
-    MatrixBasis, bracket_defect, conjugate_by, dagger, frame_map, frob_norm, frozen,
-    is_antihermitian, is_unitary,
+    MatrixBasis, _antihermitian_draw, bracket_defect, conjugate_by, dagger, frame_map,
+    frob_norm, frozen, is_antihermitian, is_unitary,
 )
 from .derforms import DerForm, _nonzero, dinvolution, dprime, hodge, nc_integrate, wedge
 from .errors import MaxIterationsError, NotProjectorError, NotUnitaryError, ShapeError
@@ -85,7 +85,7 @@ class MatrixConnection:
 
     @classmethod
     def canonical_flat(cls, basis: MatrixBasis) -> "MatrixConnection":
-        """The broken-phase vacuum ``A_k = iE_k`` (exactly flat)."""
+        """The broken-phase vacuum ``A_k = iE_k`` (flat up to roundoff)."""
         return cls(basis, 1j * basis.mats)
 
 
@@ -94,8 +94,7 @@ def random_connection(
 ) -> MatrixConnection:
     """Random anti-Hermitian connection coefficients."""
     r = basis.n if r is None else r
-    a = rng.standard_normal((basis.dim, r, r)) + 1j * rng.standard_normal((basis.dim, r, r))
-    return MatrixConnection(basis, (a - dagger(a)) / 2.0)
+    return MatrixConnection(basis, _antihermitian_draw((basis.dim, r, r), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,8 @@ def _gradient(basis: MatrixBasis, a_n: np.ndarray, f: np.ndarray) -> np.ndarray:
     a_row = a.transpose(1, 0, 2).reshape(r, d * r)
     f_row = f.transpose(0, 2, 1, 3).reshape(d, r, d * r)
     comm = f_row @ a.reshape(d * r, r) - a_row @ f.reshape(d, d * r, r)
-    # Σ_ab C̃[a, b, k] F̃_ab: a view of C̃ with rows k, as ``structure_constants``
-    # stores C with its last index slowest
+    # Σ_ab C̃[a, b, k] F̃_ab: a view of C̃ with rows k, as ``normal_frame`` stores C̃
+    # like C, its last index slowest
     m = 2.0 * comm - frame_map(c.reshape(d * d, d).T, f.reshape(d * d, r, r))
     return (m - dagger(m)) * (basis.n / 32.0)
 

@@ -4,10 +4,12 @@ and small commutator computations."""
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from ncgauge import basis as basis_module
 from ncgauge import (
     TAU_ALG,
     MatrixBasis,
@@ -102,6 +104,80 @@ def test_normal_frame_carries_the_gellmann_metric(n, frame, skewed_frame):
     if frame == "gellmann" and n <= 4:
         # the frame is already normal: every Gell-Mann output is unchanged
         assert np.array_equal(lower, np.eye(b.dim)) and np.array_equal(c, b.c)
+
+
+@pytest.mark.parametrize("n, frame", [(2, "gellmann"), (3, "gellmann"), (2, "skewed"), (3, "skewed")])
+def test_basis_and_normal_frame_form_one_commutator_table(n, frame, skewed_frame, monkeypatch):
+    # the normal frame's C̃ is C transformed as a tensor: building a basis and
+    # then its normal frame projects one commutator table, not two
+    calls = []
+    structure_constants = basis_module.structure_constants
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return structure_constants(mats)
+
+    monkeypatch.setattr(basis_module, "structure_constants", counted)
+    b = MatrixBasis.gellmann(n) if frame == "gellmann" else skewed_frame(n)[0]
+    lower, c = b.normal_frame
+    assert calls == [(n * n - 1, n, n)]
+    assert not c.flags.writeable and not lower.flags.writeable
+    # C̃ is stored as C is, last index slowest, the layout the gradient's view reads
+    assert c.strides == b.c.strides
+
+
+def su_n_structure_constants(n: int) -> np.ndarray:
+    """Closed-form ``C[k, l, m]`` of the grouped Gell-Mann basis, entry by entry from
+    the labels ``S_jk``, ``A_jk`` and ``D_m`` (Bertlmann and Krammer, J. Phys. A 41
+    (2008) 235303; Bossion and Huo, arXiv:2108.07219), with no matrix product.
+
+    With ``tr(E_k E_l) = 2δ_kl`` the tensor ``f`` of ``[E_k, E_l] = 2i f_klm E_m`` is
+    totally antisymmetric, and ``i[E_k, E_l] = C_klm E_m`` gives ``C = −2f``.  For
+    ``j < k < l``: ``f(S_jk, S_jl, A_kl) = f(A_jk, S_jl, S_kl) = f(A_jk, A_jl, A_kl)
+    = 1/2`` and ``f(S_jk, A_jl, S_kl) = −1/2``; for ``j < k``:
+    ``f(S_jk, A_jk, D_m) = (d_m(j) − d_m(k))/2``, with ``d_m(i)`` the ``i``-th diagonal
+    entry of ``D_m``.  Every other entry not a permutation of these is zero."""
+    pairs = list(combinations(range(n), 2))
+    sym = {jk: i for i, jk in enumerate(pairs)}
+    asym = {jk: len(pairs) + i for i, jk in enumerate(pairs)}
+    f = np.zeros((n * n - 1,) * 3)
+
+    def put(x, y, z, value):
+        for (p, q, r), sign in (((x, y, z), 1), ((y, z, x), 1), ((z, x, y), 1),
+                                ((y, x, z), -1), ((x, z, y), -1), ((z, y, x), -1)):
+            f[p, q, r] = sign * value
+
+    def diag(m, i):  # entry i (from 0) of D_m = sqrt(2/(m(m+1)))·diag(1, …, 1, −m, 0, …)
+        return math.sqrt(2.0 / (m * (m + 1))) * (1.0 if i < m else -m if i == m else 0.0)
+
+    for j, k, l in combinations(range(n), 3):
+        put(sym[j, k], sym[j, l], asym[k, l], 0.5)
+        put(sym[j, k], asym[j, l], sym[k, l], -0.5)
+        put(asym[j, k], sym[j, l], sym[k, l], 0.5)
+        put(asym[j, k], asym[j, l], asym[k, l], 0.5)
+    for j, k in pairs:
+        for m in range(1, n):
+            put(sym[j, k], asym[j, k], 2 * len(pairs) + m - 1, (diag(m, j) - diag(m, k)) / 2.0)
+    return -2.0 * f
+
+
+def test_su_n_oracle_reads_the_standard_su3_constants():
+    # the textbook f_abc of λ_1 … λ_8, which are in grouped order
+    # (S01, S02, S12, A01, A02, A12, D1, D2) = (λ1, λ4, λ6, λ2, λ5, λ7, λ3, λ8)
+    grouped = {1: 0, 4: 1, 6: 2, 2: 3, 5: 4, 7: 5, 3: 6, 8: 7}
+    f = -su_n_structure_constants(3) / 2.0
+    half_root3 = math.sqrt(3.0) / 2.0
+    textbook = {(1, 2, 3): 1.0, (1, 4, 7): 0.5, (1, 5, 6): -0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5,
+                (3, 4, 5): 0.5, (3, 6, 7): -0.5, (4, 5, 8): half_root3, (6, 7, 8): half_root3}
+    for (a, b, c), value in textbook.items():
+        assert f[grouped[a], grouped[b], grouped[c]] == pytest.approx(value, abs=1e-15)
+    assert np.count_nonzero(f) == 6 * len(textbook)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_structure_constants_match_the_closed_form_su_n_oracle(n):
+    c = MatrixBasis.gellmann(n).c
+    assert frob_norm(c - su_n_structure_constants(n)) <= TAU_ALG * frob_norm(c)
 
 
 def test_structure_constants_frozen_n2(basis2):
