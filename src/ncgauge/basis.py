@@ -236,6 +236,7 @@ def structure_constants(mats: np.ndarray) -> np.ndarray:
         c = np.linalg.solve(gram, rhs.T).T.reshape(d, d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularBasisError("basis matrices are linearly dependent") from exc
+    del rhs  # as large as the table: not held through the closure check
     if not frob_norm(c.imag) <= TAU_ALG * frob_norm(c.real):  # NaN fails too
         raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     c = c.real
@@ -368,8 +369,12 @@ class MatrixBasis:
 
     @cached_property
     def ad_table(self) -> np.ndarray:
-        """:func:`adjoint_table` of the frame ``iE_k``: ``[iE_k, a]`` for a whole stack ``a``."""
-        return frozen(adjoint_table(1j * self.mats))
+        """``(n², (D+1)·n²)``: ``a.reshape(-1, n²) @ ad_table`` holds, per matrix ``a``,
+        ``[iE_k, a]`` for each ``k`` (:func:`adjoint_table` of the frame ``iE_k``) and
+        then ``a`` itself, exactly, each flattened row-major."""
+        n2 = self.n * self.n
+        ad = adjoint_table(1j * self.mats).transpose(1, 0, 2).reshape(n2, -1)
+        return frozen(np.concatenate([ad, np.eye(n2)], axis=1))
 
     @cached_property
     def derform_plans(self) -> dict:

@@ -47,6 +47,7 @@ from .lattice import (
     zero_momentum_gradient_norm,
 )
 from .spectral import two_point_action
+from .tolerances import Check
 
 __all__ = ["RunConfig", "build_config", "cmd_verify", "cmd_minimize", "cmd_two_point", "main"]
 
@@ -226,8 +227,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-def _classify_orbit(action_value: float, casimir: float, n: int, r: int, tol: float) -> str:
-    if not action_value < tol:  # NaN too
+def _classify_orbit(flatness: Check, casimir: float, n: int, r: int) -> str:
+    """The orbit a descent endpoint reached, by the scale-free ``flatness``
+    verdict that also gives the summary's ``flat``, then by the Casimir."""
+    if not flatness.passed:  # a NaN residual too
         return "unconverged"
     canonical = n * (n**2 - 1)
     if abs(casimir) < 0.5:
@@ -287,9 +290,7 @@ def cmd_minimize(cfg: RunConfig) -> int:
         "curvature_tolerance": report.flatness.tolerance,
         "curvature_scale": report.flatness.scale,
         "casimir": report.casimir,
-        "classification": _classify_orbit(
-            res.action, report.casimir, cfg.n, res.connection.r, cfg.tol
-        ),
+        "classification": _classify_orbit(report.flatness, report.casimir, cfg.n, res.connection.r),
     }
     _emit(cfg, _MINIMIZE_HEADER, res.trace, summary)
     return 0 if res.converged else 1

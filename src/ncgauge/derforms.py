@@ -9,13 +9,14 @@ row ``K = (k_1 < ... < k_p)`` standing for the wedge product
 Each degree-``p`` part is stored as a read-only ``(K, p)`` integer array of
 index rows in lexicographic order beside the ``(K, n, n)`` stack of their
 coefficients, with no repeated row and no all-zero coefficient.  ``wedge``,
-``d'``, ``⋆`` and ``+`` make an integer plan from the rows alone (result
-rows by their ranks in the combinatorial number system, and the candidate
-monomials in groups that add into no row twice), kept on the basis for a
-full part, then add each group with one ``out[targets] += pieces``, so
-coefficients are never sorted.  Keys are validated only where a caller
-hands them in: the mapping constructor, ``matrix``/``monomial`` and
-``from_record``.
+``d'`` and ``⋆`` make an integer plan from the rows alone, kept on the basis
+for a full part: the result rows, by their ranks in the combinatorial number
+system, and each candidate monomial as a table unit and a real weight in
+jagged-diagonal slots.  The table is one GEMM per block of whole source rows
+(``[iE_k, a_r]`` and ``a_r``, or every ``a_i b_j``; ``⋆`` reads the
+coefficients), and slot ``s`` adds into the first ``len(src_s)`` sums.  Keys
+are validated only where a caller hands them in: the mapping constructor,
+``matrix``/``monomial`` and ``from_record``.
 
 The differential ``d'`` acts on generators by
 
@@ -31,7 +32,7 @@ and the graded involution complete the calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
@@ -107,9 +108,7 @@ class Derivation:
 
 
 def _require_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
-    if b1 is b2:
-        return
-    if not b1.same_as(b2):
+    if b1 is not b2 and not b1.same_as(b2):
         raise BasisMismatchError("operands are built over different matrix bases")
 
 
@@ -119,6 +118,7 @@ def _require_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
 
 _Part = tuple[np.ndarray, np.ndarray]  # (rows, coefficients) of one degree
 _SHARED = 2.0**32  # weight of an index two rows share, in the wedge counts
+_BLOCK_BYTES = 2**19  # most bytes of a source table block that holds more than one row
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -157,34 +157,62 @@ def _targets(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], tgt
 
 
-def _groups(cands: list[np.ndarray], keys: tuple[int, ...] = ()) -> list[tuple]:
-    """Candidate columns (targets, sources..., weights) in groups that add into
-    no row twice: by the column among ``keys`` with the fewest values (first
-    on a tie), passed as one scalar, or else by slot, the s-th slot holding
-    each target's s-th candidate."""
-    if keys:
-        key = min(keys, key=lambda c: np.count_nonzero(np.bincount(cands[c])))
-        by = cands[key]
-    else:
-        key, by, order = None, np.empty_like(cands[0]), np.argsort(cands[0], kind="stable")
-        by[order] = np.arange(len(order)) - np.searchsorted(cands[0][order], cands[0][order])
-    order = np.argsort(by, kind="stable")
-    cuts = [s for s in np.split(order, np.flatnonzero(np.diff(by[order])) + 1) if len(s)]
-    return [tuple(col[s[0]] if c == key else col[s] for c, col in enumerate(cands)) for s in cuts]
+def _jagged(n_out: int, tgt: np.ndarray, row: np.ndarray, col, weight: np.ndarray, row_bytes: int,
+            width: int) -> tuple:
+    """The candidates ``weight · table[row, col]`` of result rows ``tgt``, in blocks of
+    whole source rows (``_BLOCK_BYTES`` of table, or one row), as jagged-diagonal slots
+    (Saad, SIAM J. Sci. Stat. Comput. 10 (1989) 1200): rows with most candidates first,
+    slot ``s`` holds each row's ``s``-th, as unit ``(row − lo)·width + col`` of the table."""
+    if not len(tgt):
+        return ()
+    per = max(1, _BLOCK_BYTES // row_bytes)
+    key = row // per * n_out + tgt
+    order = np.argsort(key, kind="stable")
+    key, weight = key[order], weight[order]
+    src = (row % per * width + col).astype(np.int32 if per * width < 2**31 else np.intp)[order]
+    edges = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    starts, counts = edges[:-1], np.diff(edges)
+    slot = np.arange(len(key)) - np.repeat(starts, counts)
+    blocks, block = [], key[starts] // n_out
+    bounds = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), len(starts)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        c, first = counts[lo:hi], starts[lo]
+        by = np.argsort(-c, kind="stable")
+        cuts = np.concatenate([[0], np.cumsum(np.bincount(c - 1)[::-1].cumsum()[::-1])])
+        at = np.empty(c.sum(), np.intp)  # slot by slot, each in the order ``by``
+        at[cuts[slot[first : first + len(at)]] + np.repeat(np.argsort(by), c)] = first + np.arange(len(at))
+        rows = (key[starts[lo:hi]][by] % n_out).astype(np.int32 if n_out < 2**31 else np.intp)
+        blocks.append((block[lo] * per, (block[lo] + 1) * per, rows, cuts.tolist(), src[at], weight[at]))
+    return tuple(blocks)
 
 
-def _apply(build: Callable, basis: MatrixBasis, rows: tuple, piece: Callable) -> _Part | None:
-    """``build(basis, *rows)``'s plan, made once per basis and degrees for full
-    parts, then the pass ``out[targets] += piece(sources..., weights)``."""
+def _apply(build: Callable, basis: MatrixBasis, rows: tuple, a: np.ndarray, right) -> _Part | None:
+    """``build(basis, *rows)``'s plan, kept on the basis for full parts, and its
+    pass: per block the table ``x = a[lo:hi] @ right`` (``a[lo:hi]`` without
+    ``right``) in units of ``len(right)`` (``n²``) entries, ``x[src]`` being the
+    units ``src + step``, and ``acc = w₀·x[src₀]``, ``acc[:len(src_s)] += w_s·x[src_s]``."""
     key = (build.__name__, *(r.shape[1] for r in rows))
     if any(len(r) < comb(basis.dim, r.shape[1]) for r in rows):
         plan = build(basis, *rows)
     elif (plan := basis.derform_plans.get(key)) is None:
         plan = basis.derform_plans[key] = build(basis, *rows)
-    result, groups = plan
-    out = np.zeros((len(result), basis.n, basis.n), dtype=complex)
-    for tgt, *src in groups:
-        out[tgt] += piece(*src)
+    result, blocks = plan
+    n, alone = basis.n, len(blocks) == 1
+    m, width = (n * n, 1) if right is None else right.shape
+    step, unit = np.arange(n * n // m) * (width // m), np.dtype((np.void, 16 * m))
+    out = (np.empty if alone else np.zeros)((len(result), n, n), dtype=complex)
+    for lo, hi, tgt, cuts, src, w in blocks:
+        x = np.ravel(a[lo:hi] if right is None else a[lo:hi].reshape(-1, m) @ right).view(unit)
+        for a0, a1 in zip(cuts, cuts[1:]):
+            piece = x[src[a0:a1, None] + step].view(complex).reshape(-1, n, n)
+            piece *= w[a0:a1, None, None]
+            if a0:
+                acc[: a1 - a0] += piece
+            else:
+                acc = piece
+        del x, piece  # before the sums move and the next block's table
+        out[tgt] = acc if alone else out[tgt] + acc  # lexicographic order; blocks add up
+        del acc
     return _nonzero(result, out)
 
 
@@ -282,13 +310,9 @@ class DerForm:
     @property
     def components(self) -> Mapping[tuple[int, ...], np.ndarray]:
         if self._components is None:
-            self._components = MappingProxyType(
-                {
-                    tuple(row): coef
-                    for rows, coefs in self._parts.values()
-                    for row, coef in zip(rows.tolist(), coefs)
-                }
-            )
+            parts = self._parts.values()
+            comps = {tuple(row): c for rows, coefs in parts for row, c in zip(rows.tolist(), coefs)}
+            self._components = MappingProxyType(comps)
         return self._components
 
     def degrees(self) -> list[int]:
@@ -298,10 +322,9 @@ class DerForm:
         return len(self._parts) <= 1
 
     def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise DegreeError(f"form has mixed degrees {degs}")
-        return degs[0] if degs else 0
+        if not self.is_homogeneous():
+            raise DegreeError(f"form has mixed degrees {self.degrees()}")
+        return next(iter(self._parts), 0)
 
     def component(self, key: tuple[int, ...]) -> np.ndarray:
         n = self.basis.n
@@ -321,7 +344,7 @@ class DerForm:
 
     def _plus(self, other: "DerForm", sign: float) -> "DerForm":
         _require_same_basis(self.basis, other.basis)
-        theirs = ((rows, sign * coefs) for rows, coefs in other._parts.values())
+        theirs = other._parts.values() if sign > 0 else ((rows, -c) for rows, c in other._parts.values())
         return _sum(self.basis, [*self._parts.values(), *theirs])
 
     def __add__(self, other: "DerForm") -> "DerForm":
@@ -369,57 +392,39 @@ def wedge(w1: DerForm, w2: DerForm) -> DerForm:
     def part(rows1: np.ndarray, a: np.ndarray, rows2: np.ndarray, b: np.ndarray) -> _Part | None:
         if rows1.shape[1] == 0 or rows2.shape[1] == 0:  # θ^∅ is the unit: coefficients multiply
             return _nonzero(rows1 if rows2.shape[1] == 0 else rows2, a @ b)
-        return _apply(_wedge_plan, w1.basis, (rows1, rows2), partial(_products, a, b))
+        # every a_i b_j of a block of rows i by one (B·n × n)(n × R₂·n) GEMM
+        return _apply(_wedge_plan, w1.basis, (rows1, rows2), a, b.transpose(1, 0, 2).reshape(a.shape[-1], -1))
 
     return _sum(w1.basis, [part(*x, *y) for x in w1._parts.values() for y in w2._parts.values()])
 
 
-def _products(a: np.ndarray, b: np.ndarray, i, j, sign: np.ndarray) -> np.ndarray:
-    """``sign · a_i b_j`` by one GEMM: per pair if ``j`` or ``i`` is one row, else summed."""
-    n = a.shape[-1]
-    if np.ndim(j) == 0:
-        prods = (a[i].reshape(-1, n) @ b[j]).reshape(len(i), n, n)
-    elif np.ndim(i) == 0:
-        prods = np.tensordot(a[i], b[j], (1, 1)).transpose(1, 0, 2)
-    else:
-        return np.tensordot(sign[:, None, None] * a[i], b[j], ((0, 2), (0, 1)))
-    prods *= sign[:, None, None]
-    return prods
-
-
 def _wedge_plan(basis: MatrixBasis, rows1: np.ndarray, rows2: np.ndarray) -> tuple:
     """Row pairs sharing no index, signed by the swaps sorting ``K ⧺ L``."""
-    d = basis.dim
+    d, n, r2 = basis.dim, basis.n, len(rows2)
     # _SHARED per index the rows share, else the swaps sorting K ⧺ L
     counts = _membership(rows1, d) @ _tables(d)[2] @ _membership(rows2, d).T
     i, j = (counts < _SHARED).nonzero()
     result, tgt = _targets(np.sort(np.concatenate([rows1[i], rows2[j]], axis=1), axis=1), d)
-    return result, _groups([tgt, i, j, (-1.0) ** counts[i, j]], (2, 1, 0))
+    # a_i b_j is the n units of n entries at i·n·R₂ + j + R₂·[0, n) of the GEMM's output
+    return result, _jagged(len(result), tgt, i, j, (-1.0) ** counts[i, j], r2 * n * n * 16, n * r2)
 
 
 def dprime(w: DerForm) -> DerForm:
-    """The differential, built from its action on generators."""
-    passes = [((rows,), partial(_terms, w.basis, a)) for rows, a in w._parts.values()]
-    return _sum(w.basis, [_apply(_dprime_plan, w.basis, *args) for args in passes])
-
-
-def _terms(basis: MatrixBasis, a: np.ndarray, r, weight, k: int | None = None) -> np.ndarray:
-    """``weight · a_r``, or with ``k`` the commutators ``weight · [iE_k, a_r]`` by one GEMM."""
-    n = basis.n
-    terms = a[r] if k is None else (a[r].reshape(-1, n * n) @ basis.ad_table[k]).reshape(-1, n, n)
-    terms *= weight[:, None, None]
-    return terms
+    """The differential, built from its action on generators; a block's table
+    row ``r·(D+1) + k`` is ``[iE_k, a_r]`` for ``k < D`` and ``a_r`` for ``k = D``."""
+    parts = [_apply(_dprime_plan, w.basis, (r,), a, w.basis.ad_table) for r, a in w._parts.values()]
+    return _sum(w.basis, parts)
 
 
 def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
-    """The coefficient part grouped by its new index ``k``, the frame part by slot."""
-    d, p = basis.dim, rows.shape[1]
+    """The coefficient part by its new index ``k``, then the frame part."""
+    d, n, p = basis.dim, basis.n, rows.shape[1]
     lmk, c = basis.bracket_triplets
     memb = _membership(rows, d)
     below = memb @ _tables(d)[1]  # below[r, x]: indices of row r under x
     # coefficient part: [iE_k, a_r] θ^k ∧ θ^K for k outside K, signed by the
     # place of k in the sorted row
-    r0, k = (memb == 0).nonzero()
+    k, r0 = (memb.T == 0).nonzero()
     sign = (-1.0) ** below[r0, k]
     # frame part: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m at place
     # i = below[r, k_i], signed (−1)^i and by the swaps sorting l, m in;
@@ -433,8 +438,8 @@ def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     weight = -((-1.0) ** swaps) * c[t]
     new_rows = np.concatenate([np.column_stack([rows[r0], k]), np.column_stack([kept, lm[:, 1]])])
     result, tgt = _targets(np.sort(new_rows, axis=1), d)
-    t0, t1 = tgt[: len(r0)], tgt[len(r0) :]
-    return result, _groups([t0, r0, sign, k], (3,)) + _groups([t1, r1, weight])
+    row, col, weight = (np.concatenate(x) for x in ([r0, r1], [k, np.full(len(r1), d)], [sign, weight]))
+    return result, _jagged(len(result), tgt, row, col, weight, (d + 1) * n * n * 16, d + 1)
 
 
 def dinvolution(w: DerForm) -> DerForm:
@@ -479,9 +484,7 @@ def koszul_evaluate(w: DerForm, x: Derivation, y: Derivation) -> np.ndarray:
     ``X·ω(Y) − Y·ω(X) − ω([X, Y])``.  Cross-check oracle for ``dprime``."""
     if w.degrees() not in ([], [1]):
         raise DegreeError("the two-argument formula applies to one-forms")
-    wy = evaluate(w, [y])
-    wx = evaluate(w, [x])
-    return x(wy) - y(wx) - evaluate(w, [x.bracket(y)])
+    return x(evaluate(w, [y])) - y(evaluate(w, [x])) - evaluate(w, [x.bracket(y)])
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +503,11 @@ def hodge(w: DerForm) -> DerForm:
     """
     if not w.is_homogeneous():
         raise DegreeError("Hodge star needs a homogeneous form")
-    passes = [((rows,), partial(_terms, w.basis, coefs)) for rows, coefs in w._parts.values()]
-    return _sum(w.basis, [_apply(_hodge_plan, w.basis, *args) for args in passes])
+    return _sum(w.basis, [_apply(_hodge_plan, w.basis, (r,), c, None) for r, c in w._parts.values()])
 
 
 def _hodge_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
-    """Slots of the pairs (row ``K``, ``M``) whose minor can be nonzero."""
+    """The pairs (row ``K``, ``M``) whose minor can be nonzero; its table, the coefficients, is free."""
     d, p, g_inv = basis.dim, rows.shape[1], basis.g_inv
     reach = _membership(rows, d) @ (g_inv != 0) > 0
     sizes = reach.sum(axis=1)
@@ -523,17 +525,15 @@ def _hodge_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     # only the distinct L are complemented, the last first
     distinct, tgt = _targets(ls, d)
     result = (_membership(distinct[::-1], d) == 0).nonzero()[1].reshape(len(distinct), d - p)
-    return result, _groups([len(distinct) - 1 - tgt, src, weight])
+    return result, _jagged(len(distinct), len(distinct) - 1 - tgt, src, 0, weight, 1, 1)
 
 
 def nc_integrate(w: DerForm) -> complex:
     """Normalized integral: ``(1/n)·tr`` of the top-degree coefficient
     relative to the metric volume ``√g θ^0 ∧ ... ∧ θ^{dim−1}``; zero on
     lower degrees.  Kills differentials: ``∫ d'η = 0``."""
-    basis = w.basis
-    if basis.dim not in w._parts:
-        return 0.0 + 0.0j
-    return complex(np.trace(w._parts[basis.dim][1][0]) / basis.n / basis.sqrt_g_det)
+    top = w._parts.get(w.basis.dim)
+    return 0j if top is None else complex(np.trace(top[1][0]) / w.basis.n / w.basis.sqrt_g_det)
 
 
 def random_form(basis: MatrixBasis, degree: int, rng: np.random.Generator) -> DerForm:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -22,6 +23,7 @@ import pytest
 
 from ncgauge.cli import _classify_orbit, build_config, main
 from ncgauge.errors import ConfigError
+from ncgauge.tolerances import Check
 
 
 def run_main(capsys, argv):
@@ -225,11 +227,14 @@ def test_minimize_labels_the_canonical_casimir_off_r_equal_n_flat_other(capsys, 
     assert summary["classification"] == "flat-other"
 
 
-@pytest.mark.parametrize("action_value", [float("nan"), float("inf"), 1e-8])
-def test_an_action_not_below_tol_is_unconverged(action_value):
-    # written as a `>=` gate, a NaN action would pass as converged
-    assert _classify_orbit(0.0, 24.0, 3, 3, 1e-8) == "canonical-flat"
-    assert _classify_orbit(action_value, 24.0, 3, 3, 1e-8) == "unconverged"
+@pytest.mark.parametrize("residual", [float("nan"), float("inf"), math.nextafter(2e-8, 1.0)])
+def test_a_failing_flatness_check_is_unconverged(residual):
+    # the label reads the scale-free verdict that also sets `flat`: a NaN or
+    # infinite residual, or one just past its bound tol·scale = 2e-8, is
+    # unconverged; one at the bound passes, as every Check does
+    assert _classify_orbit(Check("flatness", 0.0, 1e-8, 2.0), 24.0, 3, 3) == "canonical-flat"
+    assert _classify_orbit(Check("flatness", 2e-8, 1e-8, 2.0), 24.0, 3, 3) == "canonical-flat"
+    assert _classify_orbit(Check("flatness", residual, 1e-8, 2.0), 24.0, 3, 3) == "unconverged"
 
 
 def test_minimize_is_bit_for_bit_deterministic(capsys):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ncgauge import verify
 from ncgauge import (
     BasisMismatchError,
     DegreeError,
@@ -375,10 +376,53 @@ def test_mapping_constructor_orders_rows_and_rejects_a_key_given_twice(basis2):
 
 
 def test_pieces_merged_in_batches_may_cancel_to_nothing(basis2):
-    # θ⁰θ¹ is reached twice, from θ⁰ ∧ θ¹ and θ¹ ∧ θ⁰, in different groups
+    # θ⁰θ¹ is reached twice, from θ⁰ ∧ θ¹ and θ¹ ∧ θ⁰, in different slots
     # of the coefficient pass: the two cancel exactly and leave no row
     theta = {k: DerForm.monomial(basis2, (k,), ONE) for k in range(3)}
     pair = theta[0] + theta[1]
     assert wedge(pair, pair).degrees() == []
     kept = wedge(pair, pair + theta[2])
     assert list(kept.components) == [(0, 2), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# memory of the passes and of the plans kept on a basis
+# ---------------------------------------------------------------------------
+
+def _second_call_peak(op) -> float:
+    op()  # the first call makes the plans kept on the basis
+    tracemalloc.start()
+    try:
+        op()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("op, bound", [("dprime3", 25e6), ("wedge22", 9e6), ("wedge13", 14e6)])
+def test_passes_on_full_forms_at_n5_hold_no_whole_source_table(op, bound):
+    # the source table of d′ on a full degree-3 form is 20 MB and that of the
+    # wedge of two full degree-2 forms 30 MB, against results of 4.25 MB: no
+    # pass may hold a whole table
+    b = MatrixBasis.gellmann(5)
+    w1, w2, w3 = (random_form(b, p, np.random.default_rng(p)) for p in (1, 2, 3))
+    ops = {"dprime3": lambda: dprime(w3), "wedge22": lambda: wedge(w2, w2), "wedge13": lambda: wedge(w1, w3)}
+    assert _second_call_peak(ops[op]) <= bound
+
+
+def _nbytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(map(_nbytes, obj))
+    return sum(map(_nbytes, obj.values())) if isinstance(obj, dict) else 0
+
+
+def test_plans_kept_by_one_calculus_suite_at_n5_stay_small(monkeypatch):
+    # int64 targets, sources and new indices in slot groups held 7.8 MB
+    made, gellmann = [], MatrixBasis.gellmann.__func__
+    keep = classmethod(lambda cls, n: made.append(gellmann(cls, n)) or made[-1])
+    monkeypatch.setattr(MatrixBasis, "gellmann", keep)
+    verify.suite_calculus(5)
+    assert len(made) == 1 and made[0].derform_plans
+    assert _nbytes(made[0].derform_plans) <= 6e6

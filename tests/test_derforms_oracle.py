@@ -177,3 +177,17 @@ def test_ranks_past_int64_at_n9():
     _assert_same(dprime(w), ref_dprime(b, c))
     _assert_same(wedge(w, one), ref_wedge(c, c1))
     _assert_same(wedge(one, w), ref_wedge(c1, c))
+
+
+@pytest.mark.parametrize("n, degrees", [(4, (2, 2)), (5, (1, 2))])
+def test_batched_forms_match_reference_when_the_source_table_spans_blocks(n, degrees):
+    # full forms whose d' or wedge table exceeds one block of source rows:
+    # each block's sums are added into the result rows they reach
+    b = MatrixBasis.gellmann(n)
+    rng = np.random.default_rng(950 + n)
+    forms = [random_form(b, p, rng) for p in degrees]
+    _check_all(b, forms)
+    spanning = [key for key, (_, blocks) in b.derform_plans.items() if len(blocks) >= 2]
+    p, q = degrees
+    assert ("_wedge_plan", p, q) in spanning and ("_wedge_plan", q, p) in spanning
+    assert n == 4 or ("_dprime_plan", q) in spanning
