@@ -346,15 +346,6 @@ class MatrixBasis:
         return float(np.sqrt(self.g_det))
 
     @cached_property
-    def bracket_triplets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero structure constants over ``l < m``: a ``(T, 3)`` int
-        array of rows ``(l, m, k)`` and the values ``C[l, m, k]``, the terms
-        of ``d'θ^k = −Σ_{l<m} C[l, m, k] θ^l θ^m``."""
-        lmk = np.argwhere(self.c)
-        lmk = lmk[lmk[:, 0] < lmk[:, 1]]
-        return frozen(lmk, np.intp), frozen(self.c[tuple(lmk.T)], float)
-
-    @cached_property
     def normal_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """``L`` with ``L Lᵀ = (2/n)·g_inv``, and the structure constants ``C̃`` of the
         frame ``Ẽ_c = Σ_a L_ac E_a``, whose metric is ``(2/n)·1`` as Gell-Mann's is:

@@ -419,7 +419,10 @@ def dprime(w: DerForm) -> DerForm:
 def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     """The coefficient part by its new index ``k``, then the frame part."""
     d, n, p = basis.dim, basis.n, rows.shape[1]
-    lmk, c = basis.bracket_triplets
+    # the terms of d'θ^k = −Σ_{l<m} C[l, m, k] θ^l θ^m: rows (l, m, k), values C[l, m, k]
+    lmk = np.argwhere(basis.c)
+    lmk = lmk[lmk[:, 0] < lmk[:, 1]]
+    c = basis.c[tuple(lmk.T)]
     memb = _membership(rows, d)
     below = memb @ _tables(d)[1]  # below[r, x]: indices of row r under x
     # coefficient part: [iE_k, a_r] θ^k ∧ θ^K for k outside K, signed by the

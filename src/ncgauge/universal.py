@@ -176,15 +176,12 @@ def duniv(f: UniversalForm) -> UniversalForm:
     """Finite-difference differential, raising the degree by one."""
     p = f.degree
     _require_storable(f.size, p + 1)
-    shape = (f.size,) * (p + 2)
-    out = np.zeros(shape, dtype=complex)
+    out, values = np.zeros((f.size,) * (p + 2), dtype=complex), f.values
     for i in range(p + 2):
-        # omitting argument i means the term is constant along axis i
-        term = np.expand_dims(f.values, axis=i)
-        if i % 2 == 0:
-            out += np.broadcast_to(term, shape)
-        else:
-            out -= np.broadcast_to(term, shape)
+        # omitting argument i means the term is constant along axis i, where
+        # the in-place add broadcasts it; the signs alternate
+        out += np.expand_dims(values, axis=i)
+        values = -values
     return UniversalForm(f.size, p + 1, out)
 
 

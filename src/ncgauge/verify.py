@@ -1,14 +1,15 @@
 """Runnable invariant suites: quick, seeded spot-checks of the algebraic
 identities every module is built on.
 
-Each suite returns the record of a :class:`~ncgauge.tolerances.CheckReport`:
-named checks, each holding its residual to ``tol`` times the product of its
-operands' norms (a frame-sized scale where the operands vanish; for the
-gradient, the roundoff scale of the exact five-point stencil of
-:func:`line_derivative`), so a rescaled frame reads the same verdicts;
-``run_all`` aggregates them.  They exist so a command-line run can
-demonstrate the core identities from a fresh install, deterministically for
-a fixed seed.
+Each suite returns a :class:`~ncgauge.tolerances.CheckReport`: named checks,
+each holding its residual to ``tol`` times the product of its operands' norms
+(a frame-sized scale where the operands vanish; for the gradient, the
+roundoff scale of the exact five-point stencil of :func:`line_derivative`),
+so a rescaled or skewed frame reads the same verdicts.  The calculus, gauge
+and lattice suites take the frame they check; ``run_all`` builds one
+Gell-Mann frame for all three and turns the reports into records.  They
+exist so a command-line run can demonstrate the core identities from a fresh
+install, deterministically for a fixed seed.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ __all__ = [
 ]
 
 
-def suite_universal(seed: int = 0) -> dict[str, Any]:
+def suite_universal(seed: int = 0) -> CheckReport:
     """Universal calculus on 4 points: d² = 0, Leibniz, graded involution."""
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
@@ -101,14 +102,13 @@ def suite_universal(seed: int = 0) -> dict[str, Any]:
                 f.norm(),
             ),
         ]
-    return CheckReport("universal_forms", checks).to_record()
+    return CheckReport("universal_forms", checks)
 
 
-def suite_calculus(n: int = 2, seed: int = 0) -> dict[str, Any]:
-    """Derivation calculus on M_n: differential, canonical one-form, star."""
+def suite_calculus(basis: MatrixBasis, seed: int = 0) -> CheckReport:
+    """Derivation calculus on M_n over ``basis``: differential, canonical one-form, star."""
     rng = np.random.default_rng(seed)
-    basis = MatrixBasis.gellmann(n)
-    top = basis.dim
+    n, top = basis.n, basis.dim
     theta = canonical_theta(basis)
     # d' acts as the bracket with iθ, so ‖iθ‖ is the size of one d'
     d_size = theta.norm()
@@ -138,7 +138,7 @@ def suite_calculus(n: int = 2, seed: int = 0) -> dict[str, Any]:
             Check("integral_kills_exact_forms", abs(nc_integrate(d_eta)), TAU_ALG, bound),
             Check("double_hodge_sign", (hodge(hodge(w1)) - sign * w1).norm(), TAU_ALG, w1.norm()),
         ]
-    return CheckReport(f"matrix_calculus_n{n}", checks).to_record()
+    return CheckReport(f"matrix_calculus_n{n}", checks)
 
 
 def line_derivative(f: Callable, x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -167,11 +167,11 @@ def _action_at(basis: MatrixBasis, coeffs: np.ndarray) -> float:
     return action(MatrixConnection(basis, coeffs))
 
 
-def suite_gauge(n: int = 2, seed: int = 0) -> dict[str, Any]:
-    """Connections: positivity, covariance, the two action routes, and the gradient
-    against the exact five-point stencil along 8 seeded directions, at ``TAU_ALG``."""
+def suite_gauge(basis: MatrixBasis, seed: int = 0) -> CheckReport:
+    """Connections over ``basis``: positivity, covariance, the two action routes, and
+    the gradient against the exact five-point stencil along 8 seeded directions."""
     rng = np.random.default_rng(seed)
-    basis = MatrixBasis.gellmann(n)
+    n = basis.n
     checks: list[Check] = []
     for _ in range(10):
         conn = random_connection(basis, rng)
@@ -207,13 +207,13 @@ def suite_gauge(n: int = 2, seed: int = 0) -> dict[str, Any]:
         # stricter than the flatness line's own tol·(a² + ‖C‖·a), 3x so at n = 2
         Check("canonical_flat_residual", flat_connection_check(flat).flatness.residual, TAU_ALG, a_sq),
     ]
-    return CheckReport(f"gauge_engine_n{n}", checks).to_record()
+    return CheckReport(f"gauge_engine_n{n}", checks)
 
 
-def suite_lattice(n: int = 2, seed: int = 0) -> dict[str, Any]:
-    """Small-lattice facts: exact vacua and constant-gauge invariance."""
+def suite_lattice(basis: MatrixBasis, seed: int = 0) -> CheckReport:
+    """Small-lattice facts over ``basis``: exact vacua and constant-gauge invariance."""
     rng = np.random.default_rng(seed)
-    basis = MatrixBasis.gellmann(n)
+    n = basis.n
     dims = (8,)
     sym = vacuum_config("symmetric", dims, basis)
     brk = vacuum_config("broken", dims, basis)
@@ -235,10 +235,10 @@ def suite_lattice(n: int = 2, seed: int = 0) -> dict[str, Any]:
         Check("constant_gauge_invariance", abs(s_gauged - s_cfg), TAU_ALG, s_cfg),
         Check("frame_bracket_identity", higgs, TAU_ALG, frob_norm(b) ** 2),
     ]
-    return CheckReport(f"lattice_higgs_n{n}", checks).to_record()
+    return CheckReport(f"lattice_higgs_n{n}", checks)
 
 
-def suite_spectral(seed: int = 0) -> dict[str, Any]:
+def suite_spectral(seed: int = 0) -> CheckReport:
     """Two-point model with 3×3 blocks: axioms, gauge coincidence, action identity."""
     rng = np.random.default_rng(seed)
     rep0 = check_axioms(two_point_triple(3, np.zeros((3, 3))))
@@ -277,23 +277,25 @@ def suite_spectral(seed: int = 0) -> dict[str, Any]:
                 frob_norm(curv) ** 2,
             ),
         ]
-    return CheckReport("spectral_core", checks).to_record()
+    return CheckReport("spectral_core", checks)
 
 
 def run_all(n: int = 2, seed: int = 0) -> dict[str, Any]:
-    """Run every suite; the ``passed`` field is the overall verdict."""
+    """Run every suite, the frame suites over one Gell-Mann frame of ``M_n``, and
+    return their reports as records; the ``passed`` field is the overall verdict."""
     if n < 2:
         raise ValueError(f"matrix size must be at least 2, got {n}")
-    suites = [
-        suite_universal(seed=seed),
-        suite_calculus(n=n, seed=seed),
-        suite_gauge(n=n, seed=seed),
-        suite_lattice(n=n, seed=seed),
-        suite_spectral(seed=seed),
+    basis = MatrixBasis.gellmann(n)
+    reports = [
+        suite_universal(seed),
+        suite_calculus(basis, seed),
+        suite_gauge(basis, seed),
+        suite_lattice(basis, seed),
+        suite_spectral(seed),
     ]
     return {
         "n": n,
         "seed": seed,
-        "suites": suites,
-        "passed": all(s["passed"] for s in suites),
+        "suites": [r.to_record() for r in reports],
+        "passed": all(r.passed for r in reports),
     }

@@ -418,11 +418,9 @@ def _nbytes(obj) -> int:
     return sum(map(_nbytes, obj.values())) if isinstance(obj, dict) else 0
 
 
-def test_plans_kept_by_one_calculus_suite_at_n5_stay_small(monkeypatch):
+def test_plans_kept_by_one_calculus_suite_at_n5_stay_small():
     # int64 targets, sources and new indices in slot groups held 7.8 MB
-    made, gellmann = [], MatrixBasis.gellmann.__func__
-    keep = classmethod(lambda cls, n: made.append(gellmann(cls, n)) or made[-1])
-    monkeypatch.setattr(MatrixBasis, "gellmann", keep)
-    verify.suite_calculus(5)
-    assert len(made) == 1 and made[0].derform_plans
-    assert _nbytes(made[0].derform_plans) <= 6e6
+    basis = MatrixBasis.gellmann(5)
+    verify.suite_calculus(basis)
+    assert basis.derform_plans
+    assert _nbytes(basis.derform_plans) <= 6e6

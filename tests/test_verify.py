@@ -12,15 +12,18 @@ import pytest
 from ncgauge import (
     TAU_ALG,
     CheckReport,
+    DerForm,
     LatticeConfig,
     MatrixBasis,
     MatrixConnection,
     action_gradient,
+    canonical_theta,
     frob_norm,
     gellmann_basis,
     inner_gauge,
     random_connection,
     verify,
+    wedge,
 )
 
 
@@ -47,31 +50,40 @@ def test_run_all_passes(n):
 FRAME_SCALES = [0.05, 1.0, 1e3]
 
 
-def _scale_frame(monkeypatch, scale):
+def _scaled_frame(n, scale):
     # scaling the frame by s scales √g by s^dim (0.05^8 and 1e24 against
     # (2/3)^4 at n = 3): every verdict must read the same
-    monkeypatch.setattr(
-        MatrixBasis,
-        "gellmann",
-        classmethod(lambda cls, n: cls.from_matrices(scale * gellmann_basis(n))),
-    )
+    return MatrixBasis.from_matrices(scale * gellmann_basis(n))
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.05, 1e3])
-def test_calculus_suite_does_not_depend_on_frame_scale(monkeypatch, scale):
-    _scale_frame(monkeypatch, scale)
+@pytest.fixture
+def frame(skewed_frame):
+    """``frame(n, scale)``: the Gell-Mann frame of ``M_n`` times ``scale``, or for
+    ``"skewed"`` the frame of ``conftest.skewed_frame``, whose metric is far from diagonal."""
+    return lambda n, scale: skewed_frame(n)[0] if scale == "skewed" else _scaled_frame(n, scale)
+
+
+def test_run_all_builds_one_frame(monkeypatch):
+    calls, gellmann = [], MatrixBasis.gellmann.__func__
+    spy = classmethod(lambda cls, n: calls.append(n) or gellmann(cls, n))
+    monkeypatch.setattr(MatrixBasis, "gellmann", spy)
+    verify.run_all(n=2, seed=0)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.05, 1e3, "skewed"])
+def test_calculus_suite_does_not_depend_on_frame_scale(frame, scale):
     for n in (2, 3):
-        report = verify.suite_calculus(n=n)
-        assert report["passed"] is True, (n, report["checks"])
+        report = verify.suite_calculus(frame(n, scale))
+        assert report.passed, (n, report.lines)
 
 
-@pytest.mark.parametrize("scale", FRAME_SCALES)
+@pytest.mark.parametrize("scale", [*FRAME_SCALES, "skewed"])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", ["suite_gauge", "suite_lattice"])
-def test_gauge_and_lattice_suites_do_not_depend_on_frame_scale(monkeypatch, suite, n, scale):
-    _scale_frame(monkeypatch, scale)
-    report = getattr(verify, suite)(n=n)
-    assert report["passed"] is True, report["checks"]
+def test_gauge_and_lattice_suites_do_not_depend_on_frame_scale(frame, suite, n, scale):
+    report = getattr(verify, suite)(frame(n, scale))
+    assert report.passed, report.lines
 
 
 def _inflate(x):
@@ -81,6 +93,10 @@ def _inflate(x):
     if isinstance(x, LatticeConfig):
         return replace(x, a=(1 + 1e-6) * x.a, b=(1 + 1e-6) * x.b)
     return (1 + 1e-6) * x
+
+
+def _failing(report):
+    return {c.name for c in report.lines if not c.passed}
 
 
 #: suite -> (the name in ``verify`` whose result is inflated, the checks that
@@ -99,14 +115,73 @@ def test_a_relative_error_fails_its_check_at_every_frame_scale(monkeypatch, suit
     target, expected = MUTATIONS[suite]
     original = getattr(verify, target)
     monkeypatch.setattr(verify, target, lambda *args, **kw: _inflate(original(*args, **kw)))
+    run = getattr(verify, suite)
     # the universal and spectral suites take no frame
-    sizes = [{}] if suite in ("suite_universal", "suite_spectral") else [{"n": 2}, {"n": 3}]
+    if suite in ("suite_universal", "suite_spectral"):
+        reports = [run()]
+    else:
+        reports = [run(_scaled_frame(n, scale)) for scale in FRAME_SCALES for n in (2, 3)]
+    for report in reports:
+        assert _failing(report) == expected, report.lines
+
+
+def _theta_bracket(w):
+    """The graded bracket ``[θ, w]``: a derivation, so d' plus it keeps Leibniz,
+    but it does not square to zero with d'."""
+    theta = canonical_theta(w.basis)
+    return wedge(theta, w) - (-1.0) ** w.degree() * wedge(w, theta)
+
+
+def _plus_volume(w):
+    """``w`` plus a top form of 1e-6 of its norm with a nonzero trace, which no
+    exact form has."""
+    b = w.basis
+    volume = DerForm.monomial(b, tuple(range(b.dim)), np.eye(b.n) / np.sqrt(b.n))
+    return w + 1e-6 * w.norm() * volume
+
+
+#: witness -> (the name in ``verify`` that is replaced, its mutation of the
+#: original, the calculus checks that must fail); a relative inflation leaves
+#: an exact zero at zero, so d'∘d' and ∫d' are witnessed by forbidden terms
+CALCULUS_WITNESSES = {
+    "theta_inflated": (
+        "canonical_theta",
+        lambda f: lambda basis: _inflate(f(basis)),
+        {"canonical_form_structure_eq", "d_equals_theta_bracket"},
+    ),
+    "d_plus_theta_bracket": (
+        "dprime",
+        lambda f: lambda w: f(w) + 1e-6 * _theta_bracket(w),
+        {"canonical_form_structure_eq", "d_equals_theta_bracket", "d_squared_zero"},
+    ),
+    "d_inflated_from_degree_2": (
+        "dprime",
+        lambda f: lambda w: _inflate(f(w)) if w.degree() >= 2 else f(w),
+        {"graded_leibniz"},
+    ),
+    "integral_of_a_volume": (
+        "nc_integrate",
+        lambda f: lambda w: f(_plus_volume(w)),
+        {"integral_kills_exact_forms"},
+    ),
+}
+
+
+def test_every_calculus_check_has_a_witness():
+    names = {c.name for c in verify.suite_calculus(MatrixBasis.gellmann(2)).lines}
+    rows = [*(row[2] for row in CALCULUS_WITNESSES.values()), MUTATIONS["suite_calculus"][1]]
+    witnessed = set().union(*rows)
+    assert witnessed == names
+
+
+@pytest.mark.parametrize("witness", sorted(CALCULUS_WITNESSES))
+def test_a_calculus_witness_fails_its_checks_at_every_frame_scale(monkeypatch, witness):
+    target, mutate, expected = CALCULUS_WITNESSES[witness]
+    monkeypatch.setattr(verify, target, mutate(getattr(verify, target)))
     for scale in FRAME_SCALES:
-        _scale_frame(monkeypatch, scale)
-        for kw in sizes:
-            report = getattr(verify, suite)(**kw)
-            failing = {c["name"] for c in report["checks"] if not c["passed"]}
-            assert failing == expected, (scale, kw, report["checks"])
+        for n in (2, 3):
+            report = verify.suite_calculus(_scaled_frame(n, scale))
+            assert _failing(report) == expected, (scale, n, report.lines)
 
 
 def _with_hermitian_part(g):
@@ -130,11 +205,9 @@ def test_a_wrong_gradient_fails_its_check_at_every_frame_scale(monkeypatch, muta
     mutate, expected = GRADIENT_MUTATIONS[mutation]
     monkeypatch.setattr(verify, "action_gradient", lambda conn: mutate(action_gradient(conn)))
     for scale in FRAME_SCALES:
-        _scale_frame(monkeypatch, scale)
         for n in (2, 3):
-            report = verify.suite_gauge(n=n)
-            failing = {c["name"] for c in report["checks"] if not c["passed"]}
-            assert failing == expected, (scale, n, report["checks"])
+            report = verify.suite_gauge(_scaled_frame(n, scale))
+            assert _failing(report) == expected, (scale, n, report.lines)
 
 
 def _polynomial(x, w, b, degree):
@@ -185,13 +258,13 @@ def test_run_all_seed_changes_data_not_verdict():
     assert json.dumps(r1) != json.dumps(r2)  # residuals differ with the draw
 
 
-def test_individual_suites_report_check_names():
-    s = verify.suite_calculus(n=2, seed=0)
-    names = {c["name"] for c in s["checks"]}
+def test_individual_suites_report_check_names(basis2):
+    s = verify.suite_calculus(basis2, seed=0)
+    names = {c.name for c in s.lines}
     assert any("nilpotent" in x or "square" in x for x in names)
     assert any("leibniz" in x for x in names)
-    g = verify.suite_gauge(n=2, seed=0)
-    gnames = {c["name"] for c in g["checks"]}
+    g = verify.suite_gauge(basis2, seed=0)
+    gnames = {c.name for c in g.lines}
     assert any("action" in x for x in gnames)
     assert any("gradient" in x or "gauge" in x for x in gnames)
 
@@ -215,8 +288,8 @@ def test_spectral_suite_reports_inner_gauges_own_lines(monkeypatch, seed):
         return results[-1]
 
     monkeypatch.setattr(verify, "inner_gauge", spy)
-    checks = {c["name"]: c for c in verify.suite_spectral(seed=seed)["checks"]}
+    checks = {c.name: c for c in verify.suite_spectral(seed=seed).lines}
     assert len(results) == 6
     for name in ("route_coincidence", "gamma_invariant", "j_invariant"):
         worst = CheckReport("samples", [res.report.line(name) for res in results]).line(name)
-        assert checks[f"gauge_{name}"] == replace(worst, name=f"gauge_{name}").to_record()
+        assert checks[f"gauge_{name}"] == replace(worst, name=f"gauge_{name}")
