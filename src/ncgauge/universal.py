@@ -176,7 +176,8 @@ def duniv(f: UniversalForm) -> UniversalForm:
     """Finite-difference differential, raising the degree by one."""
     p = f.degree
     _require_storable(f.size, p + 1)
-    out, values = np.zeros((f.size,) * (p + 2), dtype=complex), f.values
+    out = np.zeros((f.size,) * (p + 2), dtype=complex)
+    values = f.values
     for i in range(p + 2):
         # omitting argument i means the term is constant along axis i, where
         # the in-place add broadcasts it; the signs alternate

@@ -28,18 +28,19 @@ def basis3() -> MatrixBasis:
     return MatrixBasis.gellmann(3)
 
 
-@pytest.fixture(scope="session")
-def skewed_frame():
-    """``skewed_frame(n)`` is the frame ``E'_k = Σ_l T_kl E_l`` for a fixed
+def skewed_frame_of(n: int) -> tuple[MatrixBasis, np.ndarray]:
+    """The frame ``E'_k = Σ_l T_kl E_l`` of ``M_n`` for a fixed
     well-conditioned real ``T = 1 + 0.3 R``, returned with ``T``; its
     metric ``T g Tᵀ`` is far from diagonal."""
+    dim = n * n - 1
+    t = np.eye(dim) + 0.3 * np.random.default_rng(100 + n).standard_normal((dim, dim))
+    return MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, gellmann_basis(n))), t
 
-    def build(n: int) -> tuple[MatrixBasis, np.ndarray]:
-        dim = n * n - 1
-        t = np.eye(dim) + 0.3 * np.random.default_rng(100 + n).standard_normal((dim, dim))
-        return MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, gellmann_basis(n))), t
 
-    return build
+@pytest.fixture(scope="session")
+def skewed_frame():
+    """``skewed_frame(n)`` is ``skewed_frame_of(n)``."""
+    return skewed_frame_of
 
 
 @pytest.fixture

@@ -26,6 +26,8 @@ from ncgauge import (
     wedge,
 )
 
+from conftest import skewed_frame_of
+
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_run_all_passes(n):
@@ -56,11 +58,11 @@ def _scaled_frame(n, scale):
     return MatrixBasis.from_matrices(scale * gellmann_basis(n))
 
 
-@pytest.fixture
-def frame(skewed_frame):
-    """``frame(n, scale)``: the Gell-Mann frame of ``M_n`` times ``scale``, or for
-    ``"skewed"`` the frame of ``conftest.skewed_frame``, whose metric is far from diagonal."""
-    return lambda n, scale: skewed_frame(n)[0] if scale == "skewed" else _scaled_frame(n, scale)
+def _frames(scales):
+    """Frame builders ``n -> MatrixBasis``: the Gell-Mann frame times each
+    scale, and ``conftest.skewed_frame_of``, whose metric is far from diagonal."""
+    scaled = [pytest.param(partial(_scaled_frame, scale=s), id=str(s)) for s in scales]
+    return [*scaled, pytest.param(lambda n: skewed_frame_of(n)[0], id="skewed")]
 
 
 def test_run_all_builds_one_frame(monkeypatch):
@@ -71,18 +73,18 @@ def test_run_all_builds_one_frame(monkeypatch):
     assert calls == [2]
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.05, 1e3, "skewed"])
-def test_calculus_suite_does_not_depend_on_frame_scale(frame, scale):
+@pytest.mark.parametrize("frame", _frames([1.0, 0.05, 1e3]))
+def test_calculus_suite_does_not_depend_on_frame_scale(frame):
     for n in (2, 3):
-        report = verify.suite_calculus(frame(n, scale))
+        report = verify.suite_calculus(frame(n))
         assert report.passed, (n, report.lines)
 
 
-@pytest.mark.parametrize("scale", [*FRAME_SCALES, "skewed"])
+@pytest.mark.parametrize("frame", _frames(FRAME_SCALES))
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("suite", ["suite_gauge", "suite_lattice"])
-def test_gauge_and_lattice_suites_do_not_depend_on_frame_scale(frame, suite, n, scale):
-    report = getattr(verify, suite)(frame(n, scale))
+def test_gauge_and_lattice_suites_do_not_depend_on_frame_scale(suite, n, frame):
+    report = getattr(verify, suite)(frame(n))
     assert report.passed, report.lines
 
 
