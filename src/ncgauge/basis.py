@@ -324,6 +324,8 @@ class MatrixBasis:
             if not is_traceless(e):
                 raise SingularBasisError(f"basis matrix {k} is not traceless")
         g = np.real(np.einsum("kab,lba->kl", mats, mats)) / n  # (1/n) tr(E_k E_l)
+        # an entry inside the roundoff of its own n² terms is an orthogonal pair: exactly 0
+        g[np.abs(g) <= n * n * np.finfo(float).eps * np.sqrt(np.outer(g.diagonal(), g.diagonal()))] = 0.0
         # positive-definite relative to its own scale, whatever the scale
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= TAU_ALG * eigs[-1]:

@@ -13,10 +13,11 @@ coefficients, with no repeated row and no all-zero coefficient.  ``wedge``,
 for a full part: the result rows, by their ranks in the combinatorial number
 system, and each candidate monomial as a table unit and a real weight in
 jagged-diagonal slots.  The table is one GEMM per block of whole source rows
-(``[iE_k, a_r]`` and ``a_r``, or every ``a_i b_j``; ``⋆`` reads the
-coefficients), and slot ``s`` adds into the first ``len(src_s)`` sums.  Keys
-are validated only where a caller hands them in: the mapping constructor,
-``matrix``/``monomial`` and ``from_record``.
+over the columns they reach (``[iE_k, a_r]`` and ``a_r``, or the ``a_i b_j``;
+``⋆`` reads the coefficients); one gather serves a run of slots, and slot
+``s`` adds into the first ``len(src_s)`` sums.  Keys are validated only where
+a caller hands them in: the mapping constructor, ``matrix``/``monomial`` and
+``from_record``.
 
 The differential ``d'`` acts on generators by
 
@@ -31,6 +32,7 @@ and the graded involution complete the calculus.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -157,59 +159,75 @@ def _targets(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], tgt
 
 
-def _jagged(n_out: int, tgt: np.ndarray, row: np.ndarray, col, weight: np.ndarray, row_bytes: int,
-            width: int) -> tuple:
-    """The candidates ``weight · table[row, col]`` of result rows ``tgt``, in blocks of
-    whole source rows (``_BLOCK_BYTES`` of table, or one row), as jagged-diagonal slots
-    (Saad, SIAM J. Sci. Stat. Comput. 10 (1989) 1200): rows with most candidates first,
-    slot ``s`` holds each row's ``s``-th, as unit ``(row − lo)·width + col`` of the table."""
+def _jagged(n_out: int, tgt: np.ndarray, row: np.ndarray, col, weight: np.ndarray, cell: int,
+            cols: int, rep: int = 1) -> tuple:
+    """The candidates ``weight · table[row, col]`` of result rows ``tgt`` as jagged-diagonal
+    slots (Saad, SIAM J. Sci. Stat. Comput. 10 (1989) 1200), rows with most candidates first,
+    per block: groups of ``per`` rows, whose table over all ``cols`` cells of ``cell`` bytes fits
+    in ``_BLOCK_BYTES``, joined while their table over the columns ``[c0, c1)`` they reach fits.
+    Cell ``(row, col)`` is units ``((row − lo)·rep + i)·(c1 − c0) + col − c0``, ``i < rep``."""
     if not len(tgt):
         return ()
-    per = max(1, _BLOCK_BYTES // row_bytes)
-    key = row // per * n_out + tgt
+    col, per = np.broadcast_to(col, tgt.shape), max(1, _BLOCK_BYTES // (cell * cols))
+    group = row // per
+    c0, c1 = np.full(group.max() + 1, cols), np.zeros(group.max() + 1, np.intp)
+    np.minimum.at(c0, group, col)
+    np.maximum.at(c1, group, col + 1)
+    cuts, lo, hi = [0], c0[0], c1[0]  # the groups that start a block, and the columns it reaches
+    for k in range(1, len(c0)):
+        lo, hi = min(lo, c0[k]), max(hi, c1[k])
+        if (k + 1 - cuts[-1]) * per * (hi - lo) * cell > _BLOCK_BYTES:
+            cuts, lo, hi = cuts + [k], c0[k], c1[k]
+    block, los = np.searchsorted(cuts[1:], group, side="right"), np.array(cuts) * per
+    c0, c1 = np.minimum.reduceat(c0, cuts), np.maximum.reduceat(c1, cuts)
+    src = (row - los[block]) * rep * (c1 - c0)[block] + col - c0[block]
+    frames = np.column_stack([los, np.append(los[1:], row.max() + 1), c0, c1]).tolist()
+    key = block * n_out + tgt
     order = np.argsort(key, kind="stable")
     key, weight = key[order], weight[order]
-    src = (row % per * width + col).astype(np.int32 if per * width < 2**31 else np.intp)[order]
+    src = src.astype(np.int32 if src.max() < 2**31 else np.intp)[order]
     edges = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
     starts, counts = edges[:-1], np.diff(edges)
     slot = np.arange(len(key)) - np.repeat(starts, counts)
     blocks, block = [], key[starts] // n_out
     bounds = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), len(starts)]
     for lo, hi in zip(bounds, bounds[1:]):
-        c, first = counts[lo:hi], starts[lo]
+        c, first, k = counts[lo:hi], starts[lo], block[lo]
         by = np.argsort(-c, kind="stable")
         cuts = np.concatenate([[0], np.cumsum(np.bincount(c - 1)[::-1].cumsum()[::-1])])
         at = np.empty(c.sum(), np.intp)  # slot by slot, each in the order ``by``
         at[cuts[slot[first : first + len(at)]] + np.repeat(np.argsort(by), c)] = first + np.arange(len(at))
         rows = (key[starts[lo:hi]][by] % n_out).astype(np.int32 if n_out < 2**31 else np.intp)
-        blocks.append((block[lo] * per, (block[lo] + 1) * per, rows, cuts.tolist(), src[at], weight[at]))
+        blocks.append((*frames[k], rows, cuts.tolist(), src[at], weight[at]))
     return tuple(blocks)
 
 
 def _apply(build: Callable, basis: MatrixBasis, rows: tuple, a: np.ndarray, right) -> _Part | None:
-    """``build(basis, *rows)``'s plan, kept on the basis for full parts, and its
-    pass: per block the table ``x = a[lo:hi] @ right`` (``a[lo:hi]`` without
-    ``right``) in units of ``len(right)`` (``n²``) entries, ``x[src]`` being the
-    units ``src + step``, and ``acc = w₀·x[src₀]``, ``acc[:len(src_s)] += w_s·x[src_s]``."""
+    """``build(basis, *rows)``'s plan, kept on the basis for full parts, and its pass: per
+    block the table ``x = a[lo:hi] @ right[:, c0·m : c1·m]`` (``a[lo:hi]`` without ``right``)
+    in units of ``m = len(right)`` (``n²``) entries, then per run of whole slots up to
+    ``4·_BLOCK_BYTES`` one gather ``w·x[src + step]``, added as ``acc[:len(src_s)] += piece_s``."""
     key = (build.__name__, *(r.shape[1] for r in rows))
     if any(len(r) < comb(basis.dim, r.shape[1]) for r in rows):
         plan = build(basis, *rows)
     elif (plan := basis.derform_plans.get(key)) is None:
         plan = basis.derform_plans[key] = build(basis, *rows)
     result, blocks = plan
-    n, alone = basis.n, len(blocks) == 1
-    m, width = (n * n, 1) if right is None else right.shape
-    step, unit = np.arange(n * n // m) * (width // m), np.dtype((np.void, 16 * m))
+    n, alone, m = basis.n, len(blocks) == 1, basis.n**2 if right is None else right.shape[0]
+    unit, run = np.dtype((np.void, 16 * m)), 4 * _BLOCK_BYTES // (16 * n * n)
     out = (np.empty if alone else np.zeros)((len(result), n, n), dtype=complex)
-    for lo, hi, tgt, cuts, src, w in blocks:
-        x = np.ravel(a[lo:hi] if right is None else a[lo:hi].reshape(-1, m) @ right).view(unit)
+    for lo, hi, c0, c1, tgt, cuts, src, w in blocks:
+        x = np.ravel(a[lo:hi] if right is None else a[lo:hi].reshape(-1, m) @ right[:, c0 * m : c1 * m])
+        x, step, e = x.view(unit), np.arange(n * n // m) * (c1 - c0), 0
         for a0, a1 in zip(cuts, cuts[1:]):
-            piece = x[src[a0:a1, None] + step].view(complex).reshape(-1, n, n)
-            piece *= w[a0:a1, None, None]
+            if a1 > e:  # one gather for the whole slots from here, up to ``run`` candidates
+                s, e = a0, max(a1, cuts[bisect_right(cuts, a0 + run) - 1])
+                piece = x[src[s:e, None] + step].view(complex).reshape(-1, n, n)
+                piece *= w[s:e, None, None]
             if a0:
-                acc[: a1 - a0] += piece
+                acc[: a1 - a0] += piece[a0 - s : a1 - s]
             else:
-                acc = piece
+                acc = piece[:a1]
         del x, piece  # before the sums move and the next block's table
         out[tgt] = acc if alone else out[tgt] + acc  # lexicographic order; blocks add up
         del acc
@@ -392,7 +410,7 @@ def wedge(w1: DerForm, w2: DerForm) -> DerForm:
     def part(rows1: np.ndarray, a: np.ndarray, rows2: np.ndarray, b: np.ndarray) -> _Part | None:
         if rows1.shape[1] == 0 or rows2.shape[1] == 0:  # θ^∅ is the unit: coefficients multiply
             return _nonzero(rows1 if rows2.shape[1] == 0 else rows2, a @ b)
-        # every a_i b_j of a block of rows i by one (B·n × n)(n × R₂·n) GEMM
+        # the a_i b_j of a block of rows i by one (B·n × n)(n × C·n) GEMM over the C columns j it reaches
         return _apply(_wedge_plan, w1.basis, (rows1, rows2), a, b.transpose(1, 0, 2).reshape(a.shape[-1], -1))
 
     return _sum(w1.basis, [part(*x, *y) for x in w1._parts.values() for y in w2._parts.values()])
@@ -405,8 +423,8 @@ def _wedge_plan(basis: MatrixBasis, rows1: np.ndarray, rows2: np.ndarray) -> tup
     counts = _membership(rows1, d) @ _tables(d)[2] @ _membership(rows2, d).T
     i, j = (counts < _SHARED).nonzero()
     result, tgt = _targets(np.sort(np.concatenate([rows1[i], rows2[j]], axis=1), axis=1), d)
-    # a_i b_j is the n units of n entries at i·n·R₂ + j + R₂·[0, n) of the GEMM's output
-    return result, _jagged(len(result), tgt, i, j, (-1.0) ** counts[i, j], r2 * n * n * 16, n * r2)
+    # a_i b_j is the n units of n entries at (i·n + [0, n))·C + j of a block's GEMM output
+    return result, _jagged(len(result), tgt, i, j, (-1.0) ** counts[i, j], n * n * 16, r2, n)
 
 
 def dprime(w: DerForm) -> DerForm:
@@ -442,7 +460,7 @@ def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     new_rows = np.concatenate([np.column_stack([rows[r0], k]), np.column_stack([kept, lm[:, 1]])])
     result, tgt = _targets(np.sort(new_rows, axis=1), d)
     row, col, weight = (np.concatenate(x) for x in ([r0, r1], [k, np.full(len(r1), d)], [sign, weight]))
-    return result, _jagged(len(result), tgt, row, col, weight, (d + 1) * n * n * 16, d + 1)
+    return result, _jagged(len(result), tgt, row, col, weight, n * n * 16, d + 1)
 
 
 def dinvolution(w: DerForm) -> DerForm:

@@ -88,6 +88,15 @@ def test_metric_is_two_over_n(n):
     assert b.sqrt_g_det == pytest.approx((2.0 / n) ** (d / 2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("n, scale", [(n, 1.0) for n in range(2, 9)] + [(5, 0.05), (5, 1e3)])
+def test_an_orthogonal_family_has_an_exactly_diagonal_metric(n, scale):
+    # tr(E_k E_l) of distinct Gell-Mann matrices is an exact zero; its roundoff
+    # (up to 1.1e-17 in g and 1.1e-16 in g_inv at n = 5…8) is not kept, at any scale
+    b = MatrixBasis.from_matrices(scale * gellmann_basis(n))
+    for m in (b.g, b.g_inv):
+        assert np.array_equal(m, np.diag(np.diag(m)))
+
+
 NORMAL_FRAME_CASES = [(n, "gellmann") for n in (2, 3, 4, 5)] + [(n, "skewed") for n in (2, 3)]
 
 

@@ -239,8 +239,9 @@ def test_hodge_on_a_dense_metric_complements_each_minor_column_set_once(skewed_f
 
 
 def test_double_hodge_of_unit_at_n5():
-    # g_inv of this frame carries off-diagonal roundoff (about 7e-17); the
-    # star must stay a sum over the few minors that entries reach
+    # a top-degree row has 24 indices: ⋆ must stay a sum over the minors that
+    # the nonzero entries of g_inv reach, here one per row, and never run
+    # through the 24! permutations of a complement
     b = MatrixBasis.gellmann(5)
     one = np.eye(5, dtype=complex)
     back = hodge(hodge(DerForm.matrix(b, one)))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ncgauge import DerForm, MatrixBasis, dprime, hodge, wedge
-from ncgauge.derforms import random_form
+from ncgauge.derforms import _wedge_plan, random_form
 
 
 def _sort_with_sign(seq):
@@ -43,7 +43,8 @@ def ref_wedge(w1, w2):
     out = {}
     for k1, a in w1.items():
         for k2, b in w2.items():
-            _add(out, _sort_with_sign(k1 + k2), a @ b)
+            if not set(k1) & set(k2):  # a shared index gives no monomial
+                _add(out, _sort_with_sign(k1 + k2), a @ b)
     return out
 
 
@@ -191,3 +192,36 @@ def test_batched_forms_match_reference_when_the_source_table_spans_blocks(n, deg
     p, q = degrees
     assert ("_wedge_plan", p, q) in spanning and ("_wedge_plan", q, p) in spanning
     assert n == 4 or ("_dprime_plan", q) in spanning
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_complementary_products_match_reference(n):
+    # the shape of F* ∧ ⋆F: a full degree-2 form by a full degree-(D−2) form
+    # into the top degree, where each row meets one row of the other factor
+    b = MatrixBasis.gellmann(n)
+    rng = np.random.default_rng(960 + n)
+    w2, wc = random_form(b, 2, rng), random_form(b, b.dim - 2, rng)
+    c2, cc = dict(w2.components), dict(wc.components)
+    _assert_same(wedge(w2, wc), ref_wedge(c2, cc))
+    _assert_same(wedge(wc, w2), ref_wedge(cc, c2))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_differential_into_the_top_degree_matches_reference(n):
+    b = MatrixBasis.gellmann(n)
+    w = random_form(b, b.dim - 1, np.random.default_rng(970 + n))
+    _assert_same(dprime(w), ref_dprime(b, dict(w.components)))
+
+
+def test_complementary_product_forms_only_the_columns_its_blocks_reach():
+    # at n = 5 each of the 276 rows of degree 2 meets one of the 276 rows of
+    # degree 22; a table over every column formed all 76,176 products. A block
+    # spans only the columns its rows reach, so it forms B² products for B
+    # rows; as 36² products of 400 bytes fill the 512 KiB of a block, the
+    # blocks form at least 276²/8 = 9,522 of them
+    b = MatrixBasis.gellmann(5)
+    rows = {p: np.array(list(combinations(range(b.dim), p))) for p in (2, b.dim - 2)}
+    for p, q in [(2, b.dim - 2), (b.dim - 2, 2)]:
+        _, blocks = _wedge_plan(b, rows[p], rows[q])
+        formed = sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1, *_ in blocks)
+        assert formed <= 0.13 * 276**2, formed

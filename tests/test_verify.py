@@ -127,6 +127,16 @@ def test_a_relative_error_fails_its_check_at_every_frame_scale(monkeypatch, suit
         assert _failing(report) == expected, report.lines
 
 
+def test_a_relative_error_in_the_pairing_route_fails_its_check_at_every_frame_scale(monkeypatch):
+    # action_route_agreement is the one line that reads the product F* ∧ ⋆F
+    original = verify.action_via_pairing
+    monkeypatch.setattr(verify, "action_via_pairing", lambda conn: _inflate(original(conn)))
+    for scale in FRAME_SCALES:
+        for n in (2, 3, 4):
+            report = verify.suite_gauge(_scaled_frame(n, scale))
+            assert _failing(report) == {"action_route_agreement"}, (scale, n, report.lines)
+
+
 def _theta_bracket(w):
     """The graded bracket ``[θ, w]``: a derivation, so d' plus it keeps Leibniz,
     but it does not square to zero with d'."""
