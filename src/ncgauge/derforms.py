@@ -216,7 +216,7 @@ def _apply(build: Callable, basis: MatrixBasis, rows: tuple, a: np.ndarray, righ
     n, alone, m = basis.n, len(blocks) == 1, basis.n**2 if right is None else right.shape[0]
     unit, run = np.dtype((np.void, 16 * m)), 4 * _BLOCK_BYTES // (16 * n * n)
     out = (np.empty if alone else np.zeros)((len(result), n, n), dtype=complex)
-    for lo, hi, c0, c1, tgt, cuts, src, w in blocks:
+    for k, (lo, hi, c0, c1, tgt, cuts, src, w) in enumerate(blocks):
         x = np.ravel(a[lo:hi] if right is None else a[lo:hi].reshape(-1, m) @ right[:, c0 * m : c1 * m])
         x, step, e = x.view(unit), np.arange(n * n // m) * (c1 - c0), 0
         for a0, a1 in zip(cuts, cuts[1:]):
@@ -229,7 +229,7 @@ def _apply(build: Callable, basis: MatrixBasis, rows: tuple, a: np.ndarray, righ
             else:
                 acc = piece[:a1]
         del x, piece  # before the sums move and the next block's table
-        out[tgt] = acc if alone else out[tgt] + acc  # lexicographic order; blocks add up
+        out[tgt] = out[tgt] + acc if k else acc  # lexicographic order; later blocks add up
         del acc
     return _nonzero(result, out)
 
