@@ -169,16 +169,16 @@ def _jagged(n_out: int, tgt: np.ndarray, row: np.ndarray, col, weight: np.ndarra
     if not len(tgt):
         return ()
     col, per = np.broadcast_to(col, tgt.shape), max(1, _BLOCK_BYTES // (cell * cols))
-    group = row // per
-    c0, c1 = np.full(group.max() + 1, cols), np.zeros(group.max() + 1, np.intp)
-    np.minimum.at(c0, group, col)
-    np.maximum.at(c1, group, col + 1)
-    cuts, lo, hi = [0], c0[0], c1[0]  # the groups that start a block, and the columns it reaches
+    block = row // per  # each candidate's group of rows, then its block
+    c0, c1 = np.full(block.max() + 1, cols), np.zeros(block.max() + 1, np.intp)
+    np.minimum.at(c0, block, col)
+    np.maximum.at(c1, block, col + 1)
+    cuts, left, right = [0], c0[0], c1[0]  # the groups that start a block, and the columns it reaches
     for k in range(1, len(c0)):
-        lo, hi = min(lo, c0[k]), max(hi, c1[k])
-        if (k + 1 - cuts[-1]) * per * (hi - lo) * cell > _BLOCK_BYTES:
-            cuts, lo, hi = cuts + [k], c0[k], c1[k]
-    block, los = np.searchsorted(cuts[1:], group, side="right"), np.array(cuts) * per
+        left, right = min(left, c0[k]), max(right, c1[k])
+        if (k + 1 - cuts[-1]) * per * (right - left) * cell > _BLOCK_BYTES:
+            cuts, left, right = cuts + [k], c0[k], c1[k]
+    block, los = np.searchsorted(cuts[1:], block, side="right"), np.array(cuts) * per
     c0, c1 = np.minimum.reduceat(c0, cuts), np.maximum.reduceat(c1, cuts)
     src = (row - los[block]) * rep * (c1 - c0)[block] + col - c0[block]
     frames = np.column_stack([los, np.append(los[1:], row.max() + 1), c0, c1]).tolist()
