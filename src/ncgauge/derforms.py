@@ -15,9 +15,8 @@ system, and each candidate monomial as a table unit and a real weight in
 jagged-diagonal slots.  The table is one GEMM per block of whole source rows
 over the columns they reach (``[iE_k, a_r]`` and ``a_r``, or the ``a_i b_j``;
 ``⋆`` reads the coefficients); one gather serves a run of slots, and slot
-``s`` adds into the first ``len(src_s)`` sums.  Keys are validated only where
-a caller hands them in: the mapping constructor, ``matrix``/``monomial`` and
-``from_record``.
+``s`` adds into the first ``len(src_s)`` sums.  Keys are validated only at
+the mapping constructor, ``matrix``/``monomial`` and ``from_record``.
 
 The differential ``d'`` acts on generators by
 
@@ -181,11 +180,12 @@ def _jagged(n_out: int, tgt: np.ndarray, row: np.ndarray, col, weight: np.ndarra
     block, los = np.searchsorted(cuts[1:], block, side="right"), np.array(cuts) * per
     c0, c1 = np.minimum.reduceat(c0, cuts), np.maximum.reduceat(c1, cuts)
     src = (row - los[block]) * rep * (c1 - c0)[block] + col - c0[block]
+    src = src.astype(np.int32 if src.max() < 2**31 else np.intp)  # the int64 src goes before the sort
     frames = np.column_stack([los, np.append(los[1:], row.max() + 1), c0, c1]).tolist()
-    key = block * n_out + tgt
+    key = np.add(np.multiply(block, n_out, out=block), tgt, out=block)  # block is not read again
     order = np.argsort(key, kind="stable")
     key, weight = key[order], weight[order]
-    src = src.astype(np.int32 if src.max() < 2**31 else np.intp)[order]
+    src = src[order]
     edges = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
     starts, counts = edges[:-1], np.diff(edges)
     slot = np.arange(len(key)) - np.repeat(starts, counts)

@@ -3,6 +3,7 @@ involution, Hodge star, integration, and the evaluation pairings."""
 from __future__ import annotations
 
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from ncgauge import (
     random_traceless_hermitian,
     wedge,
 )
-from ncgauge.derforms import random_form
+from ncgauge.derforms import _wedge_plan, random_form
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +410,20 @@ def test_passes_on_full_forms_at_n5_hold_no_whole_source_table(op, bound):
     w1, w2, w3 = (random_form(b, p, np.random.default_rng(p)) for p in (1, 2, 3))
     ops = {"dprime3": lambda: dprime(w3), "wedge22": lambda: wedge(w2, w2), "wedge13": lambda: wedge(w1, w3)}
     assert _second_call_peak(ops[op]) <= bound
+
+
+def test_complementary_product_forms_only_the_columns_its_blocks_reach():
+    # at n = 5 each of the 276 rows of degree 2 meets one of the 276 rows of
+    # degree 22, 276 of the 76,176 pairs. A block spans only the columns its
+    # rows reach, so it forms B² products for B rows; as 36² products of 400
+    # bytes fill the 512 KiB of a block, the blocks form at least 276²/8 =
+    # 9,522 of them
+    b = MatrixBasis.gellmann(5)
+    rows = {p: np.array(list(combinations(range(b.dim), p))) for p in (2, b.dim - 2)}
+    for p, q in [(2, b.dim - 2), (b.dim - 2, 2)]:
+        _, blocks = _wedge_plan(b, rows[p], rows[q])
+        formed = sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1, *_ in blocks)
+        assert formed <= 0.13 * 276**2, formed
 
 
 def _nbytes(obj) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ncgauge import DerForm, MatrixBasis, dprime, hodge, wedge
-from ncgauge.derforms import _wedge_plan, random_form
+from ncgauge.derforms import random_form
 
 
 def _sort_with_sign(seq):
@@ -211,17 +211,3 @@ def test_differential_into_the_top_degree_matches_reference(n):
     b = MatrixBasis.gellmann(n)
     w = random_form(b, b.dim - 1, np.random.default_rng(970 + n))
     _assert_same(dprime(w), ref_dprime(b, dict(w.components)))
-
-
-def test_complementary_product_forms_only_the_columns_its_blocks_reach():
-    # at n = 5 each of the 276 rows of degree 2 meets one of the 276 rows of
-    # degree 22; a table over every column formed all 76,176 products. A block
-    # spans only the columns its rows reach, so it forms B² products for B
-    # rows; as 36² products of 400 bytes fill the 512 KiB of a block, the
-    # blocks form at least 276²/8 = 9,522 of them
-    b = MatrixBasis.gellmann(5)
-    rows = {p: np.array(list(combinations(range(b.dim), p))) for p in (2, b.dim - 2)}
-    for p, q in [(2, b.dim - 2), (b.dim - 2, 2)]:
-        _, blocks = _wedge_plan(b, rows[p], rows[q])
-        formed = sum((hi - lo) * (c1 - c0) for lo, hi, c0, c1, *_ in blocks)
-        assert formed <= 0.13 * 276**2, formed
