@@ -229,7 +229,10 @@ def _apply(build: Callable, basis: MatrixBasis, rows: tuple, a: np.ndarray, righ
             else:
                 acc = piece[:a1]
         del x, piece  # before the sums move and the next block's table
-        out[tgt] = out[tgt] + acc if k else acc  # lexicographic order; later blocks add up
+        if k:  # lexicographic order; later blocks add up
+            out[tgt] += acc
+        else:
+            out[tgt] = acc
         del acc
     return _nonzero(result, out)
 
@@ -241,22 +244,26 @@ def _nonzero(rows: np.ndarray, coefs: np.ndarray) -> _Part | None:
     return (rows, coefs) if len(rows) else None
 
 
-def _sum(basis: MatrixBasis, parts: Iterable[_Part | None]) -> "DerForm":
-    """The form summing ``parts``; a degree met again adds in where the rows
-    agree, else into the union of the rows, found by their ranks."""
+def _sum(basis: MatrixBasis, parts: Iterable[_Part | None], minus: Iterable[_Part | None] = ()) -> "DerForm":
+    """The form summing ``parts`` less ``minus``; a degree met again is added or subtracted
+    where the rows agree, else in the union of the rows, found by their ranks.  Only a
+    ``minus`` part of a degree not met before is negated into a copy."""
     out: dict[int, _Part] = {}
-    for rows, coefs in filter(None, parts):
-        part, mine = (rows, coefs), out.pop(rows.shape[1], None)
-        if mine is not None and mine[0].shape == rows.shape and (mine[0] == rows).all():
-            part = _nonzero(rows, mine[1] + coefs)
-        elif mine is not None:
-            union, tgt = _targets(np.concatenate([mine[0], rows]), basis.dim)
-            both = np.zeros((len(union),) + coefs.shape[1:], dtype=complex)
-            both[tgt[: len(mine[0])]] = mine[1]
-            both[tgt[len(mine[0]) :]] += coefs
-            part = _nonzero(union, both)
-        if part is not None:
-            out[rows.shape[1]] = part
+    for op, group in ((np.add, parts), (np.subtract, minus)):
+        for rows, coefs in filter(None, group):
+            mine = out.pop(rows.shape[1], None)
+            if mine is None:
+                part = (rows, coefs if op is np.add else -coefs)
+            elif mine[0].shape == rows.shape and (mine[0] == rows).all():
+                part = _nonzero(rows, op(mine[1], coefs))
+            else:
+                union, tgt = _targets(np.concatenate([mine[0], rows]), basis.dim)
+                both = np.zeros((len(union),) + coefs.shape[1:], dtype=complex)
+                both[tgt[: len(mine[0])]] = mine[1]
+                op.at(both, tgt[len(mine[0]) :], coefs)
+                part = _nonzero(union, both)
+            if part is not None:
+                out[rows.shape[1]] = part
     return DerForm._of(basis, out)
 
 
@@ -362,8 +369,8 @@ class DerForm:
 
     def _plus(self, other: "DerForm", sign: float) -> "DerForm":
         _require_same_basis(self.basis, other.basis)
-        theirs = other._parts.values() if sign > 0 else ((rows, -c) for rows, c in other._parts.values())
-        return _sum(self.basis, [*self._parts.values(), *theirs])
+        mine, theirs = self._parts.values(), other._parts.values()
+        return _sum(self.basis, [*mine, *theirs]) if sign > 0 else _sum(self.basis, mine, theirs)
 
     def __add__(self, other: "DerForm") -> "DerForm":
         return self._plus(other, 1.0)

@@ -106,39 +106,47 @@ def suite_universal(seed: int = 0) -> CheckReport:
 
 
 def suite_calculus(basis: MatrixBasis, seed: int = 0) -> CheckReport:
-    """Derivation calculus on M_n over ``basis``: differential, canonical one-form, star."""
+    """Derivation calculus on M_n over ``basis``: differential, canonical one-form, star.
+    Each draw's residuals are taken as soon as their operands exist, in :func:`_calculus_draw`,
+    so at most three top-degree forms live at once: the Leibniz sides and their difference."""
     rng = np.random.default_rng(seed)
-    n, top = basis.n, basis.dim
     theta = canonical_theta(basis)
     # d' acts as the bracket with iθ, so ‖iθ‖ is the size of one d'
     d_size = theta.norm()
     maurer = (dprime(theta) - wedge(theta, theta)).norm()
     checks = [Check("canonical_form_structure_eq", maurer, TAU_ALG, d_size**2)]
     for _ in range(10):
-        p = int(rng.integers(0, min(3, top)))
-        q = int(rng.integers(0, min(3, top) - p + 1))
-        w1 = random_form(basis, p, rng)
-        w2 = random_form(basis, q, rng)
-        dw1 = dprime(w1)
-        lhs = dprime(wedge(w1, w2))
-        rhs = wedge(dw1, w2) + (-1.0) ** p * wedge(w1, dprime(w2))
-        a = DerForm.matrix(
-            basis, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        )
-        bracket = dprime(a) - (wedge(theta, a) - wedge(a, theta))
-        # |∫ω| ≤ ‖ω_top‖_F / (√n·√g) for any top form ω: the scale of ∫d'η,
-        # whatever the frame's volume
-        d_eta = dprime(random_form(basis, top - 1, rng))
-        bound = frob_norm(d_eta.component(tuple(range(top)))) / np.sqrt(n) / basis.sqrt_g_det
-        sign = (-1.0) ** (p * (top - p))
-        checks += [
-            Check("d_squared_zero", dprime(dw1).norm(), TAU_ALG, d_size**2 * w1.norm()),
-            Check("graded_leibniz", (lhs - rhs).norm(), TAU_ALG, d_size * w1.norm() * w2.norm()),
-            Check("d_equals_theta_bracket", bracket.norm(), TAU_ALG, d_size * a.norm()),
-            Check("integral_kills_exact_forms", abs(nc_integrate(d_eta)), TAU_ALG, bound),
-            Check("double_hodge_sign", (hodge(hodge(w1)) - sign * w1).norm(), TAU_ALG, w1.norm()),
-        ]
-    return CheckReport(f"matrix_calculus_n{n}", checks)
+        checks += _calculus_draw(basis, theta, d_size, rng)
+    return CheckReport(f"matrix_calculus_n{basis.n}", checks)
+
+
+def _calculus_draw(basis: MatrixBasis, theta: DerForm, d_size: float, rng) -> list[Check]:
+    """One draw of :func:`suite_calculus`: degrees ``p`` and ``q``, forms ``ω`` and ``η``,
+    a matrix ``a`` and a degree-``(D−1)`` form, in that order, and their five checks."""
+    n, top = basis.n, basis.dim
+    p = int(rng.integers(0, min(3, top)))
+    q = int(rng.integers(0, min(3, top) - p + 1))
+    w1, w2 = random_form(basis, p, rng), random_form(basis, q, rng)
+    dw1 = dprime(w1)
+    d_squared = dprime(dw1).norm()
+    rhs = wedge(dw1, w2) + (-1.0) ** p * wedge(w1, dprime(w2))
+    del dw1
+    leibniz = (dprime(wedge(w1, w2)) - rhs).norm()
+    del rhs
+    a = DerForm.matrix(basis, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    bracket = dprime(a) - (wedge(theta, a) - wedge(a, theta))
+    # |∫ω| ≤ ‖ω_top‖_F / (√n·√g) for any top form ω: the scale of ∫d'η,
+    # whatever the frame's volume
+    d_eta = dprime(random_form(basis, top - 1, rng))
+    bound = frob_norm(d_eta.component(tuple(range(top)))) / np.sqrt(n) / basis.sqrt_g_det
+    sign = (-1.0) ** (p * (top - p))
+    return [
+        Check("d_squared_zero", d_squared, TAU_ALG, d_size**2 * w1.norm()),
+        Check("graded_leibniz", leibniz, TAU_ALG, d_size * w1.norm() * w2.norm()),
+        Check("d_equals_theta_bracket", bracket.norm(), TAU_ALG, d_size * a.norm()),
+        Check("integral_kills_exact_forms", abs(nc_integrate(d_eta)), TAU_ALG, bound),
+        Check("double_hodge_sign", (hodge(hodge(w1)) - sign * w1).norm(), TAU_ALG, w1.norm()),
+    ]
 
 
 def line_derivative(f: Callable, x: np.ndarray, v: np.ndarray) -> tuple[float, float]:

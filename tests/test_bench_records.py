@@ -24,3 +24,6 @@ def test_record_holds_the_shared_fields(path):
     for name in TABLE_FIELDS:
         assert isinstance(record.get(name), dict) and record[name], name
     assert {"parent", "change"} <= record["commits"].keys()
+    # a record that states a result also counts the source lines it changed
+    if "result" in record:
+        assert isinstance(record.get("src_lines"), dict) and record["src_lines"], "src_lines"

@@ -319,6 +319,36 @@ def test_record_roundtrip(basis2, rng):
     assert (w - back).norm() == 0.0
 
 
+def _form(basis, rows_by_degree, seed):
+    """A form with seeded coefficients on the given rows of each degree."""
+    rng = np.random.default_rng(seed)
+    return DerForm(basis, {
+        key: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for rows in rows_by_degree for key in rows
+    })
+
+
+#: case -> the rows of ``a`` and of ``b``, by degree
+SUBTRACTIONS = {
+    "equal_rows": ([[(0, 1), (0, 2), (1, 2)]], [[(0, 1), (0, 2), (1, 2)]]),
+    "union_of_rows": ([[(0, 1), (0, 2)]], [[(0, 2), (1, 2)]]),
+    "degree_only_in_b": ([[(0,), (2,)]], [[(0, 1), (1, 2)]]),
+    "mixed_degrees": ([[()], [(0, 1), (1, 2)]], [[(1,)], [(0, 1), (0, 2)], [(0, 1, 2)]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBTRACTIONS))
+def test_difference_is_the_sum_with_the_negated_form_bit_for_bit(basis2, case):
+    rows_a, rows_b = SUBTRACTIONS[case]
+    a, b = _form(basis2, rows_a, 1), _form(basis2, rows_b, 2)
+    diff, plus = a - b, a + (-1.0) * b
+    assert diff.degrees() == plus.degrees()
+    assert list(diff.components) == list(plus.components)
+    for key, c in diff:
+        assert c.tobytes() == plus.component(key).tobytes(), key
+    assert (a - a).degrees() == [] and (b - b).norm() == 0.0
+
+
 def test_degree_bookkeeping(basis2, rng):
     w = random_form(basis2, 2, rng)
     assert w.is_homogeneous() and w.degree() == 2 and w.degrees() == [2]

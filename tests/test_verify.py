@@ -3,6 +3,7 @@ and honest structure (each suite reports named checks with residuals)."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -194,6 +195,41 @@ def test_a_calculus_witness_fails_its_checks_at_every_frame_scale(monkeypatch, w
         for n in (2, 3):
             report = verify.suite_calculus(_scaled_frame(n, scale))
             assert _failing(report) == expected, (scale, n, report.lines)
+
+
+#: witness -> (the name in ``verify`` that is replaced, its mutation of the
+#: original, the lattice checks that must fail)
+LATTICE_WITNESSES = {
+    "frame_inflated": (
+        "bracket_defect",
+        lambda f: lambda c, b: f(c, _inflate(b)),
+        {"frame_bracket_identity"},
+    ),
+}
+
+
+@pytest.mark.parametrize("frame", _frames(FRAME_SCALES))
+@pytest.mark.parametrize("witness", sorted(LATTICE_WITNESSES))
+def test_a_lattice_witness_fails_its_checks_at_every_frame_scale(monkeypatch, witness, frame):
+    target, mutate, expected = LATTICE_WITNESSES[witness]
+    monkeypatch.setattr(verify, target, mutate(getattr(verify, target)))
+    for n in (2, 3):
+        report = verify.suite_lattice(frame(n))
+        assert _failing(report) == expected, (n, report.lines)
+
+
+def test_calculus_suite_at_n5_keeps_few_top_degree_forms_alive():
+    # a full degree-4 form at n = 5 is 4.25 MB, and a fresh frame makes its
+    # plans (about 5.5 MB) inside the suite: the two sides of the Leibniz
+    # rule and their difference fit under the bound, a fourth form does not
+    basis = MatrixBasis.gellmann(5)
+    tracemalloc.start()
+    try:
+        verify.suite_calculus(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23e6, peak
 
 
 def _with_hermitian_part(g):
