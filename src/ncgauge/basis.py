@@ -218,28 +218,28 @@ def antihermitian_frame(n: int) -> np.ndarray:
 def structure_constants(mats: np.ndarray) -> np.ndarray:
     """Structure constants ``C[k, l, m]`` with ``i [E_k, E_l] = C[k, l, m] E_m``.
 
-    The commutator table ``i[E_k, E_l]`` is formed once (:func:`_brackets`) and
-    projected on the family by one GEMM and a Gram solve, exact (up to roundoff)
-    for any linearly independent Hermitian family, orthogonal or not.  Closure
-    is checked on the same table: :class:`SingularBasisError` is raised if some
-    commutator leaves the span of the family.
-
-    For Hermitian ``E_k`` the tensor is real and antisymmetric in its
-    first two indices; antisymmetry is enforced exactly.
+    Each member must be Hermitian.  The commutator table ``i[E_k, E_l]`` is formed
+    once (:func:`_brackets`), projected on the family by one GEMM, real for a
+    Hermitian family, and solved in real arithmetic with the frame's metric
+    (:func:`_metric`): exact (up to roundoff) for any linearly independent
+    family, orthogonal or not.  Closure is checked on the same table:
+    :class:`SingularBasisError` is raised if some commutator leaves the span of
+    the family.  ``C`` is antisymmetric in its first two indices, exactly.
     """
     d, n, _ = mats.shape
+    for k, e in enumerate(mats):
+        if not is_hermitian(e):
+            raise NotHermitianError(f"basis matrix {k} is not Hermitian")
     comm = 1j * _brackets(mats)
     # rhs[(k, l), p] = (1/n) tr(E_p^dag i[E_k, E_l])
     rhs = comm.reshape(d * d, n * n) @ np.conjugate(mats).reshape(d, n * n).T / n
-    gram = np.einsum("pba,mba->pm", np.conjugate(mats), mats) / n
+    if not frob_norm(rhs.imag) <= TAU_ALG * frob_norm(rhs.real):  # NaN fails too
+        raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     try:
-        c = np.linalg.solve(gram, rhs.T).T.reshape(d, d, d)
+        c = np.linalg.solve(_metric(mats), rhs.real.T).T.reshape(d, d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularBasisError("basis matrices are linearly dependent") from exc
     del rhs  # as large as the table: not held through the closure check
-    if not frob_norm(c.imag) <= TAU_ALG * frob_norm(c.real):  # NaN fails too
-        raise NotHermitianError("structure constants are not real; basis is not Hermitian")
-    c = c.real
     c = (c - c.transpose(1, 0, 2)) / 2.0  # exact antisymmetry
     # closure check: C·E must reproduce the table it was projected from
     scale = frob_norm(comm)
@@ -247,6 +247,15 @@ def structure_constants(mats: np.ndarray) -> np.ndarray:
     if not frob_norm(comm) <= TAU_ALG * scale:
         raise SingularBasisError("commutators leave the span of the family; not a closed basis")
     return c
+
+
+def _metric(mats: np.ndarray) -> np.ndarray:
+    """The real metric ``g[k, l] = (1/n) tr(E_k E_l)`` of a Hermitian ``(D, n, n)`` family.
+    An entry inside the roundoff of its own ``n²`` terms is an orthogonal pair: exactly 0."""
+    n = mats.shape[-1]
+    g = np.real(np.einsum("kab,lba->kl", mats, mats)) / n
+    g[np.abs(g) <= n * n * np.finfo(float).eps * np.sqrt(np.outer(g.diagonal(), g.diagonal()))] = 0.0
+    return g
 
 
 def _brackets(a: np.ndarray) -> np.ndarray:
@@ -323,9 +332,7 @@ class MatrixBasis:
                 raise NotHermitianError(f"basis matrix {k} is not Hermitian")
             if not is_traceless(e):
                 raise SingularBasisError(f"basis matrix {k} is not traceless")
-        g = np.real(np.einsum("kab,lba->kl", mats, mats)) / n  # (1/n) tr(E_k E_l)
-        # an entry inside the roundoff of its own n² terms is an orthogonal pair: exactly 0
-        g[np.abs(g) <= n * n * np.finfo(float).eps * np.sqrt(np.outer(g.diagonal(), g.diagonal()))] = 0.0
+        g = _metric(mats)
         # positive-definite relative to its own scale, whatever the scale
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= TAU_ALG * eigs[-1]:

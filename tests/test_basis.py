@@ -225,7 +225,8 @@ def test_structure_constants_defining_identity(n):
 
 def test_structure_constants_hold_no_projection_through_the_closure_check():
     # at n = 8 the commutator table and the projection rhs are 4 MB each;
-    # holding rhs through the closure check read a 16.1 MB peak
+    # holding rhs through the closure check read a 16.1 MB peak, and a
+    # complex solve and its real copy read 12.1 MB
     mats = gellmann_basis(8)
     tracemalloc.start()
     try:
@@ -233,7 +234,7 @@ def test_structure_constants_hold_no_projection_through_the_closure_check():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13e6, peak
+    assert peak < 11e6, peak
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ncgauge import (
+    TAU_ALG,
     BasisMismatchError,
     CheckReport,
     DegreeError,
@@ -15,6 +16,7 @@ from ncgauge import (
     Derivation,
     MatrixBasis,
     MissingStructureError,
+    NotHermitianError,
     RealStructure,
     ShapeError,
     SingularBasisError,
@@ -43,6 +45,19 @@ def _one_form_on_two_points():
     return UniversalForm(2, 1, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def _similar_to_pauli():
+    """``S σ_k S⁻¹`` for a non-unitary ``S``: real, closed structure constants."""
+    s = np.array([[1.0, 0.5], [0.0, 1.0]])
+    return s @ gellmann_basis(2) @ np.linalg.inv(s)
+
+
+def _nearly_hermitian_pair():
+    """``σ_z`` and ``σ_x + ε·iσ_y``: each member Hermitian to ``TAU_ALG``, but the
+    projection of ``i[E_0, E_1]`` on ``E_1`` is ``4iε``, and every real part is 0."""
+    sx, _, sz = gellmann_basis(2)
+    return np.array([sz, sx + 0.25 * TAU_ALG * np.array([[0.0, 1.0], [-1.0, 0.0]])])
+
+
 def _triple_without_j():
     return replace(two_point_triple(1, np.zeros((1, 1))), j=None, ko_dim=None)
 
@@ -53,6 +68,16 @@ REFUSALS = {
         lambda: structure_constants(np.concatenate([gellmann_basis(2), gellmann_basis(2)[:1]])),
         SingularBasisError,
         "basis matrices are linearly dependent",
+    ),
+    "non_hermitian_structure_constants": (
+        lambda: structure_constants(_similar_to_pauli()),
+        NotHermitianError,
+        "basis matrix 0 is not Hermitian",
+    ),
+    "unreal_structure_constants": (
+        lambda: structure_constants(_nearly_hermitian_pair()),
+        NotHermitianError,
+        "structure constants are not real; basis is not Hermitian",
     ),
     "expand_wrong_shape": (
         lambda: B2.expand(np.eye(3)),

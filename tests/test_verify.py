@@ -218,6 +218,43 @@ def test_a_lattice_witness_fails_its_checks_at_every_frame_scale(monkeypatch, wi
         assert _failing(report) == expected, (n, report.lines)
 
 
+def _failing_in_run(record):
+    return {c["name"] for suite in record["suites"] for c in suite["checks"] if not c["passed"]}
+
+
+def _broken_vacuum_inflated(f):
+    """``vacuum_config`` with the broken vacuum's Higgs field inflated by 1e-5: the
+    action is stationary at a vacuum, so a field error ε reads as about ε² of the
+    check's unit (0.17·ε² at n = 2), and 1e-6 stays under its 1e-12 bound."""
+    def mutated(kind, dims, basis, *args):
+        cfg = f(kind, dims, basis, *args)
+        return replace(cfg, b=(1 + 1e-5) * cfg.b) if kind == "broken" else cfg
+    return mutated
+
+
+#: witness -> (the name in ``verify`` that is replaced, its mutation of the
+#: original, the checks of ``run_all`` that must fail)
+RUN_ALL_WITNESSES = {
+    "broken_vacuum_inflated": ("vacuum_config", _broken_vacuum_inflated, {"broken_vacuum_zero"}),
+    # a mass with a relative imaginary part of 1e-6 breaks only JD = DJ, which
+    # needs a real mass; the massless triple is left as it is
+    "complex_mass": (
+        "two_point_triple",
+        lambda f: lambda size, m: f(size, (1 + 1e-6j) * m),
+        {"two_point_sign_rows"},
+    ),
+}
+
+
+@pytest.mark.parametrize("witness", sorted(RUN_ALL_WITNESSES))
+def test_a_run_all_witness_fails_its_checks(monkeypatch, witness):
+    target, mutate, expected = RUN_ALL_WITNESSES[witness]
+    monkeypatch.setattr(verify, target, mutate(getattr(verify, target)))
+    for n in (2, 3):
+        record = verify.run_all(n=n, seed=0)
+        assert _failing_in_run(record) == expected, (n, record)
+
+
 def test_calculus_suite_at_n5_keeps_few_top_degree_forms_alive():
     # a full degree-4 form at n = 5 is 4.25 MB, and a fresh frame makes its
     # plans (about 5.5 MB) inside the suite: the two sides of the Leibniz
