@@ -5,10 +5,10 @@ Three commands (positional or via ``--command``):
 
 * ``verify``   — run the seeded invariant suites; JSON report to stdout;
   exit 0 iff everything passes.
-* ``minimize`` — gradient descent on the matrix-model action from a
-  seeded random start (or, with ``--dims``, evaluate a lattice
-  configuration); CSV trace (iter, action, grad_norm, step, backtracks)
-  plus a JSON summary with the vacuum classification.
+* ``minimize`` — gradient descent on the matrix-model action from a seeded
+  random start to the gradient tolerance ``--tol`` (or, with ``--dims``, judge
+  a lattice configuration by :func:`ncgauge.lattice.vacuum_check`); CSV trace
+  (iter, action, grad_norm, step, backtracks) and a JSON summary naming the vacuum.
 * ``two_point``— scan the two-point model action over a φ-grid;
   CSV (re_phi, im_phi, action) plus a JSON summary.
 
@@ -41,8 +41,8 @@ from .errors import ConfigError, NCGaugeError
 from .lattice import (
     MAX_LATTICE_DIM,
     MAX_SIDE,
-    lattice_action,
     random_lattice_config,
+    vacuum_check,
     vacuum_config,
     zero_momentum_gradient_norm,
 )
@@ -134,7 +134,7 @@ _OPTIONS = {
     "mu": ("mu", _POSITIVE, 1.0, "algebraic-direction weight"),
     "seed": ("seed", _NON_NEGATIVE, 0, "seed for all randomness"),
     "steps": ("steps", _NON_NEGATIVE, None, "iteration/grid budget"),
-    "tol": ("tol", _POSITIVE, 1e-8, "convergence tolerance"),
+    "tol": ("tol", _POSITIVE, 1e-8, "gradient tolerance of the matrix descent"),
     "out": ("out", _PATH, None, "CSV output path"),
     "init": ("init", _one_of("broken", "symmetric", "random"), "broken", None),
     "grid": ("grid", _one_of("real", "circle"), "real", None),
@@ -245,25 +245,25 @@ def _cmd_minimize_lattice(cfg: RunConfig, basis: MatrixBasis, rng: np.random.Gen
         lat = random_lattice_config(cfg.dims, basis, cfg.mu, rng, scale=0.3)
     else:
         lat = vacuum_config(cfg.init, cfg.dims, basis, cfg.mu)
-    s = lattice_action(lat)
+    vacuum = vacuum_check(lat)
     gnorm = zero_momentum_gradient_norm(lat)
-    converged = s < cfg.tol
-    if converged:
+    classification = "unconverged"
+    if vacuum.passed:
         classification = "symmetric" if cfg.init == "symmetric" else "broken"
-    else:
-        classification = "unconverged"
     summary = {
         "mode": "lattice",
         "dims": list(cfg.dims),
         "init": cfg.init,
         "mu": cfg.mu,
-        "action": s,
+        "action": vacuum.residual,
+        "action_tolerance": vacuum.tolerance,
+        "action_scale": vacuum.scale,
         "grad_norm": gnorm,
-        "converged": converged,
+        "converged": vacuum.passed,
         "classification": classification,
     }
-    _emit(cfg, _MINIMIZE_HEADER, [(0, s, gnorm, 0.0, 0)], summary)
-    return 0 if converged else 1
+    _emit(cfg, _MINIMIZE_HEADER, [(0, vacuum.residual, gnorm, 0.0, 0)], summary)
+    return 0 if vacuum.passed else 1
 
 
 def cmd_minimize(cfg: RunConfig) -> int:

@@ -316,6 +316,23 @@ def test_lattice_random_start_exits_one(capsys, tmp_path):
     assert summary["classification"] == "unconverged"
 
 
+@pytest.mark.parametrize(
+    "init, code, classification", [("broken", 0, "broken"), ("random", 1, "unconverged")]
+)
+def test_lattice_verdict_does_not_depend_on_mu(capsys, tmp_path, init, code, classification):
+    # at mu = 1e6 the exact broken vacuum's roundoff reads 2.5e-8, above an absolute
+    # 1e-8; the bound grows as mu⁴ with it, so a random start still fails
+    cfg_file = tmp_path / "init.json"
+    cfg_file.write_text(json.dumps({"init": init}))
+    argv = ["minimize", "--dims", "8", "--n", "3", "--mu", "1e6", "--config", str(cfg_file)]
+    exit_code, _out, err = run_main(capsys, argv)
+    assert exit_code == code
+    summary = json.loads(err)
+    assert summary["classification"] == classification
+    assert summary["action_tolerance"] == 1e-12 * summary["action_scale"]
+    assert summary["converged"] == (summary["action"] <= summary["action_tolerance"])
+
+
 # ---------------------------------------------------------------------------
 # two_point command
 # ---------------------------------------------------------------------------

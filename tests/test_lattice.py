@@ -35,6 +35,7 @@ from ncgauge import (
     mass_spectrum,
     random_lattice_config,
     random_unitary,
+    vacuum_check,
     vacuum_config,
     zero_momentum_gradient_norm,
 )
@@ -300,6 +301,31 @@ def test_action_and_spectrum_are_frame_covariant(n, dims, kind):
     assert abs(lattice_action(moved) - lattice_action(cfg)) <= 1e-12 * lattice_action(cfg)
     spectrum = mass_spectrum(cfg)
     assert np.abs(mass_spectrum(moved) - spectrum).max() <= 1e-12 * np.abs(spectrum).max()
+
+
+@pytest.mark.parametrize("frame", ["0.05", "1.0", "1e3", "skewed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_vacuum_verdict_does_not_depend_on_frame_or_mu(n, frame, skewed_frame):
+    # each vacuum, and each with its Higgs field off by 1e-5 (b = t·iE_k), carried to
+    # the frame T·E with its fields, b → T·b, at mu and at 10³·mu: the verdict and
+    # its margin stay.  T is a frame scale of the verify tests or the skewed frame's
+    basis = MatrixBasis.gellmann(n)
+    if frame == "skewed":
+        moved_basis, t = skewed_frame(n)
+    else:
+        t = frame_change(frame, basis.dim)
+        moved_basis = MatrixBasis.from_matrices(np.einsum("kl,lab->kab", t, basis.mats))
+    for dims in [(8,), (4, 4)]:
+        broken = vacuum_config("broken", dims, basis, mu=1.3)
+        for higgs, passed in ((0.0, True), (1.0, True), (1e-5, False), (1 + 1e-5, False)):
+            cfg = replace(broken, b=higgs * broken.b)
+            reference = vacuum_check(cfg)
+            assert reference.passed is passed
+            b = np.einsum("kl,...lab->...kab", t, cfg.b)
+            for mu in (1.3, 1.3e3):
+                check = vacuum_check(LatticeConfig(dims, moved_basis, cfg.a, b, mu))
+                assert check.passed is passed
+                assert check.margin == pytest.approx(reference.margin, rel=1e-8, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

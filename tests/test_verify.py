@@ -17,12 +17,14 @@ from ncgauge import (
     LatticeConfig,
     MatrixBasis,
     MatrixConnection,
+    RealStructure,
     action_gradient,
     canonical_theta,
     frob_norm,
     gellmann_basis,
     inner_gauge,
     random_connection,
+    spectral,
     verify,
     wedge,
 )
@@ -197,6 +199,31 @@ def test_a_calculus_witness_fails_its_checks_at_every_frame_scale(monkeypatch, w
             assert _failing(report) == expected, (scale, n, report.lines)
 
 
+def _broken_vacuum_inflated(f):
+    """``vacuum_config`` with the broken vacuum's Higgs field inflated by ε = 1e-5.  The
+    action is stationary at a vacuum, so the error reads at second order,
+    ``(2n/(n²−1))·ε²(1 + ε)²`` of the check's scale: 1.33·ε² at n = 2 and 0.75·ε² at
+    n = 3.  So 1e-6 fails its 1e-12 bound at n = 2 but not at n = 3."""
+    def mutated(kind, dims, basis, *args):
+        cfg = f(kind, dims, basis, *args)
+        return replace(cfg, b=(1 + 1e-5) * cfg.b) if kind == "broken" else cfg
+    return mutated
+
+
+def _symmetric_vacuum_with_higgs(f):
+    """``vacuum_config`` with ε = 1e-5 of the broken vacuum's Higgs field, ``b = ε·iE_k``,
+    on the symmetric vacuum: a forbidden term, since a relative error leaves its zero
+    fields at zero.  It reads at second order, ``(2n/(n²−1))·ε²(1 − ε)²`` of the check's
+    scale: 1.3e-10 at n = 2 and 7.5e-11 at n = 3, against the 1e-12 bound.  A
+    site-dependent ``a`` would not do on the suite's 1-D lattice: with
+    ``b = 0`` its only curvature there is ``F_00 = 0``."""
+    def mutated(kind, dims, basis, *args):
+        cfg = f(kind, dims, basis, *args)
+        broken = f("broken", dims, basis, *args)
+        return replace(cfg, b=1e-5 * broken.b) if kind == "symmetric" else cfg
+    return mutated
+
+
 #: witness -> (the name in ``verify`` that is replaced, its mutation of the
 #: original, the lattice checks that must fail)
 LATTICE_WITNESSES = {
@@ -204,6 +231,12 @@ LATTICE_WITNESSES = {
         "bracket_defect",
         lambda f: lambda c, b: f(c, _inflate(b)),
         {"frame_bracket_identity"},
+    ),
+    "broken_vacuum_inflated": ("vacuum_config", _broken_vacuum_inflated, {"broken_vacuum_zero"}),
+    "symmetric_vacuum_with_higgs": (
+        "vacuum_config",
+        _symmetric_vacuum_with_higgs,
+        {"symmetric_vacuum_zero"},
     ),
 }
 
@@ -220,16 +253,6 @@ def test_a_lattice_witness_fails_its_checks_at_every_frame_scale(monkeypatch, wi
 
 def _failing_in_run(record):
     return {c["name"] for suite in record["suites"] for c in suite["checks"] if not c["passed"]}
-
-
-def _broken_vacuum_inflated(f):
-    """``vacuum_config`` with the broken vacuum's Higgs field inflated by 1e-5: the
-    action is stationary at a vacuum, so a field error ε reads as about ε² of the
-    check's unit (0.17·ε² at n = 2), and 1e-6 stays under its 1e-12 bound."""
-    def mutated(kind, dims, basis, *args):
-        cfg = f(kind, dims, basis, *args)
-        return replace(cfg, b=(1 + 1e-5) * cfg.b) if kind == "broken" else cfg
-    return mutated
 
 
 #: witness -> (the name in ``verify`` that is replaced, its mutation of the
@@ -253,6 +276,63 @@ def test_a_run_all_witness_fails_its_checks(monkeypatch, witness):
     for n in (2, 3):
         record = verify.run_all(n=n, seed=0)
         assert _failing_in_run(record) == expected, (n, record)
+
+
+def _reality_rotated(f):
+    """``inner_gauge`` reading a real structure ``J`` turned by 1e-6 between the two
+    points.  The model's ``J`` is entrywise conjugation, so the implementing unitary
+    ``U = π(u) J π(u) J⁻¹`` is exactly 1, and no error in ``γ`` or ``u`` moves either
+    invariance line; a ``J`` that mixes the points moves both."""
+    def mutated(t, u, omega):
+        half, turn = t.hilbert_dim // 2, np.eye(t.hilbert_dim)
+        turn[[0, half], [0, half]] = np.cos(1e-6)
+        turn[[0, half], [half, 0]] = -np.sin(1e-6), np.sin(1e-6)
+        return f(replace(t, j=RealStructure(turn @ t.j.u)), u, omega)
+    return mutated
+
+
+def _chirality_inflated(f):
+    """``two_point_triple`` with ``γ`` inflated by 1e-6: ``γ² = 1`` reads it at first
+    order.  Of the massive triple the suite reports only the sign rows, and
+    ``Jγ = γJ`` holds at any size of ``γ``."""
+    def mutated(size, m):
+        t = f(size, m)
+        return replace(t, gamma=_inflate(t.gamma))
+    return mutated
+
+
+#: witness -> (the module and the name in it that is replaced, its mutation of the
+#: original, the spectral checks that must fail)
+SPECTRAL_WITNESSES = {
+    # only route two transforms the universal form, through spectral.uproduct
+    "route_two_inflated": (
+        spectral,
+        "uproduct",
+        lambda f: lambda *forms: _inflate(f(*forms)),
+        {"gauge_route_coincidence"},
+    ),
+    "reality_rotated": (
+        verify,
+        "inner_gauge",
+        _reality_rotated,
+        {"gauge_gamma_invariant", "gauge_j_invariant"},
+    ),
+    "chirality_inflated": (
+        verify,
+        "two_point_triple",
+        _chirality_inflated,
+        {"two_point_all_axioms_massless"},
+    ),
+}
+
+
+@pytest.mark.parametrize("witness", sorted(SPECTRAL_WITNESSES))
+def test_a_spectral_witness_fails_its_checks(monkeypatch, witness):
+    module, target, mutate, expected = SPECTRAL_WITNESSES[witness]
+    monkeypatch.setattr(module, target, mutate(getattr(module, target)))
+    for seed in (0, 3):
+        report = verify.suite_spectral(seed)
+        assert _failing(report) == expected, (seed, report.lines)
 
 
 def test_calculus_suite_at_n5_keeps_few_top_degree_forms_alive():
