@@ -226,17 +226,22 @@ def structure_constants(mats: np.ndarray) -> np.ndarray:
     :class:`SingularBasisError` is raised if some commutator leaves the span of
     the family.  ``C`` is antisymmetric in its first two indices, exactly.
     """
-    d, n, _ = mats.shape
     for k, e in enumerate(mats):
         if not is_hermitian(e):
             raise NotHermitianError(f"basis matrix {k} is not Hermitian")
-    comm = 1j * _brackets(mats)
+    return _structure_constants(mats, _metric(mats))
+
+
+def _structure_constants(mats: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`structure_constants` of a family already gated as Hermitian, whose metric is ``g``."""
+    d, n, _ = mats.shape
+    comm = 1j * _brackets(mats)[0]
     # rhs[(k, l), p] = (1/n) tr(E_p^dag i[E_k, E_l])
     rhs = comm.reshape(d * d, n * n) @ np.conjugate(mats).reshape(d, n * n).T / n
     if not frob_norm(rhs.imag) <= TAU_ALG * frob_norm(rhs.real):  # NaN fails too
         raise NotHermitianError("structure constants are not real; basis is not Hermitian")
     try:
-        c = np.linalg.solve(_metric(mats), rhs.real.T).T.reshape(d, d, d)
+        c = np.linalg.solve(g, rhs.real.T).T.reshape(d, d, d)
     except np.linalg.LinAlgError as exc:
         raise SingularBasisError("basis matrices are linearly dependent") from exc
     del rhs  # as large as the table: not held through the closure check
@@ -258,21 +263,25 @@ def _metric(mats: np.ndarray) -> np.ndarray:
     return g
 
 
-def _brackets(a: np.ndarray) -> np.ndarray:
-    """Every ``[A_k, A_l]`` of a ``(..., D, r, r)`` stack: one ``(D·r × r)(r × D·r)`` GEMM."""
+def _brackets(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``[A_k, A_l]`` of a ``(..., D, r, r)`` stack, read from one ``(D·r × r)(r × D·r)``
+    GEMM, and that GEMM's ``(..., D·r, D·r)`` product, dead once the brackets exist."""
     lead, (d, r) = a.shape[:-3], a.shape[-3:-1]
     prod = a.reshape(lead + (d * r, r)) @ a.swapaxes(-3, -2).reshape(lead + (r, d * r))
-    prod = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
-    return prod - prod.swapaxes(-4, -3)
+    blocks = prod.reshape(lead + (d, r, d, r)).swapaxes(-3, -2)
+    return blocks - blocks.swapaxes(-4, -3), prod
 
 
 def bracket_defect(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Frame curvature ``F[..., k, l] = [A_k, A_l] − C[k, l, m] A_m`` of a stack
     ``a`` of shape ``(..., D, r, r)``, shape ``(..., D, D, r, r)``: zero exactly
-    when ``k ↦ A_k`` represents the frame bracket, as ``A_k = iE_k`` does."""
-    a = np.asarray(a, dtype=complex)
-    f = _brackets(a)
-    f -= frame_map(c.reshape(-1, c.shape[-1]), a).reshape(f.shape)
+    when ``k ↦ A_k`` represents the frame bracket, as ``A_k = iE_k`` does.  ``C·A``, one
+    GEMM on float views, fills the dead product: two ``F``-sized arrays, not three."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    f, prod = _brackets(a)
+    out = prod.reshape(f.shape[:-4] + (len(c) ** 2, -1)).view(float)
+    np.matmul(c.reshape(-1, c.shape[-1]), a.reshape(a.shape[:-2] + (-1,)).view(float), out=out)
+    f -= prod.reshape(f.shape)
     return f
 
 
@@ -339,7 +348,7 @@ class MatrixBasis:
             raise SingularBasisError("basis metric is singular; matrices are dependent")
         g_det = float(np.prod(eigs))
         g_inv = np.linalg.inv(g)
-        c = structure_constants(mats)
+        c = _structure_constants(mats, g)
         return cls(
             n=n, mats=frozen(mats), c=frozen(c, float), g=frozen(g, float),
             g_inv=frozen(g_inv, float), g_det=g_det,

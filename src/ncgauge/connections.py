@@ -163,14 +163,15 @@ def action_gradient(conn: MatrixConnection) -> np.ndarray:
 
 
 def _gradient(basis: MatrixBasis, a_n: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The normal-frame gradient ``G̃`` of the action at ``Ã``, whose curvature is ``F̃``."""
+    """The normal-frame gradient ``G̃`` of the action at ``Ã``, whose curvature is ``F̃``.
+    Two GEMMs on the block matrix ``F̃_B[(k, i), (l, j)]``: row block ``k`` of ``F̃_B Ã†_col``
+    is ``Σ_l F̃_kl Ã_l†``, and column block ``k`` of ``Ã†_row F̃_B`` is ``−Σ_l Ã_l† F̃_kl``."""
     c = basis.normal_frame[1]
     a = dagger(a_n)
     d, r = a.shape[:2]
-    # Σ_l F̃_kl Ã_l† and Σ_l Ã_l† F̃_kl as batched (r × d·r)(d·r × r) products
-    a_row = a.transpose(1, 0, 2).reshape(r, d * r)
-    f_row = f.transpose(0, 2, 1, 3).reshape(d, r, d * r)
-    comm = f_row @ a.reshape(d * r, r) - a_row @ f.reshape(d, d * r, r)
+    f_b = f.transpose(0, 2, 1, 3).reshape(d * r, d * r)
+    comm = (f_b @ a.reshape(d * r, r)).reshape(d, r, r)
+    comm += (a.transpose(1, 0, 2).reshape(r, d * r) @ f_b).reshape(r, d, r).transpose(1, 0, 2)
     # Σ_ab C̃[a, b, k] F̃_ab: a view of C̃ with rows k, as ``normal_frame`` stores C̃
     # like C, its last index slowest
     m = 2.0 * comm - frame_map(c.reshape(d * d, d).T, f.reshape(d * d, r, r))
@@ -219,6 +220,8 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
     ``Ã = Lᵀ A``, stepped along the normal-frame gradient ``G̃`` (whose norm ``gtol``
     reads) and mapped back once, so the path is the same in every frame.  Each
     trial point's ``F̃`` is formed once, and an accepted point's gives its ``G̃``.
+    A rejected trial's ``F̃`` dies before the next trial and an accepted one's after its
+    ``G̃``: at most two ``F̃``-sized arrays live, ``F̃`` and a bracket product or ``F̃_B``.
     """
     basis = conn.basis
     a = frame_map(basis.normal_frame[0].T, conn.coeffs)
@@ -227,6 +230,7 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
     it = 0
     stalled = False
     g = _gradient(basis, a, f)
+    del f
     gnorm = frob_norm(g)
     trace = [(0, s, gnorm, 0.0, 0)]
     while not (gnorm < gtol or it >= max_iter):
@@ -234,11 +238,12 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
         backtracks = 0
         while step > 1e-18:
             cand = a - step * g
-            s_cand, f_cand = _action_parts(basis, cand)
+            s_cand, f = _action_parts(basis, cand)
             # the strict test rejects a step whose decrease rounds away
             if s_cand < s and s_cand <= s - 1e-4 * step * gnorm**2:
-                a, s, f = cand, s_cand, f_cand
+                a, s = cand, s_cand
                 break
+            del f
             step /= 2.0
             backtracks += 1
         else:
@@ -246,6 +251,7 @@ def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10)
             break
         g_prev, gnorm_prev = g, gnorm
         g = _gradient(basis, a, f)
+        del f
         gnorm = frob_norm(g)
         it += 1
         trace.append((it, s, gnorm, step, backtracks))

@@ -119,18 +119,24 @@ def test_normal_frame_carries_the_gellmann_metric(n, frame, skewed_frame):
 @pytest.mark.parametrize("n, frame", [(2, "gellmann"), (3, "gellmann"), (2, "skewed"), (3, "skewed")])
 def test_basis_and_normal_frame_form_one_commutator_table(n, frame, skewed_frame, monkeypatch):
     # the normal frame's C̃ is C transformed as a tensor: building a basis and
-    # then its normal frame projects one commutator table, not two
-    calls = []
-    structure_constants = basis_module.structure_constants
+    # then its normal frame projects one commutator table, not two, against
+    # the one metric the basis forms
+    calls, metrics = [], []
+    structure_constants, metric = basis_module._structure_constants, basis_module._metric
 
-    def counted(mats):
+    def counted(mats, g):
         calls.append(mats.shape)
-        return structure_constants(mats)
+        return structure_constants(mats, g)
 
-    monkeypatch.setattr(basis_module, "structure_constants", counted)
+    def counted_metric(mats):
+        metrics.append(mats.shape)
+        return metric(mats)
+
+    monkeypatch.setattr(basis_module, "_structure_constants", counted)
+    monkeypatch.setattr(basis_module, "_metric", counted_metric)
     b = MatrixBasis.gellmann(n) if frame == "gellmann" else skewed_frame(n)[0]
     lower, c = b.normal_frame
-    assert calls == [(n * n - 1, n, n)]
+    assert calls == metrics == [(n * n - 1, n, n)]
     assert not c.flags.writeable and not lower.flags.writeable
     # C̃ is stored as C is, last index slowest, the layout the gradient's view reads
     assert c.strides == b.c.strides

@@ -7,6 +7,7 @@ five-point stencil on the action (a quartic along every line, so the stencil
 is exact at any step), to within ``TAU_ALG``."""
 from __future__ import annotations
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -341,11 +342,15 @@ def test_minimize_stop_reasons(basis2):
         capped.raise_for_convergence()
 
 
-def test_minimize_accepts_only_steps_that_lower_the_action(basis2):
+@pytest.mark.parametrize("seed", [4, 5])
+def test_minimize_accepts_only_steps_that_lower_the_action(basis2, seed):
     # gtol below the roundoff floor: once the Armijo margin is under the
     # action's last bit, no step can lower it, so the descent must stall
-    # rather than spend max_iter on steps that leave it unchanged
-    conn = random_connection(basis2, np.random.default_rng(1))
+    # rather than spend max_iter on steps that leave it unchanged.  Most
+    # starts instead reach a gradient of exactly 0.0 and stop on gtol, a correct
+    # stop that turns on the gradient's last bits; these two stall under both the
+    # batched and the block-matrix gradient
+    conn = random_connection(basis2, np.random.default_rng(seed))
     res = minimize(conn, gtol=1e-300, max_iter=3000)
     actions = [row[1] for row in res.trace]
     assert all(later < earlier for earlier, later in zip(actions, actions[1:]))
@@ -374,6 +379,25 @@ def test_minimize_forms_each_trial_curvature_once(basis2, monkeypatch):
     assert res.stop_reason == "gtol" and res.iterations > 5
     assert sum(row[4] for row in res.trace) > 0  # some trial was rejected
     assert len(calls) == 1 + sum(1 + backtracks for *_, backtracks in res.trace[1:])
+
+
+def test_minimize_keeps_at_most_two_curvatures_alive():
+    # a trial needs its F̃ and bracket_defect's product buffer, and an accepted
+    # point's gradient its F̃ and the block matrix F̃_B: no more F̃-sized arrays,
+    # so no F̃ outlives its last reader, rejected trials' included
+    b = MatrixBasis.gellmann(8)
+    conn = random_connection(b, np.random.default_rng(0))
+    b.normal_frame  # built before the count, as every later descent finds it
+    f_bytes = b.dim**2 * b.n**2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = minimize(conn, max_iter=3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 3 and res.trace[1][4] > 0  # some trial was rejected
+    assert peak <= 2.25 * f_bytes, peak / f_bytes
 
 
 def test_minimize_maps_the_frame_once_each_way_and_builds_one_connection(monkeypatch):

@@ -61,7 +61,7 @@ def ginibre(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-FRAMES = ["gellmann-2", "gellmann-3", "gellmann-4", "gellmann-5", "skewed-2", "skewed-3"]
+FRAMES = ["gellmann-2", "gellmann-3", "gellmann-4", "gellmann-5", "gellmann-6", "skewed-2", "skewed-3"]
 
 
 def build(frame, skewed_frame):
