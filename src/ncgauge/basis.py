@@ -386,6 +386,17 @@ class MatrixBasis:
         return frozen(np.concatenate([ad, np.eye(n2)], axis=1))
 
     @cached_property
+    def structure_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero ``c[l, m, k]`` with ``l < m`` by ``k``: the rows ``l`` and ``m``, the
+        values, and ``bounds`` with those of ``k`` at ``bounds[k]:bounds[k + 1]``, in
+        lexicographic order (the terms of ``d'θ^k`` in :mod:`ncgauge.derforms`)."""
+        k, l, m = np.nonzero(self.c.transpose(2, 0, 1))
+        keep = l < m
+        k, l, m = k[keep], l[keep], m[keep]
+        bounds = np.searchsorted(k, np.arange(self.dim + 1))
+        return frozen(np.stack([l, m]), np.intp), frozen(self.c[l, m, k], float), frozen(bounds, np.intp)
+
+    @cached_property
     def derform_plans(self) -> dict:
         """Index plans of :mod:`ncgauge.derforms` for full parts, keyed by
         operation and degrees: they hold this basis' structure constants and

@@ -11,11 +11,15 @@ index rows in lexicographic order beside the ``(K, n, n)`` stack of their
 coefficients, with no repeated row and no all-zero coefficient.  ``wedge``,
 ``d'`` and ``⋆`` make an integer plan from the rows alone, kept on the basis
 for a full part: the result rows, by their ranks in the combinatorial number
-system, and each candidate monomial as a table unit and a real weight in
-jagged-diagonal slots.  The table is one GEMM per block of whole source rows
-over the columns they reach (``[iE_k, a_r]`` and ``a_r``, or the ``a_i b_j``;
-``⋆`` reads the coefficients); one gather serves a run of slots, and slot
-``s`` adds into the first ``len(src_s)`` sums.  Keys are validated only at
+system, and each candidate monomial as a table unit and a weight (an int8
+sign for ``wedge``) in jagged-diagonal slots.  A build counts each source
+row's candidates and columns, then enumerates them for runs of whole blocks
+of about ``_CHUNK`` candidates, ranking each result row from the places of
+its indices, sorts a run once and lays out all its blocks' slots together,
+so it holds little more than the plan.  The table is one GEMM per block of
+whole source rows over the columns they reach (``[iE_k, a_r]`` and ``a_r``,
+or the ``a_i b_j``; ``⋆`` reads the coefficients); one gather serves a run of
+slots, and slot ``s`` adds into the first ``len(src_s)`` sums.  Keys are validated only at
 the mapping constructor, ``matrix``/``monomial`` and ``from_record``.
 
 The differential ``d'`` acts on generators by
@@ -34,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
@@ -118,8 +122,8 @@ def _require_same_basis(b1: MatrixBasis, b2: MatrixBasis) -> None:
 # ---------------------------------------------------------------------------
 
 _Part = tuple[np.ndarray, np.ndarray]  # (rows, coefficients) of one degree
-_SHARED = 2.0**32  # weight of an index two rows share, in the wedge counts
 _BLOCK_BYTES = 2**19  # most bytes of a source table block that holds more than one row
+_CHUNK = 2**13  # candidates a plan enumerates at once, unless one block holds more
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -130,13 +134,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tables(d: int) -> tuple[np.ndarray, ...]:
-    """``eye(d)``, ``less[x, y] = 1`` for ``x < y``, and ``lessᵀ + _SHARED·eye``."""
-    eye, less = np.eye(d), np.triu(np.ones((d, d)), 1)
-    return _frozen(eye, less, less.T + _SHARED * eye)
-
-
-@lru_cache(maxsize=None)
 def _rank_table(d: int, p: int) -> np.ndarray:
     """``C(d−1−x, p−i)`` where index ``x`` can stand at place ``i`` of a row of
     ``p`` indices below ``d``, else 0; Python integers once ``C(d, p) ≥ 2⁶³``."""
@@ -144,62 +141,178 @@ def _rank_table(d: int, p: int) -> np.ndarray:
     return _frozen(np.array(table, np.int64 if comb(d, p) < 2**63 else object).reshape(d, p))[0]
 
 
+@lru_cache(maxsize=None)
+def _binomials(d: int, j: int, kind: type) -> np.ndarray:
+    """``C(c, j)`` for ``c < d``."""
+    return _frozen(np.array([comb(c, j) for c in range(d)], kind))[0]
+
+
+def _rows_of(ranks: np.ndarray, d: int, p: int) -> np.ndarray:
+    """The rows of lexicographic ranks ``ranks``: place by place the largest ``c = d−1−k``
+    with ``C(c, p−i)`` at most what is left of ``C(d, p) − 1 − rank``; past ``d/2``
+    indices, the complements of the rows of ranks ``C(d, p) − 1 − rank``, which run in
+    reverse order."""
+    kind = np.int64 if comb(d, p) < 2**63 else object
+    left = comb(d, p) - 1 - ranks.astype(kind)
+    if 2 * p > d:
+        return (~_membership(_rows_of(left, d, d - p), d)).nonzero()[1].reshape(len(ranks), p)
+    rows = np.empty((len(ranks), p), np.intp)
+    for i in range(p):
+        column = _binomials(d, p - i, kind)
+        rows[:, i] = c = column.searchsorted(left, side="right") - 1
+        left = left - column[c]
+    return d - 1 - rows
+
+
 def _membership(rows: np.ndarray, d: int) -> np.ndarray:
-    return np.add.reduce(_tables(d)[0][rows], axis=1)
+    memb = np.zeros((len(rows), d), bool)
+    memb[np.arange(len(rows))[:, None], rows] = True
+    return memb
+
+
+def _below(memb: np.ndarray) -> np.ndarray:
+    """``below[r, x]``: the indices of row ``r`` under ``x``."""
+    return np.cumsum(memb, axis=1) - memb
 
 
 def _targets(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct sorted rows in lexicographic order, and each row's index
     among them, by their ranks ``C(d, p) − 1 − Σ_i C(d−1−k_i, p−i)``
-    (combinatorial number system, Knuth TAOCP 4A §7.2.1.3)."""
+    (combinatorial number system, Knuth TAOCP 4A §7.2.1.3).  Rows of one rank
+    are equal, so one unstable sort serves."""
     p = rows.shape[1]
     ranks = comb(d, p) - 1 - _rank_table(d, p)[rows, np.arange(p)].sum(axis=1)
-    _, first, tgt = np.unique(ranks, return_index=True, return_inverse=True)
-    return rows[first], tgt
+    order = np.argsort(ranks)
+    first = np.zeros(len(rows), bool)
+    first[_edges(ranks[order])[:-1]] = True
+    tgt = np.empty(len(rows), np.intp)
+    tgt[order] = np.cumsum(first) - 1
+    return rows[order[first]], tgt
 
 
-def _jagged(n_out: int, tgt: np.ndarray, row: np.ndarray, col, weight: np.ndarray, cell: int,
-            cols: int, rep: int = 1) -> tuple:
-    """The candidates ``weight · table[row, col]`` of result rows ``tgt`` as jagged-diagonal
-    slots (Saad, SIAM J. Sci. Stat. Comput. 10 (1989) 1200), rows with most candidates first,
-    per block: groups of ``per`` rows, whose table over all ``cols`` cells of ``cell`` bytes fits
-    in ``_BLOCK_BYTES``, joined while their table over the columns ``[c0, c1)`` they reach fits.
-    Cell ``(row, col)`` is units ``((row − lo)·rep + i)·(c1 − c0) + col − c0``, ``i < rep``."""
-    if not len(tgt):
-        return ()
-    col, per = np.broadcast_to(col, tgt.shape), max(1, _BLOCK_BYTES // (cell * cols))
-    block = row // per  # each candidate's group of rows, then its block
-    c0, c1 = np.full(block.max() + 1, cols), np.zeros(block.max() + 1, np.intp)
-    np.minimum.at(c0, block, col)
-    np.maximum.at(c1, block, col + 1)
+def _ragged(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``starts[i] + [0, sizes[i])`` one after another: each entry's ``i``, and the entry."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) + (starts - np.cumsum(sizes) + sizes)[owner]
+
+
+def _runs(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Spans ``[a, b)`` of the items, in order, whose ``sizes`` add up to about ``_CHUNK``."""
+    total = np.cumsum(sizes)
+    stops = np.arange(_CHUNK, total[-1] if len(total) else 0, _CHUNK)
+    cuts = total.searchsorted(stops, side="right").tolist()
+    cuts = [0, *sorted(set(cuts) - {0}), len(sizes)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _jagged(count: np.ndarray, first: np.ndarray, last: np.ndarray, cols: int, cell: int, rep: int,
+            candidates: Callable, d: int, width: int) -> tuple:
+    """A plan: the result rows of ``width`` indices below ``d`` that the candidates
+    ``weight · table[row, col]`` reach, in lexicographic order, and the candidates as
+    jagged-diagonal slots (Saad, SIAM J. Sci. Stat. Comput. 10 (1989) 1200), result rows
+    with most candidates first, per block: groups of ``per`` rows, whose table over all
+    ``cols`` cells of ``cell`` bytes fits in ``_BLOCK_BYTES``, joined while their table over
+    the columns ``[c0, c1)`` they reach fits.  Cell ``(row, col)`` is units
+    ``((row − lo)·rep + i)·(c1 − c0) + col − c0``, ``i < rep``.
+
+    Source row ``r`` has ``count[r]`` candidates in the columns ``first[r]..last[r]``.
+    ``candidates(a, b)`` gives the ``row, col, rank, weight`` of those of the rows ``[a, b)``,
+    asked for runs of whole blocks of about ``_CHUNK`` candidates, in their order: the rank
+    is their result row's (:func:`_targets`), and a result row adds its candidates of one
+    block in that order."""
+    live = count.nonzero()[0]
+    if not len(live):
+        return np.empty((0, width), np.intp), ()
+    end, per = int(live[-1]) + 1, max(1, _BLOCK_BYTES // (cell * cols))
+    some, starts = count[:end] > 0, np.arange(0, end, per)
+    c0 = np.minimum.reduceat(np.where(some, first[:end], cols), starts).tolist()
+    c1 = np.maximum.reduceat(np.where(some, last[:end] + 1, 0), starts).tolist()
     cuts, left, right = [0], c0[0], c1[0]  # the groups that start a block, and the columns it reaches
     for k in range(1, len(c0)):
         left, right = min(left, c0[k]), max(right, c1[k])
         if (k + 1 - cuts[-1]) * per * (right - left) * cell > _BLOCK_BYTES:
-            cuts, left, right = cuts + [k], c0[k], c1[k]
-    block, los = np.searchsorted(cuts[1:], block, side="right"), np.array(cuts) * per
-    c0, c1 = np.minimum.reduceat(c0, cuts), np.maximum.reduceat(c1, cuts)
-    src = (row - los[block]) * rep * (c1 - c0)[block] + col - c0[block]
-    src = src.astype(np.int32 if src.max() < 2**31 else np.intp)  # the int64 src goes before the sort
-    frames = np.column_stack([los, np.append(los[1:], row.max() + 1), c0, c1]).tolist()
-    key = np.add(np.multiply(block, n_out, out=block), tgt, out=block)  # block is not read again
+            cuts.append(k)
+            left, right = c0[k], c1[k]
+    los = [k * per for k in cuts]
+    frames = [(lo, hi, min(c0[g0:g1]), max(c1[g0:g1]))
+              for lo, hi, g0, g1 in zip(los, los[1:] + [end], cuts, cuts[1:] + [len(c0)])]
+    blocks = []
+    for a, b in _runs(np.add.reduceat(count[:end], los)):
+        blocks += _slots(frames[a:b], candidates, rep, comb(d, width))
+    # the result rows by rank: each block's are its distinct ranks
+    ranks = np.concatenate([block[4] for block in blocks])
+    distinct = np.sort(ranks)
+    distinct = distinct[_edges(distinct)[:-1]]
+    tgt = np.searchsorted(distinct, ranks).astype(np.int32 if len(distinct) < 2**31 else np.intp)
+    ends = list(accumulate(len(block[4]) for block in blocks))
+    blocks = [(*block[:4], tgt[e - len(block[4]) : e], *block[5:]) for block, e in zip(blocks, ends)]
+    return _rows_of(distinct, d, width), tuple(blocks)
+
+
+def _edges(key: np.ndarray) -> np.ndarray:
+    """Where a sorted ``key`` starts each run of equal entries, then its length."""
+    edge = np.empty(len(key) + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
+
+
+def _order(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``argsort(key, kind="stable")`` and the sorted ``key``, for keys under ``bound``: where
+    it fits in int64, one unstable sort of ``key`` made distinct by position in its low bits,
+    which orders it the same."""
+    n, bits = len(key), len(key).bit_length()
+    if bound << bits <= 2**63:
+        key = np.sort(key << bits | np.arange(n))
+        return key & ((1 << bits) - 1), key >> bits
     order = np.argsort(key, kind="stable")
-    key, weight = key[order], weight[order]
-    src = src[order]
-    edges = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
-    starts, counts = edges[:-1], np.diff(edges)
-    slot = np.arange(len(key)) - np.repeat(starts, counts)
-    blocks, block = [], key[starts] // n_out
-    bounds = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), len(starts)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        c, first, k = counts[lo:hi], starts[lo], block[lo]
-        by = np.argsort(-c, kind="stable")
-        cuts = np.concatenate([[0], np.cumsum(np.bincount(c - 1)[::-1].cumsum()[::-1])])
-        at = np.empty(c.sum(), np.intp)  # slot by slot, each in the order ``by``
-        at[cuts[slot[first : first + len(at)]] + np.repeat(np.argsort(by), c)] = first + np.arange(len(at))
-        rows = (key[starts[lo:hi]][by] % n_out).astype(np.int32 if n_out < 2**31 else np.intp)
-        blocks.append((*frames[k], rows, cuts.tolist(), src[at], weight[at]))
-    return tuple(blocks)
+    return order, key[order]
+
+
+def _slots(frames: list, candidates: Callable, rep: int, n_rank: int) -> list:
+    """The blocks ``frames`` of :func:`_jagged` laid out in one step, with result ranks for rows."""
+    lo, hi, c0, c1 = np.array(frames).T
+    row, col, rank, weight = candidates(lo[0], hi[-1])
+    which = np.arange(len(frames)).repeat(hi - lo)  # each row's block
+    base = (np.arange(lo[0], hi[-1]) - lo[which]) * rep * (c1 - c0)[which] - c0[which]
+    row = row - lo[0]
+    src = base[row] + col
+    src = src.astype(np.int32 if src.max() < 2**31 else np.intp)
+    del col
+    # groups: the candidates of one block and result row, in their order
+    bound = len(frames) * n_rank
+    order, key = _order((which if bound < 2**63 else which.astype(object))[row] * n_rank + rank, bound)
+    del row, rank
+    edges = _edges(key)
+    heads, counts = edges[:-1], edges[1:] - edges[:-1]
+    slot = np.arange(len(key)) - heads.repeat(counts)
+    key = key[heads]
+    blk, rank = key // n_rank, key % n_rank
+    edges = _edges(blk)
+    firsts, sizes = edges[:-1], edges[1:] - edges[:-1]  # each block's first group, and its groups
+    # per block the groups with most candidates first, ties in result-row order
+    within, most = np.arange(len(firsts)).repeat(sizes), int(counts.max()) + 1
+    by, _ = _order(within * most + most - 1 - counts, len(firsts) * most)
+    place = np.empty(len(heads), np.intp)
+    place[by] = np.arange(len(heads))
+    place -= firsts[within]
+    # slot s of a block follows its slots under s: its candidates take the places
+    # ``before[block, s] + place``
+    depth = counts[by[firsts]]
+    unit = (np.cumsum(depth) - depth)[within].repeat(counts) + slot
+    hist = np.bincount(unit, minlength=depth.sum())
+    before = np.cumsum(hist) - hist
+    at = np.empty_like(order)
+    at[before[unit] + place.repeat(counts)] = order
+    out_src, out_weight = src[at], weight[at]
+    rank, before, blocks, unit = rank[by], before.tolist(), [], 0
+    starts = heads[firsts].tolist() + [len(at)]
+    for k, g0, size, deep, s, e in zip(blk[firsts].tolist(), firsts.tolist(), sizes.tolist(), depth.tolist(),
+                                        starts, starts[1:]):
+        cuts = [x - s for x in before[unit : unit + deep]] + [e - s]
+        blocks.append((*frames[k], rank[g0 : g0 + size], cuts, out_src[s:e], out_weight[s:e]))
+        unit += deep
+    return blocks
 
 
 def _apply(build: Callable, basis: MatrixBasis, rows: tuple, a: np.ndarray, right) -> _Part | None:
@@ -425,13 +538,33 @@ def wedge(w1: DerForm, w2: DerForm) -> DerForm:
 
 def _wedge_plan(basis: MatrixBasis, rows1: np.ndarray, rows2: np.ndarray) -> tuple:
     """Row pairs sharing no index, signed by the swaps sorting ``K ⧺ L``."""
-    d, n, r2 = basis.dim, basis.n, len(rows2)
-    # _SHARED per index the rows share, else the swaps sorting K ⧺ L
-    counts = _membership(rows1, d) @ _tables(d)[2] @ _membership(rows2, d).T
-    i, j = (counts < _SHARED).nonzero()
-    result, tgt = _targets(np.sort(np.concatenate([rows1[i], rows2[j]], axis=1), axis=1), d)
+    d, n, (p, q) = basis.dim, basis.n, (rows1.shape[1], rows2.shape[1])
+    memb1, memb2 = _membership(rows1, d), _membership(rows2, d)
+    shared, below2, table = memb2.T.astype(np.float32), _below(memb2), _rank_table(d, p + q)
+    by_place1, by_place2 = np.ascontiguousarray(rows1.T), np.ascontiguousarray(rows2.T)
+
+    def apart(a: int, b: int) -> np.ndarray:  # the pairs of rows a..b sharing no index
+        return memb1[a:b].astype(np.float32) @ shared == 0
+
+    count, first, last = (np.zeros(len(rows1), np.intp) for _ in range(3))
+    for a, b in _runs(np.full(len(rows1), len(rows2))):
+        x = apart(a, b)
+        count[a:b], first[a:b] = x.sum(axis=1), x.argmax(axis=1)
+        last[a:b] = len(rows2) - 1 - x[:, ::-1].argmax(axis=1)
+
+    def candidates(a: int, b: int) -> tuple:
+        i, j = apart(a, b).nonzero()
+        k, l = np.take(by_place1, a + i, axis=1), np.take(by_place2, j, axis=1)
+        # the places of K ⧺ L sorted: each index of one row moves past those of the other under it
+        under, over = below2.ravel()[j * d + k], _below(memb1[a:b]).ravel()[i * d + l]
+        flat, width = table.ravel(), p + q
+        ranked = flat[k * width + under + np.arange(p)[:, None]].sum(axis=0)
+        ranked += flat[l * width + over + np.arange(q)[:, None]].sum(axis=0)
+        sign = (1 - 2 * (under.sum(axis=0) & 1)).astype(np.int8)
+        return a + i, j, comb(d, p + q) - 1 - ranked, sign
+
     # a_i b_j is the n units of n entries at (i·n + [0, n))·C + j of a block's GEMM output
-    return result, _jagged(len(result), tgt, i, j, (-1.0) ** counts[i, j], n * n * 16, r2, n)
+    return _jagged(count, first, last, len(rows2), n * n * 16, n, candidates, d, p + q)
 
 
 def dprime(w: DerForm) -> DerForm:
@@ -444,30 +577,73 @@ def dprime(w: DerForm) -> DerForm:
 def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     """The coefficient part by its new index ``k``, then the frame part."""
     d, n, p = basis.dim, basis.n, rows.shape[1]
-    # the terms of d'θ^k = −Σ_{l<m} C[l, m, k] θ^l θ^m: rows (l, m, k), values C[l, m, k]
-    lmk = np.argwhere(basis.c)
-    lmk = lmk[lmk[:, 0] < lmk[:, 1]]
-    c = basis.c[tuple(lmk.T)]
-    memb = _membership(rows, d)
-    below = memb @ _tables(d)[1]  # below[r, x]: indices of row r under x
-    # coefficient part: [iE_k, a_r] θ^k ∧ θ^K for k outside K, signed by the
-    # place of k in the sorted row
-    k, r0 = (memb.T == 0).nonzero()
-    sign = (-1.0) ** below[r0, k]
-    # frame part: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m at place
-    # i = below[r, k_i], signed (−1)^i and by the swaps sorting l, m in;
-    # l and m must stay out of K∖{k_i}, but either may be k_i
-    r, _, t = (rows[:, :, None] == lmk[:, 2]).nonzero()
-    lm, ki = lmk[t, :2], lmk[t, 2:]
-    free = memb[r[:, None], lm].sum(axis=1) == (lm == ki).sum(axis=1)
-    r1, t, lm, ki = r[free], t[free], lm[free], ki[free]
-    swaps = below[r1[:, None], lmk[t]].sum(axis=1) - (ki < lm).sum(axis=1)
-    kept = np.where(rows[r1] == ki, lm[:, :1], rows[r1])  # l in place of k_i
-    weight = -((-1.0) ** swaps) * c[t]
-    new_rows = np.concatenate([np.column_stack([rows[r0], k]), np.column_stack([kept, lm[:, 1]])])
-    result, tgt = _targets(np.sort(new_rows, axis=1), d)
-    row, col, weight = (np.concatenate(x) for x in ([r0, r1], [k, np.full(len(r1), d)], [sign, weight]))
-    return result, _jagged(len(result), tgt, row, col, weight, n * n * 16, d + 1)
+    # the terms of d'θ^k = −Σ_{l<m} C[l, m, k] θ^l θ^m, k by k
+    pairs, values, bounds = basis.structure_terms
+    memb, table, top = _membership(rows, d), _rank_table(d, p + 1), comb(d, p + 1) - 1
+
+    kept: list = [0, 0, ()]  # the last span counted and its terms, for the candidates inside it
+    sizes = (bounds[rows + 1] - bounds[rows]).sum(axis=1)
+
+    def frame(a: int, b: int) -> tuple:
+        """Frame part of rows a..b: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m at place i,
+        where l and m stay out of K∖{k_i}, but either may be k_i: each term's row
+        (from a), place, entry of the k_i terms, and k_i; found for about ``_CHUNK``
+        terms at a time."""
+        lo, hi, terms = kept
+        if lo <= a and b <= hi and terms:
+            s, e = terms[0].searchsorted([a - lo, b - lo]).tolist()
+            return (terms[0][s:e] - (a - lo), *(x[s:e] for x in terms[1:]))
+        found = []
+        for a0, b0 in _runs(sizes[a:b]):
+            k = rows[a + a0 : a + b0].ravel()
+            owner, e = _ragged(bounds[k], bounds[k + 1] - bounds[k])
+            (r, i), (l, m), k = np.divmod(owner, max(p, 1)), np.take(pairs, e, axis=1), k[owner]
+            flat = memb[a + a0 : a + b0].ravel()
+            free = ((l == k) | ~flat[r * d + l]) & ((m == k) | ~flat[r * d + m])
+            found.append((r[free] + a0, i[free], e[free], k[free]))
+        return found[0] if len(found) == 1 else tuple(np.concatenate(x) for x in zip(*found))
+
+    framed = np.zeros(len(rows), np.intp)
+    for a, b in _runs(sizes):
+        kept[:] = a, b, frame(a, b)
+        framed[a:b] = np.bincount(kept[2][0], minlength=b - a)
+    # each row reaches the k outside it, and column d when it has a frame part
+    first = (~memb).argmax(axis=1)
+    last = np.where(framed > 0, d, d - 1 - (~memb[:, ::-1]).argmax(axis=1))
+
+    def sums(rows_: np.ndarray, shifts: int) -> np.ndarray:
+        """``sums[s, ..., t] = Σ_{x<t} table[rows_[..., x], x + s]`` for ``s < shifts``."""
+        x = np.arange(rows_.shape[-1]) + np.arange(shifts).reshape((-1,) + (1,) * rows_.ndim)
+        out = np.zeros((shifts,) + rows_.shape[:-1] + (rows_.shape[-1] + 1,), table.dtype)
+        np.cumsum(table[rows_, x], axis=-1, out=out[..., 1:])
+        return out
+
+    def candidates(a: int, b: int) -> tuple:
+        rows_, below = rows[a:b], _below(memb[a:b]).ravel()
+        # coefficient part: [iE_k, a_r] θ^k ∧ θ^K for k outside K, signed by the place
+        # j of k in the sorted row; K keeps its places before j and moves up after
+        k, r0 = (~memb[a:b].T).nonzero()
+        j = below[r0 * d + k]
+        before, after = sums(rows_, 2)
+        split = (before - after + after[:, -1:]).ravel()
+        rank0 = top - split[r0 * (p + 1) + j] - table.ravel()[k * (p + 1) + j]
+        sign = np.where(j & 1, -1.0, 1.0)
+        # frame part: signed (−1)^i and by the swaps sorting l, m in: l lands at place
+        # u of K' = K∖{k_i}, m at v + 1, and K' moves up by 0, 1, 2 past them
+        r1, i, e, ki = frame(a, b)
+        (l, m), ri = np.take(pairs, e, axis=1), r1 * p + i
+        u, v = below[r1 * d + l] - (ki < l), below[r1 * d + m] - (ki < m)
+        weight = np.where((i + u + v) & 1, values[e], -values[e])
+        del i, e, ki
+        x = np.arange(max(p - 1, 0))
+        s0, s1, s2 = sums(rows_[:, x + (x >= np.arange(p)[:, None])], 3)  # over K' for each i
+        ranked = (s0 - s1).ravel()[ri * p + u] + (s1 - s2).ravel()[ri * p + v] + s2[:, :, -1].ravel()[ri]
+        ranked += table.ravel()[l * (p + 1) + u] + table.ravel()[m * (p + 1) + v + 1]
+        del l, m, u, v, ri
+        return (np.concatenate([r0, r1]) + a, np.concatenate([k, np.full(len(r1), d)]),
+                np.concatenate([rank0, top - ranked]), np.concatenate([sign, weight]))
+
+    return _jagged(d - p + framed, first, last, d + 1, n * n * 16, 1, candidates, d, p + 1)
 
 
 def dinvolution(w: DerForm) -> DerForm:
@@ -537,23 +713,26 @@ def hodge(w: DerForm) -> DerForm:
 def _hodge_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     """The pairs (row ``K``, ``M``) whose minor can be nonzero; its table, the coefficients, is free."""
     d, p, g_inv = basis.dim, rows.shape[1], basis.g_inv
-    reach = _membership(rows, d) @ (g_inv != 0) > 0
-    sizes = reach.sum(axis=1)
-    src, ls = [], []
-    for s in sorted(set(sizes.tolist())):  # rows reaching s columns share one pattern of L
-        pick = np.array(list(combinations(range(s), p)), dtype=np.intp).reshape(comb(s, p), p)
-        group = (sizes == s).nonzero()[0]
-        reached = reach[group].nonzero()[1].reshape(len(group), s)
-        ls.append(reached[:, pick].reshape(len(group) * len(pick), p))
-        src.append(np.repeat(group, len(pick)))
-    src, ls = np.concatenate(src), np.concatenate(ls)
-    minors = np.linalg.det(g_inv[rows[src][:, :, None], ls[:, None, :]])
-    weight = basis.sqrt_g_det * (-1.0) ** (ls.sum(axis=1) - p * (p - 1) // 2) * minors
-    # complements of rows of one size run in reverse lexicographic order, so
-    # only the distinct L are complemented, the last first
-    distinct, tgt = _targets(ls, d)
-    result = (_membership(distinct[::-1], d) == 0).nonzero()[1].reshape(len(distinct), d - p)
-    return result, _jagged(len(distinct), len(distinct) - 1 - tgt, src, 0, weight, 1, 1)
+    reach = _membership(rows, d).astype(np.float32) @ (g_inv != 0).astype(np.float32) > 0
+    sizes, table = reach.sum(axis=1), _rank_table(d, p)
+
+    def candidates(a: int, b: int) -> tuple:
+        src, ls = [], []
+        for s in sorted(set(sizes[a:b].tolist())):  # rows reaching s columns share one pattern of L
+            pick = np.array(list(combinations(range(s), p)), dtype=np.intp).reshape(comb(s, p), p)
+            group = a + (sizes[a:b] == s).nonzero()[0]
+            reached = reach[group].nonzero()[1].reshape(len(group), s)
+            ls.append(reached[:, pick].reshape(len(group) * len(pick), p))
+            src.append(np.repeat(group, len(pick)))
+        src, ls = np.concatenate(src), np.concatenate(ls)
+        minors = np.linalg.det(g_inv[rows[src][:, :, None], ls[:, None, :]])
+        weight = basis.sqrt_g_det * (-1.0) ** (ls.sum(axis=1) - p * (p - 1) // 2) * minors
+        # the complement M of L ranks C(d, p) − 1 − rank(L): complements run in reverse order
+        ranked = table[ls, np.arange(p)].sum(axis=1)
+        return src, np.zeros_like(src), ranked, weight
+
+    counts = _binomials(d + 1, p, np.int64)[sizes]
+    return _jagged(counts, np.zeros_like(sizes), np.zeros_like(sizes), 1, 1, 1, candidates, d, d - p)
 
 
 def nc_integrate(w: DerForm) -> complex:

@@ -27,7 +27,9 @@ from ncgauge import (
     random_traceless_hermitian,
     wedge,
 )
-from ncgauge.derforms import _wedge_plan, random_form
+from ncgauge.derforms import _dprime_plan, _wedge_plan, random_form
+
+from conftest import skewed_frame_of
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +467,39 @@ def _nbytes(obj) -> int:
 
 
 def test_plans_kept_by_one_calculus_suite_at_n5_stay_small():
-    # int64 targets, sources and new indices in slot groups held 7.8 MB
+    # int64 targets, sources and new indices in slot groups held 7.8 MB, and
+    # float64 weights of ±1 in the ∧ plans 5.45 MB; int8 signs hold 4.32 MB
     basis = MatrixBasis.gellmann(5)
     verify.suite_calculus(basis)
     assert basis.derform_plans
-    assert _nbytes(basis.derform_plans) <= 6e6
+    assert _nbytes(basis.derform_plans) <= 4.4e6
+
+
+def test_wedge_plans_hold_their_signs_in_one_byte():
+    b = MatrixBasis.gellmann(3)
+    rows = np.array(list(combinations(range(b.dim), 2)))
+    _, blocks = _wedge_plan(b, rows, rows)
+    for *_, weight in blocks:
+        assert weight.dtype == np.int8 and set(np.unique(weight).tolist()) <= {-1, 1}
+
+
+def _rows(d, p):
+    return np.array(list(combinations(range(d), p)), dtype=np.intp).reshape(-1, p)
+
+
+@pytest.mark.parametrize("case", ["dprime3_n5", "dprime3_skewed_n4", "wedge22_n5"])
+def test_a_plan_build_holds_at_most_three_times_its_plan(case):
+    # the builders enumerated every candidate at once: 17.5 MB for a 1.6 MB d′
+    # plan at n = 5, 25.1 MB for 1.4 MB on the skewed n = 4 frame, and 7.2 MB
+    # for 1.3 MB of ∧ (2, 2) at n = 5; runs of whole blocks keep it near the plan
+    basis = skewed_frame_of(4)[0] if case == "dprime3_skewed_n4" else MatrixBasis.gellmann(5)
+    build = _wedge_plan if case == "wedge22_n5" else _dprime_plan
+    rows = [_rows(basis.dim, 2)] * 2 if case == "wedge22_n5" else [_rows(basis.dim, 3)]
+    basis.structure_terms  # of the basis, not of the build
+    tracemalloc.start()
+    try:
+        plan = build(basis, *rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _nbytes(plan), (peak, _nbytes(plan))

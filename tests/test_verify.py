@@ -25,6 +25,7 @@ from ncgauge import (
     inner_gauge,
     random_connection,
     spectral,
+    universal,
     verify,
     wedge,
 )
@@ -138,6 +139,55 @@ def test_a_relative_error_in_the_pairing_route_fails_its_check_at_every_frame_sc
         for n in (2, 3, 4):
             report = verify.suite_gauge(_scaled_frame(n, scale))
             assert _failing(report) == {"action_route_agreement"}, (scale, n, report.lines)
+
+
+def _unit_bracket(f):
+    """The graded bracket ``[e, f]`` with the universal one-form ``e(x, y) = 1`` for
+    ``x ≠ y``: a graded derivation that commutes with the involution (``e* = −e``), so
+    ``duniv`` plus it keeps Leibniz and ``d(f*) = (df)*``, but its square with ``duniv``
+    is the bracket with ``de ≠ 0``."""
+    e = universal.UniversalForm(f.size, 1, 1.0 - np.eye(f.size))
+    return universal.uproduct(e, f) - (-1.0) ** f.degree * universal.uproduct(f, e)
+
+
+#: (suite, check) -> (the name in ``verify`` that is replaced, its mutation of the
+#: original, the universal checks that must fail).  A uniform relative inflation of
+#: ``duniv``, ``uproduct`` or ``uinvolution`` scales both sides of these three
+#: checks, so each row adds a forbidden term or an error that depends on the degree
+UNIVERSAL_WITNESSES = {
+    ("universal_forms", "d_squared_zero"): (
+        "duniv",
+        lambda f: lambda w: f(w) + 1e-6 * _unit_bracket(w),
+        {"d_squared_zero"},
+    ),
+    ("universal_forms", "graded_leibniz"): (
+        "duniv",
+        lambda f: lambda w: (1 + 1e-6) * f(w) if w.degree >= 1 else f(w),
+        {"graded_leibniz"},
+    ),
+    # (−1)^p f* is still an antimultiplicative involution, but it anticommutes with d
+    ("universal_forms", "d_commutes_with_involution"): (
+        "uinvolution",
+        lambda f: lambda w: (-1.0) ** w.degree * f(w),
+        {"d_commutes_with_involution"},
+    ),
+}
+
+
+def test_every_universal_check_has_a_witness():
+    names = {("universal_forms", c.name) for c in verify.suite_universal().lines}
+    rows = {("universal_forms", name) for name in MUTATIONS["suite_universal"][1]}
+    assert rows | set(UNIVERSAL_WITNESSES) == names
+
+
+@pytest.mark.parametrize("witness", sorted(UNIVERSAL_WITNESSES), ids="-".join)
+def test_a_universal_witness_fails_its_check(monkeypatch, witness):
+    target, mutate, expected = UNIVERSAL_WITNESSES[witness]
+    monkeypatch.setattr(verify, target, mutate(getattr(verify, target)))
+    for seed in (0, 3):
+        report = verify.suite_universal(seed)
+        assert report.name == witness[0]
+        assert _failing(report) == expected, (seed, report.lines)
 
 
 def _theta_bracket(w):
