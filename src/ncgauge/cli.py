@@ -29,7 +29,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,25 +53,6 @@ __all__ = ["RunConfig", "build_config", "cmd_verify", "cmd_minimize", "cmd_two_p
 
 #: one ``minimize`` CSV row per iteration: the accepted step and its halvings
 _MINIMIZE_HEADER = ["iter", "action", "grad_norm", "step", "backtracks"]
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved run parameters (flags merged with the JSON config)."""
-
-    command: str
-    n: int
-    big_n: int
-    r: int | None
-    dims: tuple[int, ...] | None
-    mu: float
-    seed: int
-    steps: int | None
-    tol: float
-    out: str | None
-    init: str
-    grid: str
-    m_matrix: np.ndarray | None
 
 
 def _option(test, wording: str, kind: type | None = None):
@@ -140,6 +121,12 @@ _OPTIONS = {
     "grid": ("grid", _one_of("real", "circle"), "real", None),
     "M": ("m_matrix", _matrix, None, None),
 }
+
+RunConfig = make_dataclass("RunConfig", ["command", *(field for field, *_ in _OPTIONS.values())], namespace={
+    "__module__": __name__,
+    "__doc__": "Resolved run parameters, flags merged with the JSON config: the command, then the fields of "
+               "``_OPTIONS`` in table order.",
+})
 
 
 def build_config(argv: list[str]) -> RunConfig:

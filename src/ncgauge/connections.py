@@ -13,8 +13,10 @@ action is the Hermitian norm of the curvature, ``F^kl = g^ka g^lb F_ab``,
     S[A] = (1/8n) Σ_{k,l} Re tr(F_kl† F^kl) = (n/32) Σ_{k,l} ‖F̃_kl‖²,
 
 read without a metric in the basis' normal frame, where ``Ã = Lᵀ A`` has
-the curvature ``F̃`` and ``minimize`` takes its steps.  Its two exact minima
-families at ``A = 0`` and ``A_k = iE_k`` are the symmetric and broken vacua.
+the curvature ``F̃`` and ``minimize`` takes its steps; its result says whether
+and why it stopped (``converged``, ``stop_reason``), never an exception.  The
+action's two exact minima families at ``A = 0`` and ``A_k = iE_k`` are the
+symmetric and broken vacua.
 ``action_via_pairing`` recomputes S through the Hodge-star route ``(1/4)∫ F* ⋆F``
 as an independent cross-check of the whole calculus stack.
 """
@@ -30,7 +32,7 @@ from .basis import (
     frob_norm, frozen, is_antihermitian, is_unitary,
 )
 from .derforms import DerForm, _nonzero, dinvolution, dprime, hodge, nc_integrate, wedge
-from .errors import MaxIterationsError, NotProjectorError, NotUnitaryError, ShapeError
+from .errors import NotProjectorError, NotUnitaryError, ShapeError
 from .tolerances import TAU_ALG, Check
 
 __all__ = [
@@ -193,15 +195,6 @@ class MinimizeResult:
     #: why :func:`minimize` stopped: ``"gtol"``, ``"max_iter"`` or
     #: ``"line_search_stalled"`` (``None`` on a result built by hand)
     stop_reason: str | None = None
-
-    def raise_for_convergence(self) -> "MinimizeResult":
-        """Return ``self`` if converged, else raise :class:`MaxIterationsError`."""
-        if not self.converged:
-            raise MaxIterationsError(
-                f"no convergence after {self.iterations} iterations "
-                f"(stopped by {self.stop_reason}, grad norm {self.grad_norm:.3e})"
-            )
-        return self
 
 
 def minimize(conn: MatrixConnection, max_iter: int = 20000, gtol: float = 1e-10) -> MinimizeResult:

@@ -136,29 +136,27 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=None)
 def _rank_table(d: int, p: int) -> np.ndarray:
     """``C(d−1−x, p−i)`` where index ``x`` can stand at place ``i`` of a row of
-    ``p`` indices below ``d``, else 0; Python integers once ``C(d, p) ≥ 2⁶³``."""
+    ``p`` indices below ``d``, else 0; Python integers once ``C(d, p) ≥ 2⁶³``.  A row's
+    lexicographic rank is ``C(d, p) − 1 − Σ_i C(d−1−k_i, p−i)`` (combinatorial number
+    system, Knuth TAOCP 4A §7.2.1.3)."""
     table = [[comb(d - 1 - x, p - i) * (i <= x <= d - p + i) for i in range(p)] for x in range(d)]
     return _frozen(np.array(table, np.int64 if comb(d, p) < 2**63 else object).reshape(d, p))[0]
 
 
 @lru_cache(maxsize=None)
-def _binomials(d: int, j: int, kind: type) -> np.ndarray:
-    """``C(c, j)`` for ``c < d``."""
-    return _frozen(np.array([comb(c, j) for c in range(d)], kind))[0]
+def _binomials(d: int, j: int, cap: int) -> np.ndarray:
+    """``min(C(c, j), cap)`` for ``c < d``, in int64 while ``cap < 2⁶³`` however large ``C(d−1, j)``."""
+    return _frozen(np.array([min(comb(c, j), cap) for c in range(d)], np.int64 if cap < 2**63 else object))[0]
 
 
 def _rows_of(ranks: np.ndarray, d: int, p: int) -> np.ndarray:
     """The rows of lexicographic ranks ``ranks``: place by place the largest ``c = d−1−k``
-    with ``C(c, p−i)`` at most what is left of ``C(d, p) − 1 − rank``; past ``d/2``
-    indices, the complements of the rows of ranks ``C(d, p) − 1 − rank``, which run in
-    reverse order."""
-    kind = np.int64 if comb(d, p) < 2**63 else object
-    left = comb(d, p) - 1 - ranks.astype(kind)
-    if 2 * p > d:
-        return (~_membership(_rows_of(left, d, d - p), d)).nonzero()[1].reshape(len(ranks), p)
+    with ``C(c, p−i)`` at most what is left of ``C(d, p) − 1 − rank``."""
+    top = comb(d, p)  # no more is ever left, so the columns stop there
+    left = top - 1 - ranks.astype(np.int64 if top < 2**63 else object)
     rows = np.empty((len(ranks), p), np.intp)
     for i in range(p):
-        column = _binomials(d, p - i, kind)
+        column = _binomials(d, p - i, top)
         rows[:, i] = c = column.searchsorted(left, side="right") - 1
         left = left - column[c]
     return d - 1 - rows
@@ -173,21 +171,6 @@ def _membership(rows: np.ndarray, d: int) -> np.ndarray:
 def _below(memb: np.ndarray) -> np.ndarray:
     """``below[r, x]``: the indices of row ``r`` under ``x``."""
     return np.cumsum(memb, axis=1) - memb
-
-
-def _targets(rows: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sorted rows in lexicographic order, and each row's index
-    among them, by their ranks ``C(d, p) − 1 − Σ_i C(d−1−k_i, p−i)``
-    (combinatorial number system, Knuth TAOCP 4A §7.2.1.3).  Rows of one rank
-    are equal, so one unstable sort serves."""
-    p = rows.shape[1]
-    ranks = comb(d, p) - 1 - _rank_table(d, p)[rows, np.arange(p)].sum(axis=1)
-    order = np.argsort(ranks)
-    first = np.zeros(len(rows), bool)
-    first[_edges(ranks[order])[:-1]] = True
-    tgt = np.empty(len(rows), np.intp)
-    tgt[order] = np.cumsum(first) - 1
-    return rows[order[first]], tgt
 
 
 def _ragged(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +201,7 @@ def _jagged(count: np.ndarray, first: np.ndarray, last: np.ndarray, cols: int, c
     Source row ``r`` has ``count[r]`` candidates in the columns ``first[r]..last[r]``.
     ``candidates(a, b)`` gives the ``row, col, rank, weight`` of those of the rows ``[a, b)``,
     asked for runs of whole blocks of about ``_CHUNK`` candidates, in their order: the rank
-    is their result row's (:func:`_targets`), and a result row adds its candidates of one
+    is their result row's (:func:`_rank_table`), and a result row adds its candidates of one
     block in that order."""
     live = count.nonzero()[0]
     if not len(live):
@@ -359,8 +342,8 @@ def _nonzero(rows: np.ndarray, coefs: np.ndarray) -> _Part | None:
 
 def _sum(basis: MatrixBasis, parts: Iterable[_Part | None], minus: Iterable[_Part | None] = ()) -> "DerForm":
     """The form summing ``parts`` less ``minus``; a degree met again is added or subtracted
-    where the rows agree, else in the union of the rows, found by their ranks.  Only a
-    ``minus`` part of a degree not met before is negated into a copy."""
+    where the rows agree, else in the union of the rows, found by their ranks (rows of one
+    rank are equal).  Only a ``minus`` part of a degree not met before is negated into a copy."""
     out: dict[int, _Part] = {}
     for op, group in ((np.add, parts), (np.subtract, minus)):
         for rows, coefs in filter(None, group):
@@ -370,11 +353,13 @@ def _sum(basis: MatrixBasis, parts: Iterable[_Part | None], minus: Iterable[_Par
             elif mine[0].shape == rows.shape and (mine[0] == rows).all():
                 part = _nonzero(rows, op(mine[1], coefs))
             else:
-                union, tgt = _targets(np.concatenate([mine[0], rows]), basis.dim)
-                both = np.zeros((len(union),) + coefs.shape[1:], dtype=complex)
+                cat, p = np.concatenate([mine[0], rows]), rows.shape[1]
+                ranks = comb(basis.dim, p) - 1 - _rank_table(basis.dim, p)[cat, np.arange(p)].sum(axis=1)
+                _, first, tgt = np.unique(ranks, return_index=True, return_inverse=True)
+                both = np.zeros((len(first),) + coefs.shape[1:], dtype=complex)
                 both[tgt[: len(mine[0])]] = mine[1]
                 op.at(both, tgt[len(mine[0]) :], coefs)
-                part = _nonzero(union, both)
+                part = _nonzero(cat[first], both)
             if part is not None:
                 out[rows.shape[1]] = part
     return DerForm._of(basis, out)
@@ -480,16 +465,13 @@ class DerForm:
 
     # -- graded-algebra arithmetic -------------------------------------------
 
-    def _plus(self, other: "DerForm", sign: float) -> "DerForm":
-        _require_same_basis(self.basis, other.basis)
-        mine, theirs = self._parts.values(), other._parts.values()
-        return _sum(self.basis, [*mine, *theirs]) if sign > 0 else _sum(self.basis, mine, theirs)
-
     def __add__(self, other: "DerForm") -> "DerForm":
-        return self._plus(other, 1.0)
+        _require_same_basis(self.basis, other.basis)
+        return _sum(self.basis, [*self._parts.values(), *other._parts.values()])
 
     def __sub__(self, other: "DerForm") -> "DerForm":
-        return self._plus(other, -1.0)
+        _require_same_basis(self.basis, other.basis)
+        return _sum(self.basis, self._parts.values(), other._parts.values())
 
     def __neg__(self) -> "DerForm":
         return (-1.0) * self
@@ -731,7 +713,7 @@ def _hodge_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
         ranked = table[ls, np.arange(p)].sum(axis=1)
         return src, np.zeros_like(src), ranked, weight
 
-    counts = _binomials(d + 1, p, np.int64)[sizes]
+    counts = _binomials(d + 1, p, comb(d, p))[sizes]
     return _jagged(counts, np.zeros_like(sizes), np.zeros_like(sizes), 1, 1, 1, candidates, d, d - p)
 
 

@@ -4,7 +4,8 @@ All package-specific failures derive from :class:`NCGaugeError` so callers
 can catch everything with a single ``except`` clause.  The subclasses make
 the *reason* for a rejection explicit: a basis that fails to span, mixing
 forms over different bases, a would-be gauge transformation that is not
-unitary, and so on.
+unitary, and so on.  A descent that stops short is not an error:
+:func:`ncgauge.minimize` reports it in ``converged`` and ``stop_reason``.
 """
 
 __all__ = [
@@ -18,7 +19,6 @@ __all__ = [
     "NotProjectorError",
     "MissingStructureError",
     "ConfigError",
-    "MaxIterationsError",
 ]
 
 
@@ -61,13 +61,3 @@ class MissingStructureError(NCGaugeError):
 
 class ConfigError(NCGaugeError):
     """A configuration file or parameter set is malformed or inconsistent."""
-
-
-class MaxIterationsError(NCGaugeError):
-    """An iterative solver hit its iteration cap before reaching tolerance.
-
-    :func:`ncgauge.minimize` never raises this itself — it returns the best
-    iterate with ``converged=False`` — but callers that prefer an exception
-    can use :meth:`MinimizeResult.raise_for_convergence`.
-    """
-

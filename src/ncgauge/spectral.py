@@ -185,11 +185,6 @@ class FiniteSpectralTriple:
 # axiom verification
 # ---------------------------------------------------------------------------
 
-def _largest(norms: list[float]) -> float:
-    """The largest of ``norms``, 0.0 for none; unlike Python's ``max``, a NaN anywhere is kept."""
-    return float(np.array(norms).max(initial=0.0))
-
-
 #: complex entries of one product tile: its two products stay in cache
 #: and are formed in the same two buffers from tile to tile
 _TILE = 1 << 14
@@ -315,7 +310,7 @@ def check_axioms(t: FiniteSpectralTriple) -> CheckReport:
     eye = np.eye(dim)
     d_norm = frob_norm(d)
     gens = np.array(t.generators, dtype=complex).reshape(len(t.generators), dim, dim)
-    gen_norm = _largest([frob_norm(g) for g in gens])
+    gen_norm = np.array([frob_norm(g) for g in gens]).max(initial=0.0)  # unlike max, keeps a NaN
     add("dirac_self_adjoint", frob_norm(d - dagger(d)), d_norm)
 
     if t.gamma is not None:
@@ -323,7 +318,7 @@ def check_axioms(t: FiniteSpectralTriple) -> CheckReport:
         gam_norm = frob_norm(gam)
         add("chirality_self_adjoint", frob_norm(gam - dagger(gam)), gam_norm)
         add("chirality_squares_to_one", frob_norm(gam @ gam - eye), gam_norm**2)
-        res = _largest([frob_norm(c) for c in gam @ gens - gens @ gam])
+        res = np.array([frob_norm(c) for c in gam @ gens - gens @ gam]).max(initial=0.0)
         add("chirality_commutes_algebra", res, gam_norm * gen_norm)
         add("chirality_anticommutes_dirac", frob_norm(gam @ d + d @ gam), gam_norm * d_norm)
 
@@ -353,7 +348,7 @@ def check_axioms(t: FiniteSpectralTriple) -> CheckReport:
                     f"expect Jgamma = {eps_pp:+d} gammaJ",
                 )
         conj_gens = t.j.conjugate_operator(gens)
-        conj_norm = _largest([frob_norm(a) for a in conj_gens])
+        conj_norm = np.array([frob_norm(a) for a in conj_gens]).max(initial=0.0)
         res0, res1 = _order_residuals(conj_gens, gens, d)
         add("zeroth_order", res0, conj_norm * gen_norm)
         add("first_order", res1, d_norm * gen_norm * conj_norm)
@@ -718,10 +713,10 @@ def sm_algebra_fixture(d_f: np.ndarray | None = None) -> SMFixture:
 
     sample = _sm_sample_elements(np.random.default_rng(7), 6)
     reps = [sm_represent(*x) for x in sample]
-    hom_res = _largest([
+    hom_res = float(np.array([
         frob_norm(rx @ ry - sm_represent(*_sm_multiply(x, y)))
         for x, rx in zip(sample, reps) for y, ry in zip(sample, reps)
-    ])
+    ]).max(initial=0.0))
     reps = np.array(reps + list(gens))
     zeroth, first = _order_residuals(j.conjugate_operator(reps), reps, d_f)
     if not first <= TAU_ALG * frob_norm(d_f):

@@ -1,5 +1,7 @@
-"""Shared fixtures and the acceptance-gate summary hook."""
+"""Shared fixtures, and the summary hook: the acceptance gate and the source size."""
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,20 @@ from ncgauge import MatrixBasis, gellmann_basis
 # every run so the gate verdict is visible regardless of output capturing.
 ACCEPTANCE_LINES: list[str] = []
 
+#: the package's modules, whose line counts every run reports
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "ncgauge"
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance gate")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    # lines as ``wc -l`` counts them
+    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted(SOURCE.glob("*.py"))}
+    terminalreporter.section("source size")
+    terminalreporter.write_line(f"src/ncgauge/*.py: {sum(lines.values())} lines in {len(lines)} modules")
+    terminalreporter.write_line(", ".join(f"{name} {count}" for name, count in lines.items()))
 
 
 @pytest.fixture(scope="session")

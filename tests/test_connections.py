@@ -18,7 +18,6 @@ from ncgauge import (
     DerForm,
     MatrixBasis,
     MatrixConnection,
-    MaxIterationsError,
     NotProjectorError,
     NotUnitaryError,
     ShapeError,
@@ -278,8 +277,6 @@ def test_minimize_zero_iterations(basis2):
     assert res.iterations == 0 and not res.converged
     assert len(res.trace) == 1 and res.trace[0][0] == 0
     assert res.action == pytest.approx(action(conn))
-    with pytest.raises(MaxIterationsError):
-        res.raise_for_convergence()
 
 
 def test_minimize_starts_at_flat_point(basis2):
@@ -338,8 +335,6 @@ def test_minimize_stop_reasons(basis2):
     assert minimize(conn).stop_reason == "gtol"
     capped = minimize(conn, max_iter=5)
     assert (capped.iterations, capped.converged, capped.stop_reason) == (5, False, "max_iter")
-    with pytest.raises(MaxIterationsError, match="max_iter"):
-        capped.raise_for_convergence()
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -359,8 +354,6 @@ def test_minimize_accepts_only_steps_that_lower_the_action(basis2, seed):
     # the stall leaves the last accepted point, and its action, unchanged
     assert [row[0] for row in res.trace] == list(range(res.iterations + 1))
     assert res.action == actions[-1] == action(res.connection)
-    with pytest.raises(MaxIterationsError, match="line_search_stalled"):
-        res.raise_for_convergence()
 
 
 def test_minimize_forms_each_trial_curvature_once(basis2, monkeypatch):

@@ -180,6 +180,18 @@ def test_ranks_past_int64_at_n9():
     _assert_same(wedge(one, w), ref_wedge(c1, c))
 
 
+def test_high_degree_rows_at_n9_are_unranked_in_int64():
+    # C(80, 78) = 3,160 ranks fit int64 although C(79, 40) > 2⁶³: the rows of
+    # ⋆ on degree 2 and of degree 1 ∧ degree 77 are found without a binomial
+    # past the ranks
+    b = MatrixBasis.gellmann(9)
+    rng = np.random.default_rng(919)
+    two, one, high = (_sparse_form(b, p, 3, rng) for p in (2, 1, 77))
+    c2, c1, ch = dict(two.components), dict(one.components), dict(high.components)
+    _assert_same(hodge(two), ref_hodge(b, c2))
+    _assert_same(wedge(one, high), ref_wedge(c1, ch))
+
+
 @pytest.mark.parametrize("n, degrees", [(4, (2, 2)), (5, (1, 2))])
 def test_batched_forms_match_reference_when_the_source_table_spans_blocks(n, degrees):
     # full forms whose d' or wedge table exceeds one block of source rows:
