@@ -13,14 +13,14 @@ coefficients, with no repeated row and no all-zero coefficient.  ``wedge``,
 for a full part: the result rows, by their ranks in the combinatorial number
 system, and each candidate monomial as a table unit and a weight (an int8
 sign for ``wedge``) in jagged-diagonal slots.  A build counts each source
-row's candidates and columns, then enumerates them for runs of whole blocks
-of about ``_CHUNK`` candidates, ranking each result row from the places of
-its indices, sorts a run once and lays out all its blocks' slots together,
-so it holds little more than the plan.  The table is one GEMM per block of
-whole source rows over the columns they reach (``[iE_k, a_r]`` and ``a_r``,
-or the ``a_i b_j``; ``⋆`` reads the coefficients); one gather serves a run of
-slots, and slot ``s`` adds into the first ``len(src_s)`` sums.  Keys are validated only at
-the mapping constructor, ``matrix``/``monomial`` and ``from_record``.
+row's candidates and columns (``d'`` reads upper bounds off its terms), then
+enumerates them once, for runs of whole blocks of about ``_CHUNK`` candidates,
+ranking each result row from the places of its indices; it sorts a run once and
+lays out all its blocks' slots together, so it holds little more than the plan.
+The table is one GEMM per block of whole source rows over the columns they reach
+(``[iE_k, a_r]`` and ``a_r``, or the ``a_i b_j``; ``⋆`` reads the coefficients); one
+gather serves a run of slots, and slot ``s`` adds into the first ``len(src_s)`` sums.
+Keys are validated only at the mapping constructor, ``matrix``/``monomial`` and ``from_record``.
 
 The differential ``d'`` acts on generators by
 
@@ -198,7 +198,7 @@ def _jagged(count: np.ndarray, first: np.ndarray, last: np.ndarray, cols: int, c
     the columns ``[c0, c1)`` they reach fits.  Cell ``(row, col)`` is units
     ``((row − lo)·rep + i)·(c1 − c0) + col − c0``, ``i < rep``.
 
-    Source row ``r`` has ``count[r]`` candidates in the columns ``first[r]..last[r]``.
+    Source row ``r`` has at most ``count[r]`` candidates, in the columns ``first[r]..last[r]``.
     ``candidates(a, b)`` gives the ``row, col, rank, weight`` of those of the rows ``[a, b)``,
     asked for runs of whole blocks of about ``_CHUNK`` candidates, in their order: the rank
     is their result row's (:func:`_rank_table`), and a result row adds its candidates of one
@@ -552,7 +552,8 @@ def _wedge_plan(basis: MatrixBasis, rows1: np.ndarray, rows2: np.ndarray) -> tup
 def dprime(w: DerForm) -> DerForm:
     """The differential, built from its action on generators; a block's table
     row ``r·(D+1) + k`` is ``[iE_k, a_r]`` for ``k < D`` and ``a_r`` for ``k = D``."""
-    parts = [_apply(_dprime_plan, w.basis, (r,), a, w.basis.ad_table) for r, a in w._parts.values()]
+    parts = [_apply(_dprime_plan, w.basis, (r,), a, w.basis.ad_table)
+             for r, a in w._parts.values() if r.shape[1] < w.basis.dim]  # d′ of top degree is 0
     return _sum(w.basis, parts)
 
 
@@ -562,19 +563,13 @@ def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
     # the terms of d'θ^k = −Σ_{l<m} C[l, m, k] θ^l θ^m, k by k
     pairs, values, bounds = basis.structure_terms
     memb, table, top = _membership(rows, d), _rank_table(d, p + 1), comb(d, p + 1) - 1
-
-    kept: list = [0, 0, ()]  # the last span counted and its terms, for the candidates inside it
-    sizes = (bounds[rows + 1] - bounds[rows]).sum(axis=1)
+    sizes = (bounds[rows + 1] - bounds[rows]).sum(axis=1)  # each row's frame terms, free or not
 
     def frame(a: int, b: int) -> tuple:
         """Frame part of rows a..b: θ^{k_i} ↦ −Σ_{l<m} C[l, m, k_i] θ^l θ^m at place i,
         where l and m stay out of K∖{k_i}, but either may be k_i: each term's row
         (from a), place, entry of the k_i terms, and k_i; found for about ``_CHUNK``
         terms at a time."""
-        lo, hi, terms = kept
-        if lo <= a and b <= hi and terms:
-            s, e = terms[0].searchsorted([a - lo, b - lo]).tolist()
-            return (terms[0][s:e] - (a - lo), *(x[s:e] for x in terms[1:]))
         found = []
         for a0, b0 in _runs(sizes[a:b]):
             k = rows[a + a0 : a + b0].ravel()
@@ -585,13 +580,10 @@ def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
             found.append((r[free] + a0, i[free], e[free], k[free]))
         return found[0] if len(found) == 1 else tuple(np.concatenate(x) for x in zip(*found))
 
-    framed = np.zeros(len(rows), np.intp)
-    for a, b in _runs(sizes):
-        kept[:] = a, b, frame(a, b)
-        framed[a:b] = np.bincount(kept[2][0], minlength=b - a)
-    # each row reaches the k outside it, and column d when it has a frame part
+    # each row reaches the k outside it, and column d when it has frame terms: its count
+    # and span are read before the free test, so they bound what the candidates reach
     first = (~memb).argmax(axis=1)
-    last = np.where(framed > 0, d, d - 1 - (~memb[:, ::-1]).argmax(axis=1))
+    last = np.where(sizes > 0, d, d - 1 - (~memb[:, ::-1]).argmax(axis=1))
 
     def sums(rows_: np.ndarray, shifts: int) -> np.ndarray:
         """``sums[s, ..., t] = Σ_{x<t} table[rows_[..., x], x + s]`` for ``s < shifts``."""
@@ -625,7 +617,7 @@ def _dprime_plan(basis: MatrixBasis, rows: np.ndarray) -> tuple:
         return (np.concatenate([r0, r1]) + a, np.concatenate([k, np.full(len(r1), d)]),
                 np.concatenate([rank0, top - ranked]), np.concatenate([sign, weight]))
 
-    return _jagged(d - p + framed, first, last, d + 1, n * n * 16, 1, candidates, d, p + 1)
+    return _jagged(d - p + sizes, first, last, d + 1, n * n * 16, 1, candidates, d, p + 1)
 
 
 def dinvolution(w: DerForm) -> DerForm:

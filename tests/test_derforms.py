@@ -27,6 +27,7 @@ from ncgauge import (
     random_traceless_hermitian,
     wedge,
 )
+from ncgauge import derforms
 from ncgauge.derforms import _dprime_plan, _wedge_plan, random_form
 
 from conftest import skewed_frame_of
@@ -80,6 +81,26 @@ def test_canonical_one_form_structure_equation(n):
     b = MatrixBasis.gellmann(n)
     th = canonical_theta(b)
     assert (dprime(th) - wedge(th, th)).norm() < 1e-12
+
+
+@pytest.mark.parametrize("frame", ["gellmann2", "gellmann3", "skewed3"])
+def test_dprime_of_top_degree_is_zero_and_makes_no_plan(frame):
+    # d′ raises the degree, so it kills a degree-D part: no frame term of the
+    # full row is free. Its upper-bound count holds no candidate, so no plan
+    # is made for it, nor kept on the basis
+    n = int(frame[-1])
+    b = skewed_frame_of(n)[0] if frame.startswith("skewed") else MatrixBasis.gellmann(n)
+    rng = np.random.default_rng(n)
+    sparse = np.zeros((n, n), complex)
+    sparse[0, n - 1] = 1.5 - 0.5j
+    one = random_form(b, 1, rng)
+    for top in (random_form(b, b.dim, rng), DerForm.monomial(b, tuple(range(b.dim)), sparse)):
+        zero = dprime(top)
+        assert zero.degrees() == [] and zero.norm() == 0.0
+        mixed, alone = dprime(top + one), dprime(one)
+        assert list(mixed.components) == list(alone.components)
+        assert all(np.array_equal(mixed.component(key), c) for key, c in alone)
+    assert ("_dprime_plan", b.dim) not in b.derform_plans
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +524,22 @@ def test_a_plan_build_holds_at_most_three_times_its_plan(case):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * _nbytes(plan), (peak, _nbytes(plan))
+
+
+@pytest.mark.parametrize("frame", ["gellmann5", "skewed4"])
+def test_a_dprime_build_enumerates_each_frame_term_once(monkeypatch, frame):
+    # row K has Σ_{k ∈ K} (bounds[k + 1] − bounds[k]) frame terms before the free
+    # test. A counting pass before the candidates read them twice: 100,188 for
+    # 50,094 at degree 3 on Gell-Mann n = 5, and 286,650 for 143,325 on the skewed
+    # n = 4 frame
+    basis = MatrixBasis.gellmann(5) if frame == "gellmann5" else skewed_frame_of(4)[0]
+    rows, bounds = _rows(basis.dim, 3), basis.structure_terms[2]
+    asked, ragged = [], derforms._ragged
+
+    def counted(starts, sizes):
+        asked.append(int(sizes.sum()))
+        return ragged(starts, sizes)
+
+    monkeypatch.setattr(derforms, "_ragged", counted)
+    _dprime_plan(basis, rows)
+    assert sum(asked) == int((bounds[rows + 1] - bounds[rows]).sum())
