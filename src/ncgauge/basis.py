@@ -299,7 +299,7 @@ def adjoint_table(frame: np.ndarray) -> np.ndarray:
 # the bundled basis object
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixBasis:
     """A Hermitian matrix basis together with its derived tensors.
 

@@ -19,7 +19,8 @@ contain no timestamps and all randomness flows from ``--seed``, so a
 fixed seed reproduces results byte-for-byte.
 
 Exit codes: 0 success; 1 suite failure or missed convergence; 2 bad
-configuration.
+configuration; 3 out of memory, reported in one stderr line that names the
+command.
 """
 
 from __future__ import annotations
@@ -311,15 +312,20 @@ _COMMANDS = {"verify": cmd_verify, "minimize": cmd_minimize, "two_point": cmd_tw
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = "configuration"  # until the command is known
     try:
         cfg = build_config(argv)
-        return _COMMANDS[cfg.command](cfg)
+        command = cfg.command
+        return _COMMANDS[command](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
     except NCGaugeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        sys.stderr.write(f"error: out of memory in {command}: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

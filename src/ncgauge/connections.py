@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixConnection:
     """Connection coefficients ``A_k`` over a matrix basis.
 
@@ -180,7 +180,7 @@ def _gradient(basis: MatrixBasis, a_n: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (m - dagger(m)) * (basis.n / 32.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class MinimizeResult:
     """Outcome of gradient descent on the action; ``grad_norm`` is the normal-frame ``‖G̃‖``."""
 

@@ -68,7 +68,7 @@ __all__ = [
 # derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
     """The inner derivation ``ad(gamma): a ↦ [gamma, a]`` with ``gamma`` traceless.
 

@@ -63,7 +63,7 @@ MAX_SIDE = 64
 MAX_LATTICE_DIM = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeConfig:
     """Field configuration on a periodic lattice.
 

@@ -86,7 +86,7 @@ KO_TABLE: dict[int, tuple[int, int, int | None]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealStructure:
     """Antiunitary operator ``J(v) = U · conj(v)``."""
 
@@ -123,7 +123,7 @@ class RealStructure:
         return self.u @ np.conjugate(self.u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSpectralTriple:
     """Represented algebra generators, Dirac operator, and the optional
     even/real structure.  Construction checks shapes only — axiom
@@ -419,7 +419,7 @@ def _fluctuation(t: FiniteSpectralTriple, a: np.ndarray) -> np.ndarray:
     return t.d + a + t.eps_p * t.j.conjugate_operator(a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerGaugeResult:
     """Two computations of the gauge-transformed fluctuated Dirac
     operator, through the transformed potential and through the
@@ -647,7 +647,7 @@ def sm_reality() -> RealStructure:
     return RealStructure(u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SMFixture:
     """The finite algebra fragment of the standard-model triple:
     verified representation and commutant data plus an opaque Dirac
@@ -679,26 +679,27 @@ def _sm_multiply(x, y):
 def sm_algebra_fixture(d_f: np.ndarray | None = None) -> SMFixture:
     """Build and verify the ℂ ⊕ ℍ ⊕ M₃(ℂ) representation on ℂ³².
 
-    Checks, on six seeded random elements plus a canonical generating
-    family: that the representation is multiplicative, and that the
-    commutant (zeroth-order) condition holds against the swap-adjoint
-    reality operator.  ``d_f`` is opaque input — only its shape,
-    self-adjointness, and the first-order condition are checked
-    (``ConfigError`` on violation); the default is the zero block.
+    Checks that the representation is multiplicative on six seeded random
+    elements, and judges the rest by :func:`check_axioms` on the triple.
+    Its order lines run over pairs from a generating family of 15: 1 and i
+    in ℂ, four quaternion units, and the nine matrix units of M₃(ℂ).  π is
+    only ℝ-linear on ℂ (λ enters as conj λ too), so i needs its own member.
+    Both order residuals are sesquilinear in the pair and the conditions pass
+    to products, so a family whose complex span holds π(A) decides them on
+    all of A.  ``d_f`` is opaque input — only its shape, self-adjointness,
+    and the first-order condition are checked (``ConfigError`` on
+    violation); the default is the zero block.
     """
-    j = sm_reality()
     if d_f is None:
         d_f = np.zeros((32, 32), dtype=complex)
     d_f = np.asarray(d_f, dtype=complex)
     if d_f.shape != (32, 32):
         raise ConfigError(f"Dirac block must be 32x32, got {d_f.shape}")
-    if not is_hermitian(d_f):
-        raise ConfigError("Dirac block must be self-adjoint")
 
-    # canonical generating family: the unit of each summand and the
-    # matrix units of H and M3(C)
+    # generating family: 1 and i in C, the quaternion units and the matrix units of M3(C)
     gens_abstract = [
         (1.0 + 0j, np.zeros((2, 2)), np.zeros((3, 3))),
+        (1j, np.zeros((2, 2)), np.zeros((3, 3))),
         (0j, quaternion(1, 0), np.zeros((3, 3))),
         (0j, quaternion(1j, 0), np.zeros((3, 3))),
         (0j, quaternion(0, 1), np.zeros((3, 3))),
@@ -709,7 +710,21 @@ def sm_algebra_fixture(d_f: np.ndarray | None = None) -> SMFixture:
             m3 = np.zeros((3, 3), dtype=complex)
             m3[a, b] = 1.0
             gens_abstract.append((0j, np.zeros((2, 2)), m3))
-    gens = tuple(sm_represent(*x) for x in gens_abstract)
+    triple = FiniteSpectralTriple(
+        generators=tuple(sm_represent(*x) for x in gens_abstract),
+        d=d_f,
+        j=sm_reality(),
+        algebra="C (+) H (+) M3(C)",
+    )
+    audit = check_axioms(triple)
+    if not audit.line("dirac_self_adjoint").passed:
+        raise ConfigError("Dirac block must be self-adjoint")
+    first = audit.line("first_order").residual
+    # held to TAU_ALG·‖d_f‖; the line's own bound is 12× looser: ‖b‖·‖JaJ⁻¹‖ = √12·√12
+    if not first <= TAU_ALG * frob_norm(d_f):
+        raise ConfigError(
+            f"Dirac block violates the first-order condition (residual {first:.3e})"
+        )
 
     sample = _sm_sample_elements(np.random.default_rng(7), 6)
     reps = [sm_represent(*x) for x in sample]
@@ -717,25 +732,10 @@ def sm_algebra_fixture(d_f: np.ndarray | None = None) -> SMFixture:
         frob_norm(rx @ ry - sm_represent(*_sm_multiply(x, y)))
         for x, rx in zip(sample, reps) for y, ry in zip(sample, reps)
     ]).max(initial=0.0))
-    reps = np.array(reps + list(gens))
-    zeroth, first = _order_residuals(j.conjugate_operator(reps), reps, d_f)
-    if not first <= TAU_ALG * frob_norm(d_f):
-        raise ConfigError(
-            f"Dirac block violates the first-order condition (residual {first:.3e})"
-        )
-
-    triple = FiniteSpectralTriple(
-        generators=gens,
-        d=d_f,
-        gamma=None,
-        j=j,
-        ko_dim=None,
-        algebra="C (+) H (+) M3(C)",
-    )
     return SMFixture(
         triple=triple,
         homomorphism_residual=hom_res,
-        zeroth_order_residual=zeroth,
+        zeroth_order_residual=audit.line("zeroth_order").residual,
         first_order_residual=first,
     )
 

@@ -76,7 +76,7 @@ def _coincident(size: int, degree: int) -> np.ndarray:
     return frozen(np.flatnonzero(mask), dtype=np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniversalForm:
     """A degree-``p`` universal form: dense values on ``X^(p+1)``."""
 
@@ -92,14 +92,20 @@ class UniversalForm:
                 f"degree-{self.degree} form on {self.size} points needs values of "
                 f"shape {expected}, got {np.shape(self.values)}"
             )
-        v = frozen(self.values)
-        object.__setattr__(self, "values", v)
-        worst = float(np.abs(np.take(v, _coincident(self.size, self.degree))).max(initial=0.0))
+        v = np.array(self.values, dtype=complex)
+        coincident = _coincident(self.size, self.degree)
+        worst = float(np.abs(np.take(v, coincident)).max(initial=0.0))
         # judged against the largest entry, so a form of any size is held to its
         # own scale; an exact zero passes without that reduction.  NaN fails the
-        # comparison, and an infinite entry leaves no finite scale to judge by
-        if worst != 0.0 and not worst <= TAU_ALG * float(np.abs(v).max()) < np.inf:
-            raise ShapeError("form values must vanish when consecutive arguments coincide")
+        # comparison, and an infinite entry leaves no finite scale to judge by.
+        # Accepted roundoff is stored as the exact zero it stands for, so
+        # algebra on accepted forms is never judged by it again
+        if worst != 0.0:
+            if not worst <= TAU_ALG * float(np.abs(v).max()) < np.inf:
+                raise ShapeError("form values must vanish when consecutive arguments coincide")
+            np.put(v, coincident, 0.0)
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -469,7 +469,7 @@ def test_c10_three_summand_fixture():
     assert fx.zeroth_order_residual < TAU_ALG
     j = fx.triple.j
     dim = fx.triple.hilbert_dim
-    assert dim == 32 and len(fx.triple.generators) == 14
+    assert dim == 32 and len(fx.triple.generators) == 15
     assert frob_norm(dagger(j.u) @ j.u - np.eye(dim)) < TAU_ALG
     assert frob_norm(j.squared() - np.eye(dim)) < TAU_ALG
     return (

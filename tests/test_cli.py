@@ -162,6 +162,20 @@ def test_exit_code_two_on_bad_config(capsys):
     assert code == 2
 
 
+def test_out_of_memory_exits_three_with_one_line(capsys, monkeypatch):
+    # numpy's _ArrayMemoryError is a MemoryError: the run ends with one line, no traceback
+    message = "Unable to allocate 582. MiB for an array with shape (595665, 8, 8)"
+
+    def run_all(n, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("ncgauge.verify.run_all", run_all)
+    code, out, err = run_main(capsys, ["verify", "--n", "8"])
+    assert code == 3 and out == ""
+    assert err == f"error: out of memory in verify: {message}\n"
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

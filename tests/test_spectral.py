@@ -814,7 +814,7 @@ def test_order_residual_work_count(monkeypatch):
     # joint support, Na·Ny·s³ multiply-adds per component of size s; the
     # first-order rows of a generator b are stacked only when [D, b] != 0
     sizes, stacks = _order_work(monkeypatch, sm_algebra_fixture().triple)
-    assert sizes == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 6, 6] and stacks == (14, 14)
+    assert sizes == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 6, 6] and stacks == (15, 15)
     # a mass block with no zero entry couples every index: one block of size 2N
     assert _order_work(monkeypatch, two_point_triple(3, np.ones((3, 3)))) == ([6], (2, 2 + 2))
     # M = 1 couples index i with N + i only, M = 0 couples nothing
@@ -861,7 +861,7 @@ def test_sm_fixture_homomorphism_and_commutant():
     assert fx.first_order_residual == 0.0  # zero Dirac block, exactly
     assert check_axioms(fx.triple).line("first_order").residual == 0.0
     assert fx.triple.hilbert_dim == 32
-    assert len(fx.triple.generators) == 14
+    assert len(fx.triple.generators) == 15
     assert fx.triple.gamma is None and fx.triple.ko_dim is None
     # the swap-adjoint reality operator is a genuine antiunitary involution
     j = fx.triple.j
@@ -877,3 +877,40 @@ def test_sm_fixture_rejects_bad_dirac_blocks(rng):
         sm_algebra_fixture(d_f=h + 2.0 * h.T)  # not self-adjoint
     with pytest.raises(ConfigError):
         sm_algebra_fixture(d_f=(h + h.T) + 0j)  # violates first order
+
+
+def _sm_random_element(rng) -> np.ndarray:
+    lam, a, b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    m3 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return sm_represent(lam, quaternion(a, b), m3)
+
+
+def test_sm_fixture_generators_span_the_represented_algebra(rng):
+    # pi is only R-linear on C: pi(i (+) 0 (+) 0) needs a member of its own
+    gens = np.stack(sm_algebra_fixture().triple.generators).reshape(-1, 32 * 32).T
+    elements = [sm_represent(1j, np.zeros((2, 2)), np.zeros((3, 3)))]
+    elements += [_sm_random_element(rng) for _ in range(20)]
+    for x in elements:
+        coef = np.linalg.lstsq(gens, x.ravel(), rcond=None)[0]
+        assert np.linalg.norm(gens @ coef - x.ravel()) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_sm_fixture_judges_a_dirac_block_as_check_axioms_does():
+    # couples columns 0 and 1 of the second summand, on which J pi(1 (+) 0 (+) 0) J^-1
+    # acts alike and J pi(i (+) 0 (+) 0) J^-1 with opposite signs
+    d_w = np.zeros((32, 32))
+    d_w[25, 20] = d_w[20, 25] = 1.0
+    line = check_axioms(replace(sm_algebra_fixture().triple, d=d_w)).line("first_order")
+    assert not line.passed and line.residual > 1.0
+    with pytest.raises(ConfigError, match="first-order condition"):
+        sm_algebra_fixture(d_w)
+
+
+def test_sm_fixture_audits_the_order_conditions_once(monkeypatch):
+    # check_axioms is the only audit: no private order audit, no separate Hermiticity gate
+    calls = []
+    for name in ("_order_residuals", "is_hermitian"):
+        monkeypatch.setattr(spectral, name, lambda *args, _name=name, _f=getattr(spectral, name):
+                            calls.append(_name) or _f(*args))
+    sm_algebra_fixture()
+    assert calls == ["_order_residuals"]

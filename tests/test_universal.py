@@ -156,6 +156,20 @@ def test_random_form_vanishes_exactly_where_consecutive_arguments_coincide(size,
             UniversalForm(size, degree, values)
 
 
+def test_accepted_roundoff_is_stored_as_an_exact_zero():
+    # roundoff where a form must vanish is judged once, against the form it
+    # came with; algebra on two accepted forms must not judge it again against
+    # a result whose largest entry is smaller
+    f = UniversalForm(2, 1, np.array([[1e-11, 1.0], [0.0, 0.0]]))
+    assert f.values[0, 0] == 0.0 and f.values[0, 1] == 1.0
+    product = uproduct(f, UniversalForm(2, 0, np.array([1.0, 1e-12])))
+    assert product.values[0, 1] == 1e-12 and not product.values[0, 0]
+    diff = UniversalForm(2, 1, np.array([[1e-11, 1.0], [1.0, 0.0]])) - UniversalForm(
+        2, 1, np.array([[0.0, 1.0], [1.0, 0.0]])
+    )
+    assert not diff.values.any()
+
+
 def test_size_mismatch_rejected():
     rng = np.random.default_rng(0)
     f = random_universal_form(2, 1, rng)
